@@ -251,10 +251,12 @@ def _cmd_sweep(args) -> int:
         for r in range(1, args.rmax + 1)
         if is_representable(D, r)
     ]
-    if args.parallel <= 1:
+    # the payload does not depend on the worker count, so clamping is safe
+    workers = min(args.parallel, os.cpu_count() or 1)
+    if workers <= 1:
         reports = [_sweep_task(t) for t in tasks]
     else:
-        with Pool(args.parallel) as pool:
+        with Pool(workers) as pool:
             reports = pool.map(_sweep_task, tasks, chunksize=32)
     all_ok = all(rep["theorem_main_ok"] for rep in reports)
     payload = {

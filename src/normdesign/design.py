@@ -162,13 +162,20 @@ def quadrature_average(D: int, r: int, P: BivarPoly, M: int) -> float:
 
     Periodic trapezoid rule with M nodes on the parametrized curve,
     including the weight, the prefactor and the arc-length factor
-    explicitly. Spectrally accurate for polynomial integrands.
+    explicitly. The weighted arc-length density is constant along the
+    curve, so the integrand is a trigonometric polynomial of degree deg P,
+    and the rule is exact (up to rounding) only when M > deg P; fewer
+    nodes alias high frequencies and are rejected.
     """
     require_admissible(D)
     if r < 1:
         raise ValueError(f"quadrature requires r >= 1, got {r}")
     if M < 16 or M & (M - 1) != 0:
         raise ValueError(f"node count must be a power of two >= 16, got {M}")
+    if M <= P.degree:
+        raise ValueError(
+            f"node count must exceed the polynomial degree {P.degree}, got {M}"
+        )
     gamma, gamma_prime, weight, prefactor = _ellipse_parametrization(D, r)
     step = 2.0 * math.pi / M
     total = 0.0

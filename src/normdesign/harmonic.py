@@ -27,7 +27,9 @@ _Monomial = tuple[int, int]
 class BivarPoly:
     """Immutable polynomial in x, y with exact rational coefficients."""
 
-    __slots__ = ("_terms",)
+    # _int_form caches the denominator-cleared terms for evaluate; it is
+    # derived from _terms and takes no part in equality or hashing.
+    __slots__ = ("_terms", "_int_form")
 
     def __init__(
         self,
@@ -43,6 +45,7 @@ class BivarPoly:
             if c:
                 acc[(i, k)] = acc.get((i, k), Fraction(0)) + c
         object.__setattr__(self, "_terms", {m: c for m, c in acc.items() if c})
+        object.__setattr__(self, "_int_form", None)
 
     # -- constructors -----------------------------------------------------
 
@@ -138,21 +141,52 @@ class BivarPoly:
 
     # -- evaluation ----------------------------------------------------------
 
+    def _integer_form(self) -> tuple[int, int, int, tuple[tuple[int, int, int], ...]]:
+        """(den, dx, dy, ((t, i, k), ...)) with t = c * den integral.
+
+        den is the LCM of the coefficient denominators, dx and dy the top
+        exponents of x and y. Built on first use and kept.
+        """
+        form = self._int_form
+        if form is None:
+            den = 1
+            for c in self._terms.values():
+                den = math.lcm(den, c.denominator)
+            dx = max((i for i, _ in self._terms), default=0)
+            dy = max((k for _, k in self._terms), default=0)
+            terms = tuple(
+                (c.numerator * (den // c.denominator), i, k)
+                for (i, k), c in self._terms.items()
+            )
+            form = (den, dx, dy, terms)
+            object.__setattr__(self, "_int_form", form)
+        return form
+
     def evaluate(self, x: RationalLike, y: RationalLike) -> Fraction:
-        """Exact evaluation, Horner in y inside Horner in x."""
-        x = Fraction(x)
-        y = Fraction(y)
-        by_x: dict[int, dict[int, Fraction]] = {}
-        for (i, k), c in self._terms.items():
-            by_x.setdefault(i, {})[k] = c
-        total = Fraction(0)
-        for i in sorted(by_x, reverse=True):
-            inner = by_x[i]
-            acc = Fraction(0)
-            for k in range(max(inner), -1, -1):
-                acc = acc * y + inner.get(k, Fraction(0))
-            total += acc * x**i
-        return total
+        """Exact value at a rational point, summed in integers.
+
+        int and Fraction inputs are read through .numerator/.denominator;
+        anything else (float, str, Decimal, ...) goes through Fraction()
+        once. With x = a/b, y = c/d and the coefficients cleared to
+        integers t = c*den, the value is
+        sum t * a^i * b^(dx-i) * c^k * d^(dy-k) over den * b^dx * d^dy,
+        so only the final division builds a Fraction.
+        """
+        if not isinstance(x, (int, Fraction)):
+            x = Fraction(x)
+        if not isinstance(y, (int, Fraction)):
+            y = Fraction(y)
+        den, dx, dy, terms = self._integer_form()
+        a, b = x.numerator, x.denominator
+        c, d = y.numerator, y.denominator
+        a_pows = _powers(a, dx)
+        b_pows = _powers(b, dx)
+        c_pows = _powers(c, dy)
+        d_pows = _powers(d, dy)
+        total = 0
+        for t, i, k in terms:
+            total += t * a_pows[i] * b_pows[dx - i] * c_pows[k] * d_pows[dy - k]
+        return Fraction(total, den * b_pows[dx] * d_pows[dy])
 
     def evaluate_float(self, x: float, y: float) -> float:
         return sum(float(c) * x**i * y**k for (i, k), c in self._terms.items())
@@ -162,6 +196,16 @@ class BivarPoly:
 
     def __str__(self) -> str:
         return format_poly(self)
+
+
+def _powers(v: int, n: int) -> list[int]:
+    """[v^0, v^1, ..., v^n]."""
+    if v == 1:
+        return [1] * (n + 1)
+    out = [1]
+    for _ in range(n):
+        out.append(out[-1] * v)
+    return out
 
 
 def evaluate(P: BivarPoly, x: RationalLike, y: RationalLike) -> Fraction:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from normdesign import cli
 from normdesign.cli import run
 from normdesign.shells import enumerate_shell, load_shell_cache
 
@@ -132,6 +133,14 @@ def test_quadrature_bad_nodes(capsys):
     capsys.readouterr()
 
 
+def test_quadrature_too_few_nodes_for_degree(capsys):
+    # 16 nodes alias x^40 to 0.1355; the exact value is C(40,20)/2^40 = 0.1254
+    assert run(["quadrature", "1", "1", "--poly", "x^40", "--nodes", "16"]) == 2
+    assert "exceed the polynomial degree 40" in capsys.readouterr().err
+    assert run(["quadrature", "1", "1", "--poly", "x^14", "--nodes", "16"]) == 0
+    capsys.readouterr()
+
+
 def test_reproduce_example(capsys):
     assert run(["reproduce-example"]) == 0
     out = capsys.readouterr().out
@@ -160,6 +169,43 @@ def test_sweep_parallel_output_is_byte_identical(tmp_path):
     assert run(["sweep", "--rmax", "30", "--output", str(serial)]) == 0
     assert run(["sweep", "--rmax", "30", "--parallel", "2", "--output", str(parallel)]) == 0
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+class RecordingPool:
+    """Stands in for multiprocessing.Pool: records its size, maps serially."""
+
+    sizes = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, func, iterable, chunksize=1):
+        return [func(item) for item in iterable]
+
+
+@pytest.mark.parametrize(
+    "cpus,requested,expected",
+    [(2, 1000, [2]), (4, 3, [3]), (None, 8, []), (1, 8, [])],
+)
+def test_sweep_parallel_is_clamped_to_cpu_count(
+    tmp_path, monkeypatch, cpus, requested, expected
+):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(cli, "Pool", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    serial = tmp_path / "serial.json"
+    clamped = tmp_path / "clamped.json"
+    assert run(["sweep", "--rmax", "12", "--output", str(serial)]) == 0
+    argv = ["sweep", "--rmax", "12", "--parallel", str(requested)]
+    assert run(argv + ["--output", str(clamped)]) == 0
+    assert RecordingPool.sizes == expected
+    assert serial.read_bytes() == clamped.read_bytes()
 
 
 def test_repeated_runs_are_byte_identical(capsys):

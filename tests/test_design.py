@@ -132,6 +132,24 @@ def test_quadrature_node_validation():
         quadrature_average(1, 0, one, 256)
 
 
+@pytest.mark.parametrize("M", (16, 32, 64))
+def test_quadrature_exact_moments_below_node_count(M):
+    """On the unit circle the average of x^(2k) is C(2k, k) / 4^k."""
+    for two_k in range(0, M, 2):
+        value = quadrature_average(1, 1, BivarPoly.monomial(two_k, 0), M)
+        exact = math.comb(two_k, two_k // 2) / 4 ** (two_k // 2)
+        assert value == pytest.approx(exact, rel=1e-12, abs=1e-15), (M, two_k)
+
+
+@pytest.mark.parametrize("M", (16, 32, 64))
+def test_quadrature_rejects_degree_at_or_above_node_count(M):
+    for two_k in (M, M + 2, 2 * M + 8):
+        with pytest.raises(ValueError, match="exceed the polynomial degree"):
+            quadrature_average(1, 1, BivarPoly.monomial(two_k, 0), M)
+    with pytest.raises(ValueError):  # total degree, not the x or y degree
+        quadrature_average(1, 1, BivarPoly.monomial(M // 2, M // 2), M)
+
+
 @pytest.mark.parametrize("D", ADMISSIBLE_D)
 @pytest.mark.parametrize("r", (1, 4))
 def test_quadrature_doubling_convergence_guard(D, r):

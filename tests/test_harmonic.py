@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normdesign.harmonic import (
     BasisKind,
@@ -26,6 +28,39 @@ def poly(text):
 
 def random_fraction(rng, span=9):
     return Fraction(rng.randint(-span, span), rng.randint(1, span))
+
+
+def horner_reference(P, x, y):
+    """Reference for evaluate: Fraction Horner in y inside Horner in x."""
+    x = Fraction(x)
+    y = Fraction(y)
+    by_x = {}
+    for (i, k), c in P.terms.items():
+        by_x.setdefault(i, {})[k] = c
+    total = Fraction(0)
+    for i in sorted(by_x, reverse=True):
+        inner = by_x[i]
+        acc = Fraction(0)
+        for k in range(max(inner), -1, -1):
+            acc = acc * y + inner.get(k, Fraction(0))
+        total += acc * x**i
+    return total
+
+
+# Fixed example order keeps the suite reproducible run to run.
+PROPERTY = settings(deadline=None, derandomize=True, max_examples=200)
+
+fractions = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+coefficients = st.one_of(st.integers(-1000, 1000), fractions)
+polys = st.one_of(
+    st.just(BivarPoly.zero()),
+    coefficients.map(BivarPoly.constant),
+    st.dictionaries(
+        st.tuples(st.integers(0, 9), st.integers(0, 9)), coefficients, max_size=8
+    ).map(BivarPoly),
+)
+int_points = st.integers(-10**6, 10**6)
+rational_points = st.one_of(int_points, fractions)
 
 
 # -- BivarPoly basics ---------------------------------------------------------
@@ -56,6 +91,48 @@ def test_evaluate_rational_points():
         a = random_fraction(rng)
         b = random_fraction(rng)
         assert p.evaluate(a, b) == a**3 - 3 * a * b**2
+
+
+@PROPERTY
+@given(polys, int_points, int_points)
+def test_evaluate_matches_horner_at_int_points(P, x, y):
+    assert P.evaluate(x, y) == horner_reference(P, x, y)
+
+
+@PROPERTY
+@given(polys, fractions, fractions)
+def test_evaluate_matches_horner_at_fraction_points(P, x, y):
+    assert P.evaluate(x, y) == horner_reference(P, x, y)
+
+
+@PROPERTY
+@given(polys, rational_points, rational_points)
+def test_evaluate_matches_horner_at_mixed_points(P, x, y):
+    value = P.evaluate(x, y)
+    assert type(value) is Fraction
+    assert value == horner_reference(P, x, y)
+    assert P.evaluate(y, x) == horner_reference(P, y, x)
+
+
+@PROPERTY
+@given(
+    polys,
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+    fractions.map(str),
+    rational_points,
+)
+def test_evaluate_converts_float_and_str_like_fraction(P, f, text, q):
+    assert P.evaluate(f, q) == P.evaluate(Fraction(f), q)
+    assert P.evaluate(q, text) == P.evaluate(q, Fraction(text))
+    assert P.evaluate(f, text) == horner_reference(P, Fraction(f), Fraction(text))
+
+
+def test_evaluate_cache_is_invisible_to_equality():
+    p = poly("1/2*x^3-2/3*y")
+    q = poly("1/2*x^3-2/3*y")
+    p.evaluate(Fraction(1, 3), 2)  # builds p's integer form, not q's
+    assert p == q and hash(p) == hash(q)
+    assert p.evaluate(5, Fraction(-7, 4)) == horner_reference(p, 5, Fraction(-7, 4))
 
 
 def test_poly_arithmetic():
@@ -91,6 +168,18 @@ def test_round_trip_random_polys():
             terms[(rng.randint(0, 5), rng.randint(0, 5))] = random_fraction(rng)
         p = BivarPoly(terms)
         assert parse_poly(format_poly(p)) == p
+
+
+@PROPERTY
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(0, 12), st.integers(0, 12)),
+        st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4),
+        max_size=10,
+    ).map(BivarPoly)
+)
+def test_round_trip_property(P):
+    assert parse_poly(format_poly(P)) == P
 
 
 @pytest.mark.parametrize(
