@@ -18,7 +18,7 @@ from .arith import is_representable
 from .design import quadrature_average, strength_profile, verify_theorem_main
 from .harmonic import BivarPoly, PolyParseError, format_poly, parse_poly
 from .ring import ADMISSIBLE_D, unit_count
-from .shells import Shell, cached_shell, shell_to_json
+from .shells import Shell, enumerate_shell, shell_to_json
 from .theta import (
     HeckeReport,
     format_rational,
@@ -27,8 +27,6 @@ from .theta import (
     theta_series,
     theta_series_to_json_dict,
 )
-
-CACHE_ENV_VAR = "NORMDESIGN_CACHE"
 
 EXAMPLE_D = 3
 EXAMPLE_R = 691
@@ -65,8 +63,7 @@ class UsageError(Exception):
 
 
 def _cmd_shell(args) -> int:
-    cache_path = args.cache or os.environ.get(CACHE_ENV_VAR)
-    shell = cached_shell(args.D, args.r, cache_path)
+    shell = enumerate_shell(args.D, args.r)
     if args.format == "json":
         _emit(shell_to_json(shell), args.output)
     elif args.format == "csv":
@@ -270,7 +267,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_reproduce_example(args) -> int:
-    shell = cached_shell(EXAMPLE_D, EXAMPLE_R, None)
+    shell = enumerate_shell(EXAMPLE_D, EXAMPLE_R)
     p_poly = parse_poly(EXAMPLE_P)
     q_poly = parse_poly(EXAMPLE_Q)
     p_sum = shell_sum(EXAMPLE_D, p_poly, EXAMPLE_R)
@@ -327,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_shell = sub.add_parser("shell", help="enumerate a norm shell")
     p_shell.add_argument("D", type=int)
     p_shell.add_argument("r", type=int)
-    p_shell.add_argument("--cache", help=f"cache path (default: ${CACHE_ENV_VAR})")
     _add_common(p_shell)
     p_shell.set_defaults(func=_cmd_shell)
 

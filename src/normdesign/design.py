@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .arith import is_representable
 from .harmonic import BivarPoly
-from .ring import require_admissible, unit_count
+from .ring import require_admissible, ring_data, unit_count
 from .shells import enumerate_shell
 from .theta import basis_shell_sums_upto, format_rational
 
@@ -117,34 +117,32 @@ def verify_theorem_main(D: int, r: int, j_max: int) -> tuple[bool, DesignReport]
 
 
 def _ellipse_parametrization(D: int, r: int):
-    """gamma(theta), gamma'(theta) and the weight for the norm r ellipse."""
+    """gamma(theta), gamma'(theta) and the weight for the norm r ellipse.
+
+    gamma(theta) is the (x, y) with x + w*y = sqrt(r)*e^(i*theta):
+    y = sqrt(r)*sin(theta)/Im w, x = sqrt(r)*(cos(theta) - t*sin(theta)/sqrt(D)).
+    """
+    R = ring_data(D)
+    t, im_w = R.t, R.im_w
     sqrt_r = math.sqrt(r)
     sqrt_d = math.sqrt(D)
-    if D % 4 in (1, 2):
 
-        def gamma(theta: float) -> tuple[float, float]:
-            return sqrt_r * math.cos(theta), sqrt_r * math.sin(theta) / sqrt_d
+    def gamma(theta: float) -> tuple[float, float]:
+        c, s = math.cos(theta), math.sin(theta)
+        return sqrt_r * (c - t * s / sqrt_d), sqrt_r * s / im_w
 
-        def gamma_prime(theta: float) -> tuple[float, float]:
-            return -sqrt_r * math.sin(theta), sqrt_r * math.cos(theta) / sqrt_d
+    def gamma_prime(theta: float) -> tuple[float, float]:
+        c, s = math.cos(theta), math.sin(theta)
+        return sqrt_r * (-s - t * c / sqrt_d), sqrt_r * c / im_w
+
+    # the paper's two weight formulas, one per family of w
+    if t == 0:
 
         def weight(x: float, y: float) -> float:
             return 1.0 / math.sqrt(x * x / (D * D) + y * y)
 
         prefactor = 1.0 / (2.0 * math.pi * sqrt_d)
     else:
-
-        def gamma(theta: float) -> tuple[float, float]:
-            return (
-                sqrt_r * (math.cos(theta) - math.sin(theta) / sqrt_d),
-                2.0 * sqrt_r * math.sin(theta) / sqrt_d,
-            )
-
-        def gamma_prime(theta: float) -> tuple[float, float]:
-            return (
-                sqrt_r * (-math.sin(theta) - math.cos(theta) / sqrt_d),
-                2.0 * sqrt_r * math.cos(theta) / sqrt_d,
-            )
 
         def weight(x: float, y: float) -> float:
             return 1.0 / math.sqrt(
@@ -187,20 +185,9 @@ def quadrature_average(D: int, r: int, P: BivarPoly, M: int) -> float:
     return prefactor * total * step
 
 
-def measure_density(D: int, r: int, theta: float) -> float:
-    """weight(gamma(theta)) * |gamma'(theta)|, constant in theta by design."""
-    require_admissible(D)
-    gamma, gamma_prime, weight, _ = _ellipse_parametrization(D, r)
-    x, y = gamma(theta)
-    dx, dy = gamma_prime(theta)
-    return weight(x, y) * math.hypot(dx, dy)
-
-
 def norm_form_float(D: int, x: float, y: float) -> float:
-    require_admissible(D)
-    if D % 4 in (1, 2):
-        return x * x + D * y * y
-    return x * x + x * y + ((1 + D) / 4.0) * y * y
+    R = ring_data(D)
+    return x * x + R.t * x * y + R.n * y * y
 
 
 _CIRCLE_TOL = 1e-9
@@ -211,20 +198,18 @@ def spherical_map(
 ) -> list[tuple[float, float]]:
     """Carry points on the unit circle to the unit norm ellipse.
 
-    (x, y) -> (x, y/sqrt(D)) for D = 1, 2 and (x - y/sqrt(D), 2y/sqrt(D))
-    otherwise; this is the correspondence taking circle designs to
-    ellipse designs. Images are checked to land on the ellipse.
+    (x, y) -> (X, Y) with X + w*Y = x + i*y: (x, y/sqrt(D)) for D = 1, 2 and
+    (x - y/sqrt(D), 2y/sqrt(D)) otherwise; this is the correspondence taking
+    circle designs to ellipse designs. Images are checked to land on the
+    ellipse.
     """
-    require_admissible(D)
+    R = ring_data(D)
     sqrt_d = math.sqrt(D)
     out: list[tuple[float, float]] = []
     for x, y in points:
         if abs(x * x + y * y - 1.0) > _CIRCLE_TOL:
             raise ValueError(f"({x}, {y}) is not on the unit circle")
-        if D % 4 in (1, 2):
-            image = (x, y / sqrt_d)
-        else:
-            image = (x - y / sqrt_d, 2.0 * y / sqrt_d)
+        image = (x - R.t * y / sqrt_d, y / R.im_w)
         if abs(norm_form_float(D, *image) - 1.0) > _CIRCLE_TOL:
             raise ValueError(f"image of ({x}, {y}) left the unit norm ellipse")
         out.append(image)

@@ -17,7 +17,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
-from .ring import QuadInt, require_admissible, _y_coeff
+from .ring import QuadInt, require_admissible, ring_data
 
 RationalLike = int | Fraction
 
@@ -208,17 +208,10 @@ def _powers(v: int, n: int) -> list[int]:
     return out
 
 
-def evaluate(P: BivarPoly, x: RationalLike, y: RationalLike) -> Fraction:
-    """Exact value of P at a rational point."""
-    return P.evaluate(x, y)
-
-
 def norm_form_poly(D: int) -> BivarPoly:
-    """The norm form of O_D as a BivarPoly."""
-    require_admissible(D)
-    if D % 4 in (1, 2):
-        return BivarPoly({(2, 0): 1, (0, 2): D})
-    return BivarPoly({(2, 0): 1, (1, 1): 1, (0, 2): _y_coeff(D)})
+    """The norm form x^2 + t*x*y + n*y^2 of O_D as a BivarPoly."""
+    R = ring_data(D)
+    return BivarPoly({(2, 0): 1, (1, 1): R.t, (0, 2): R.n})
 
 
 # -- text format ---------------------------------------------------------------
@@ -394,23 +387,15 @@ class HarmonicBasisElement:
     kind: BasisKind
 
 
-def _omega_rational_parts(D: int) -> tuple[Fraction, Fraction]:
-    # w = rho + sigma*sqrt(D)*i with rho, sigma rational.
-    if D % 4 in (1, 2):
-        return Fraction(0), Fraction(1)
-    return Fraction(1, 2), Fraction(1, 2)
-
-
 def basis_poly(D: int, j: int, kind: BasisKind) -> HarmonicBasisElement:
     """Exact binomial expansion of the real or imaginary part of (x + w*y)^j.
 
     Powers of w are computed in the integral basis, so coefficients stay
     rational with denominators dividing 2^j.
     """
-    require_admissible(D)
+    R = ring_data(D)
     if j < 1:
         raise ValueError(f"basis degree must be >= 1, got {j}")
-    rho, sigma = _omega_rational_parts(D)
     terms: dict[_Monomial, Fraction] = {}
     w_power = QuadInt(D, 1, 0)
     w = QuadInt(D, 0, 1)
@@ -419,9 +404,9 @@ def basis_poly(D: int, j: int, kind: BasisKind) -> HarmonicBasisElement:
         # w^m = u + v*w; real part u + v*rho, imag part v*sigma*sqrt(D)
         u, v = w_power.coords()
         if kind is BasisKind.REAL_PART:
-            c = binom * (u + v * rho)
+            c = binom * (u + v * R.rho)
         else:
-            c = binom * v * sigma
+            c = binom * v * R.sigma
         if c:
             terms[(j - m, m)] = Fraction(c)
         w_power = w_power * w

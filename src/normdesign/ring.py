@@ -1,9 +1,13 @@
 """Exact arithmetic in the nine imaginary quadratic rings of class number 1.
 
-Elements of O_D are stored in the integral basis {1, w} where w = sqrt(-D)
-for D = 1, 2 and w = (1 + sqrt(-D))/2 for the seven admissible D that are
-3 mod 4. Every operation is exact over Python integers; floats appear only
-in ``embed``, the bridge used by the quadrature cross-checks.
+Each O_D is Z[w] with w^2 = t*w - n: w = sqrt(-D) (t = 0, n = D) for
+D = 1, 2 and w = (1 + sqrt(-D))/2 (t = 1, n = (1+D)/4) for the seven
+admissible D that are 3 mod 4. The norm form is x^2 + t*x*y + n*y^2, the
+discriminant t^2 - 4n. ``ring_data`` holds these constants, one frozen
+record per D, and every other module reads them from it. Elements are
+stored in the integral basis {1, w}; every operation is exact over Python
+integers, and floats appear only in ``embed``, the bridge used by the
+quadrature cross-checks.
 """
 
 from __future__ import annotations
@@ -11,11 +15,61 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 
 #: The square-free D > 0 whose ring of integers has class number 1.
 ADMISSIBLE_D = (1, 2, 3, 7, 11, 19, 43, 67, 163)
 
-_ADMISSIBLE_SET = frozenset(ADMISSIBLE_D)
+
+@dataclass(frozen=True, slots=True)
+class RingData:
+    """The constants of O_D = Z[w], w^2 = t*w - n.
+
+    ``units`` are the unit coordinates (a, b) in sorted order. w has real
+    part rho and imaginary part sigma*sqrt(D), with rho, sigma rational;
+    ``re_w`` and ``im_w`` are the same two parts as floats.
+    """
+
+    t: int
+    n: int
+    disc: int
+    unit_count: int
+    units: tuple[tuple[int, int], ...]
+    rho: Fraction
+    sigma: Fraction
+    re_w: float
+    im_w: float
+
+
+def _ring_data(D: int) -> RingData:
+    if D % 4 in (1, 2):
+        t, n = 0, D
+    else:
+        t, n = 1, (1 + D) // 4
+    disc = t * t - 4 * n
+    # units have norm 1, so |2x + t*y| <= 2 and |y| <= 1 since |disc| >= 3
+    units = tuple(
+        (x, y)
+        for x in (-1, 0, 1)
+        for y in (-1, 0, 1)
+        if x * x + t * x * y + n * y * y == 1
+    )
+    # Im w = sqrt(|disc|)/2 = sigma*sqrt(D), and |disc|/D is 4 or 1
+    sigma = Fraction(math.isqrt(-disc // D), 2)
+    return RingData(
+        t=t,
+        n=n,
+        disc=disc,
+        unit_count=len(units),
+        units=units,
+        rho=Fraction(t, 2),
+        sigma=sigma,
+        re_w=t / 2,
+        im_w=float(sigma) * math.sqrt(D),
+    )
+
+
+_RINGS = {D: _ring_data(D) for D in ADMISSIBLE_D}
 
 
 class SplitType(Enum):
@@ -28,43 +82,34 @@ class SplitType(Enum):
 
 def require_admissible(D: int) -> None:
     """Raise ValueError unless D is one of the nine admissible values."""
-    if D not in _ADMISSIBLE_SET:
+    if D not in _RINGS:
         raise ValueError(f"D must be one of {ADMISSIBLE_D}, got {D!r}")
 
 
-def _y_coeff(D: int) -> int:
-    # y^2 coefficient of the norm form in the D = 3 mod 4 case.
-    return (1 + D) // 4
+def ring_data(D: int) -> RingData:
+    """The constants of O_D; ValueError unless D is admissible."""
+    require_admissible(D)
+    return _RINGS[D]
 
 
 def norm_form(D: int, x: int, y: int) -> int:
     """The norm of x + y*w as a binary quadratic form in lattice coordinates.
 
-    x^2 + D*y^2 for D = 1, 2 and x^2 + x*y + ((1+D)/4)*y^2 otherwise.
-    Nonnegative, zero only at the origin.
+    x^2 + t*x*y + n*y^2: x^2 + D*y^2 for D = 1, 2 and
+    x^2 + x*y + ((1+D)/4)*y^2 otherwise. Nonnegative, zero only at the origin.
     """
-    require_admissible(D)
-    if D % 4 in (1, 2):
-        return x * x + D * y * y
-    return x * x + x * y + _y_coeff(D) * y * y
+    R = ring_data(D)
+    return x * x + R.t * x * y + R.n * y * y
 
 
 def discriminant(D: int) -> int:
-    """Field discriminant: -4D for D = 1, 2 and -D for D = 3 mod 4."""
-    require_admissible(D)
-    if D % 4 in (1, 2):
-        return -4 * D
-    return -D
+    """Field discriminant t^2 - 4n: -4D for D = 1, 2 and -D for D = 3 mod 4."""
+    return ring_data(D).disc
 
 
 def unit_count(D: int) -> int:
     """Order of the unit group: 4 for D=1, 6 for D=3, 2 otherwise."""
-    require_admissible(D)
-    if D == 1:
-        return 4
-    if D == 3:
-        return 6
-    return 2
+    return ring_data(D).unit_count
 
 
 @dataclass(frozen=True)
@@ -82,10 +127,8 @@ class QuadInt:
         return norm_form(self.D, self.a, self.b)
 
     def conj(self) -> QuadInt:
-        # w + conj(w) = 0 for D = 1, 2 and 1 for D = 3 mod 4.
-        if self.D % 4 in (1, 2):
-            return QuadInt(self.D, self.a, -self.b)
-        return QuadInt(self.D, self.a + self.b, -self.b)
+        # w + conj(w) = t
+        return QuadInt(self.D, self.a + _RINGS[self.D].t * self.b, -self.b)
 
     def coords(self) -> tuple[int, int]:
         return (self.a, self.b)
@@ -130,19 +173,13 @@ class QuadInt:
 def mul(u: QuadInt, v: QuadInt) -> QuadInt:
     """Product in O_D, expressed in the integral basis.
 
-    Uses w^2 = -D for D = 1, 2 and w^2 = w - (1+D)/4 otherwise.
+    Uses w^2 = t*w - n.
     """
     if u.D != v.D:
         raise ValueError(f"mixed rings: D={u.D} and D={v.D}")
-    D = u.D
-    if D % 4 in (1, 2):
-        return QuadInt(D, u.a * v.a - D * u.b * v.b, u.a * v.b + u.b * v.a)
-    c = _y_coeff(D)
-    return QuadInt(
-        D,
-        u.a * v.a - c * u.b * v.b,
-        u.a * v.b + u.b * v.a + u.b * v.b,
-    )
+    R = _RINGS[u.D]
+    bd = u.b * v.b
+    return QuadInt(u.D, u.a * v.a - R.n * bd, u.a * v.b + u.b * v.a + R.t * bd)
 
 
 def unit_group(D: int) -> tuple[QuadInt, ...]:
@@ -150,25 +187,10 @@ def unit_group(D: int) -> tuple[QuadInt, ...]:
 
     {+-1, +-i} for D=1, the six sixth roots of unity for D=3, {+-1} otherwise.
     """
-    require_admissible(D)
-    if D == 1:
-        coords = [(-1, 0), (0, -1), (0, 1), (1, 0)]
-    elif D == 3:
-        coords = [(-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0)]
-    else:
-        coords = [(-1, 0), (1, 0)]
-    return tuple(QuadInt(D, a, b) for a, b in sorted(coords))
-
-
-def omega_components(D: int) -> tuple[float, float]:
-    """(Re w, Im w) in double precision."""
-    require_admissible(D)
-    if D % 4 in (1, 2):
-        return 0.0, math.sqrt(D)
-    return 0.5, math.sqrt(D) / 2.0
+    return tuple(QuadInt(D, a, b) for a, b in ring_data(D).units)
 
 
 def embed(u: QuadInt) -> tuple[float, float]:
     """Complex embedding of u as (real part, imaginary part) floats."""
-    re_w, im_w = omega_components(u.D)
-    return (u.a + u.b * re_w, u.b * im_w)
+    R = _RINGS[u.D]
+    return (u.a + u.b * R.re_w, u.b * R.im_w)

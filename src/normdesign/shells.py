@@ -7,11 +7,10 @@ tables, JSON snapshots and sweep output are reproducible byte for byte.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass
 from math import isqrt
 
-from .ring import QuadInt, norm_form, require_admissible, unit_group
+from .ring import QuadInt, ring_data, unit_group
 
 
 @dataclass(frozen=True)
@@ -32,32 +31,28 @@ class Shell:
 def enumerate_shell(D: int, r: int) -> Shell:
     """Complete exact enumeration of the norm r shell.
 
-    For D = 1, 2 solve x^2 = r - D*y^2 over a bounded y loop; for
-    D = 3 mod 4 use 4r = (2x+y)^2 + D*y^2 and the parity constraint.
+    One scan over the completed square 4r = (2x + t*y)^2 + |disc|*y^2 of
+    the norm form x^2 + t*x*y + n*y^2: for each |y| <= isqrt(4r // |disc|),
+    the points are the x with 2x + t*y = +-s where s^2 = 4r - |disc|*y^2.
     Perfect squares are detected with isqrt and a re-square, never floats.
     """
-    require_admissible(D)
+    R = ring_data(D)
     if r < 0:
         raise ValueError(f"shell norm must be nonnegative, got {r}")
     if r == 0:
         return Shell(D, 0, ((0, 0),))
+    t, a = R.t, -R.disc
+    r4 = 4 * r
+    ymax = isqrt(r4 // a)
     points: set[tuple[int, int]] = set()
-    if D % 4 in (1, 2):
-        ymax = isqrt(r // D)
-        for y in range(-ymax, ymax + 1):
-            t = r - D * y * y
-            s = isqrt(t)
-            if s * s == t:
-                points.add((s, y))
-                points.add((-s, y))
-    else:
-        ymax = isqrt(4 * r // D)
-        for y in range(-ymax, ymax + 1):
-            t = 4 * r - D * y * y
-            s = isqrt(t)
-            if s * s == t and (s - y) % 2 == 0:
-                points.add(((s - y) // 2, y))
-                points.add(((-s - y) // 2, y))
+    for y in range(-ymax, ymax + 1):
+        rem = r4 - a * y * y
+        s = isqrt(rem)
+        if s * s == rem:
+            # rem = (t*y)^2 mod 4, so s - t*y is always even
+            ty = t * y
+            points.add(((s - ty) // 2, y))
+            points.add(((-s - ty) // 2, y))
     return Shell(D, r, tuple(sorted(points)))
 
 
@@ -85,90 +80,9 @@ def shell_orbits(shell: Shell) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 
 def shell_to_json(shell: Shell) -> str:
-    """One cache line: {"D": ..., "r": ..., "points": [[x, y], ...]}."""
+    """Canonical JSON: {"D": ..., "r": ..., "points": [[x, y], ...]}."""
     return json.dumps(
         {"D": shell.D, "r": shell.r, "points": [list(p) for p in shell.points]},
         sort_keys=True,
         separators=(",", ":"),
     )
-
-
-def shell_from_json(line: str) -> Shell:
-    """Parse and fully validate one cache line.
-
-    Raises ValueError on anything that does not reproduce a canonical
-    Shell: bad JSON, inadmissible D, wrong norms, duplicates, bad order.
-    """
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"bad JSON: {exc}") from exc
-    if not isinstance(obj, dict) or not {"D", "r", "points"} <= set(obj):
-        raise ValueError("cache line must be an object with D, r, points")
-    D, r, raw = obj["D"], obj["r"], obj["points"]
-    if not isinstance(D, int) or not isinstance(r, int):
-        raise ValueError("D and r must be integers")
-    require_admissible(D)
-    points = []
-    for item in raw:
-        if (
-            not isinstance(item, list)
-            or len(item) != 2
-            or not all(isinstance(c, int) for c in item)
-        ):
-            raise ValueError(f"bad point {item!r}")
-        points.append((item[0], item[1]))
-    for x, y in points:
-        if norm_form(D, x, y) != r:
-            raise ValueError(f"point ({x}, {y}) does not have norm {r}")
-    if points != sorted(set(points)):
-        raise ValueError("points must be sorted and duplicate-free")
-    shell = Shell(D, r, tuple(points))
-    if shell != enumerate_shell(D, r):
-        raise ValueError("cache line is incomplete for its (D, r)")
-    return shell
-
-
-def load_shell_cache(path: str) -> dict[tuple[int, int], Shell]:
-    """Read a JSON-lines cache, skipping corrupt lines with a warning."""
-    shells: dict[tuple[int, int], Shell] = {}
-    try:
-        with open(path, encoding="utf-8") as handle:
-            lines = handle.readlines()
-    except FileNotFoundError:
-        return shells
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            shell = shell_from_json(line)
-        except ValueError as exc:
-            print(
-                f"warning: {path}:{lineno}: skipping corrupt cache line ({exc})",
-                file=sys.stderr,
-            )
-            continue
-        shells[(shell.D, shell.r)] = shell
-    return shells
-
-
-def append_shell_cache(path: str, shell: Shell) -> None:
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(shell_to_json(shell) + "\n")
-
-
-def cached_shell(D: int, r: int, cache_path: str | None) -> Shell:
-    """Shell lookup through an advisory cache: reuse if valid, else recompute."""
-    if cache_path is None:
-        return enumerate_shell(D, r)
-    cache = load_shell_cache(cache_path)
-    hit = cache.get((D, r))
-    if hit is not None:
-        return hit
-    shell = enumerate_shell(D, r)
-    try:
-        append_shell_cache(cache_path, shell)
-    except OSError as exc:  # cache is advisory, never fatal
-        print(f"warning: could not write cache {cache_path}: {exc}", file=sys.stderr)
-    return shell

@@ -15,8 +15,15 @@ from fractions import Fraction
 from math import isqrt
 
 from .arith import is_prime, kronecker, splitting_type
-from .harmonic import BivarPoly, _omega_rational_parts, format_poly
-from .ring import QuadInt, SplitType, discriminant, require_admissible, unit_count
+from .harmonic import BivarPoly, format_poly
+from .ring import (
+    QuadInt,
+    SplitType,
+    discriminant,
+    require_admissible,
+    ring_data,
+    unit_count,
+)
 from .shells import Shell, enumerate_shell
 
 
@@ -83,8 +90,8 @@ def power_sums(shell: Shell, j_max: int) -> list[tuple[int, int]]:
 
 def _split_real_imag(D: int, sa: int, sb: int) -> tuple[Fraction, Fraction]:
     # a + b*w has real part a + b*rho and imaginary part b*sigma*sqrt(D).
-    rho, sigma = _omega_rational_parts(D)
-    return Fraction(sa) + sb * rho, sb * sigma
+    R = ring_data(D)
+    return Fraction(sa) + sb * R.rho, sb * R.sigma
 
 
 def basis_shell_sums(D: int, j: int, r: int) -> tuple[Fraction, Fraction]:
@@ -107,24 +114,20 @@ def basis_shell_sums_upto(
 
 
 def _lattice_norms_upto(D: int, bound: int):
-    """Yield (x, y, norm) over every lattice point with norm <= bound."""
-    if D % 4 in (1, 2):
-        ymax = isqrt(bound // D)
-        for y in range(-ymax, ymax + 1):
-            rem = bound - D * y * y
-            xmax = isqrt(rem)
-            for x in range(-xmax, xmax + 1):
-                yield x, y, x * x + D * y * y
-    else:
-        c = (1 + D) // 4
-        ymax = isqrt(4 * bound // D)
-        for y in range(-ymax, ymax + 1):
-            t = 4 * bound - D * y * y
-            s = isqrt(t)
-            lo = -((s + y) // 2)
-            hi = (s - y) // 2
-            for x in range(lo, hi + 1):
-                yield x, y, x * x + x * y + c * y * y
+    """Yield (x, y, norm) over every lattice point with norm <= bound.
+
+    Same completed square as enumerate_shell: for each y the x range is
+    |2x + t*y| <= isqrt(4*bound - |disc|*y^2).
+    """
+    R = ring_data(D)
+    t, n, a = R.t, R.n, -R.disc
+    b4 = 4 * bound
+    ymax = isqrt(b4 // a)
+    for y in range(-ymax, ymax + 1):
+        s = isqrt(b4 - a * y * y)
+        ty = t * y
+        for x in range(-((s + ty) // 2), (s - ty) // 2 + 1):
+            yield x, y, x * x + ty * x + n * y * y
 
 
 def theta_series(D: int, P: BivarPoly, r_max: int) -> ThetaSeries:
@@ -269,7 +272,3 @@ def theta_series_to_json_dict(series: ThetaSeries, j: int | None = None) -> dict
 
 def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
-
-
-def parse_rational(text: str) -> Fraction:
-    return Fraction(text)

@@ -4,7 +4,7 @@ import pytest
 
 from normdesign import cli
 from normdesign.cli import run
-from normdesign.shells import enumerate_shell, load_shell_cache
+from normdesign.shells import enumerate_shell
 
 
 def test_shell_table_and_not_representable_note(capsys):
@@ -28,18 +28,6 @@ def test_shell_csv(capsys):
     assert run(["shell", "1", "1", "--format", "csv"]) == 0
     out = capsys.readouterr().out.strip().splitlines()
     assert out == ["x,y", "-1,0", "0,-1", "0,1", "1,0"]
-
-
-def test_shell_populates_cache_flag_and_env(tmp_path, monkeypatch, capsys):
-    cache = tmp_path / "cache.jsonl"
-    assert run(["shell", "1", "25", "--cache", str(cache)]) == 0
-    assert (1, 25) in load_shell_cache(str(cache))
-
-    env_cache = tmp_path / "env_cache.jsonl"
-    monkeypatch.setenv("NORMDESIGN_CACHE", str(env_cache))
-    assert run(["shell", "7", "2"]) == 0
-    capsys.readouterr()
-    assert (7, 2) in load_shell_cache(str(env_cache))
 
 
 def test_inadmissible_d_is_usage_error(capsys):

@@ -5,8 +5,8 @@ import pytest
 
 from normdesign.design import (
     DesignReport,
+    _ellipse_parametrization,
     is_t_design,
-    measure_density,
     norm_form_float,
     quadrature_average,
     spherical_map,
@@ -162,7 +162,14 @@ def test_quadrature_doubling_convergence_guard(D, r):
 @pytest.mark.parametrize("D", ADMISSIBLE_D)
 @pytest.mark.parametrize("r", (1, 4))
 def test_measure_density_constant_along_the_curve(D, r):
-    values = [measure_density(D, r, 2 * math.pi * k / 64) for k in range(64)]
+    """weight(gamma(theta)) * |gamma'(theta)| does not depend on theta."""
+    gamma, gamma_prime, weight, _ = _ellipse_parametrization(D, r)
+    values = []
+    for k in range(64):
+        theta = 2 * math.pi * k / 64
+        x, y = gamma(theta)
+        dx, dy = gamma_prime(theta)
+        values.append(weight(x, y) * math.hypot(dx, dy))
     expected = math.sqrt(D) if D % 4 in (1, 2) else 1 / (2 * math.sqrt(D))
     for v in values:
         assert abs(v - values[0]) < 1e-12

@@ -1,5 +1,7 @@
+import cmath
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +12,7 @@ from normdesign.ring import (
     embed,
     mul,
     norm_form,
+    ring_data,
     unit_count,
     unit_group,
 )
@@ -41,6 +44,8 @@ def test_inadmissible_d_rejected(bad):
         discriminant(bad)
     with pytest.raises(ValueError):
         unit_group(bad)
+    with pytest.raises(ValueError):
+        ring_data(bad)
 
 
 @pytest.mark.parametrize("D", ADMISSIBLE_D)
@@ -114,6 +119,24 @@ def test_discriminant_examples():
             assert discriminant(D) == -D
         else:
             assert discriminant(D) == -4 * D
+
+
+@pytest.mark.parametrize("D", ADMISSIBLE_D)
+def test_ring_data_matches_w(D):
+    """The record against w = sqrt(-D) for D = 1, 2, (1 + sqrt(-D))/2 otherwise."""
+    R = ring_data(D)
+    if D % 4 in (1, 2):
+        t, n, rho, sigma, w = 0, D, Fraction(0), Fraction(1), cmath.sqrt(-D)
+    else:
+        t, n = 1, (1 + D) // 4
+        rho, sigma, w = Fraction(1, 2), Fraction(1, 2), (1 + cmath.sqrt(-D)) / 2
+    assert (R.t, R.n, R.rho, R.sigma) == (t, n, rho, sigma)
+    assert R.disc == t * t - 4 * n
+    assert w * w == pytest.approx(t * w - n, abs=1e-12)
+    assert QuadInt(D, 0, 1) * QuadInt(D, 0, 1) == QuadInt(D, -n, t)
+    assert (R.re_w, R.im_w) == pytest.approx((w.real, w.imag), abs=1e-12)
+    assert R.unit_count == len(R.units) == unit_count(D)
+    assert R.units == tuple(sorted(brute_force_units(D)))
 
 
 def test_embed_examples():

@@ -1,19 +1,20 @@
-import json
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from normdesign.ring import ADMISSIBLE_D, QuadInt, norm_form, unit_count, unit_group
-from normdesign.shells import (
-    Shell,
-    append_shell_cache,
-    cached_shell,
-    enumerate_shell,
-    load_shell_cache,
-    shell_from_json,
-    shell_orbits,
-    shell_to_json,
+from normdesign.arith import factorize, kronecker
+from normdesign.ring import (
+    ADMISSIBLE_D,
+    QuadInt,
+    discriminant,
+    norm_form,
+    unit_count,
+    unit_group,
 )
+from normdesign.shells import enumerate_shell, shell_orbits
+from normdesign.theta import basis_shell_sums_upto
 
 EXAMPLE_691 = (
     (-30, 11), (-30, 19), (-19, -11), (-19, 30), (-11, -19), (-11, 30),
@@ -29,6 +30,31 @@ def naive_shell(D, r):
         for y in range(-bound, bound + 1)
         if norm_form(D, x, y) == r
     )
+
+
+def representation_count(D, r):
+    """Points of norm r >= 1, from class number 1 and no lattice scan.
+
+    u_D * sum over d | r of kronecker(disc, d); the divisor sum is
+    multiplicative, so it is a product over the prime powers of r.
+    """
+    disc = discriminant(D)
+    count = unit_count(D)
+    for p, alpha in factorize(r).factors:
+        count *= sum(kronecker(disc, p**k) for k in range(alpha + 1))
+    return count
+
+
+R_MAX = 10**9
+any_norm = st.tuples(st.sampled_from(ADMISSIBLE_D), st.integers(1, R_MAX))
+# most large r are not norms of O_D, so also draw the norm of a random
+# lattice point to reach large nonempty shells
+lattice_norm = st.builds(
+    lambda D, x, y: (D, norm_form(D, x, y)),
+    st.sampled_from(ADMISSIBLE_D),
+    st.integers(-15000, 15000),
+    st.integers(-2500, 2500),
+).filter(lambda case: 1 <= case[1] <= R_MAX)
 
 
 def test_example_shell_d3_r691():
@@ -86,6 +112,20 @@ def test_shell_invariants(D):
             assert len(pts) % unit_count(D) == 0
 
 
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(st.one_of(any_norm, lattice_norm))
+def test_shell_against_representation_count_and_invariants(case):
+    D, r = case
+    shell = enumerate_shell(D, r)
+    assert len(shell) == representation_count(D, r)
+    assert all(norm_form(D, x, y) == r for x, y in shell.points)
+    u = unit_count(D)
+    for j, (r_sum, i_sum) in enumerate(basis_shell_sums_upto(shell, 13), start=1):
+        assert i_sum == 0, (j, i_sum)
+        if j % u:
+            assert r_sum == 0, (j, r_sum)
+
+
 def test_orbit_examples():
     orbits = shell_orbits(enumerate_shell(1, 2))
     assert orbits == (((-1, -1), (-1, 1), (1, -1), (1, 1)),)
@@ -123,43 +163,3 @@ def test_orbits_partition_the_shell(D):
             assert regenerated == set(orbit)
         reps = [min(orbit) for orbit in orbits]
         assert reps == sorted(reps)
-
-
-def test_cache_round_trip(tmp_path):
-    path = tmp_path / "shells.jsonl"
-    shells = [enumerate_shell(3, 691), enumerate_shell(1, 25), enumerate_shell(7, 2)]
-    for shell in shells:
-        append_shell_cache(str(path), shell)
-    loaded = load_shell_cache(str(path))
-    assert loaded == {(s.D, s.r): s for s in shells}
-    for shell in shells:
-        assert shell_from_json(shell_to_json(shell)) == shell
-
-
-def test_cache_skips_corrupt_lines(tmp_path, capsys):
-    path = tmp_path / "shells.jsonl"
-    good = shell_to_json(enumerate_shell(1, 25))
-    wrong_norm = json.dumps({"D": 1, "r": 25, "points": [[1, 1]]})
-    unsorted = json.dumps({"D": 1, "r": 1, "points": [[1, 0], [-1, 0], [0, -1], [0, 1]]})
-    incomplete = json.dumps({"D": 1, "r": 1, "points": [[-1, 0], [1, 0]]})
-    path.write_text(
-        "\n".join(["not json", wrong_norm, unsorted, incomplete, '{"D":5,"r":1,"points":[]}', good])
-        + "\n"
-    )
-    loaded = load_shell_cache(str(path))
-    assert list(loaded) == [(1, 25)]
-    err = capsys.readouterr().err
-    assert err.count("skipping corrupt cache line") == 5
-
-
-def test_cached_shell_recomputes_on_miss(tmp_path):
-    path = tmp_path / "cache.jsonl"
-    first = cached_shell(3, 691, str(path))
-    assert first == enumerate_shell(3, 691)
-    # second call must reproduce the identical Shell from the cache line
-    assert cached_shell(3, 691, str(path)) == first
-    assert len(load_shell_cache(str(path))) == 1
-
-
-def test_cached_shell_without_cache_path():
-    assert cached_shell(1, 5, None) == enumerate_shell(1, 5)

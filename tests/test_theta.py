@@ -13,7 +13,6 @@ from normdesign.theta import (
     basis_shell_sums,
     format_rational,
     hecke_verify,
-    parse_rational,
     shell_sum,
     theta_series,
     theta_series_to_json_dict,
@@ -255,7 +254,7 @@ def test_theta_json_round_trip():
     loaded = json.loads(text)
     assert loaded["D"] == 3
     assert loaded["poly"] == "x^2+x*y+y^2"
-    assert [parse_rational(c) for c in loaded["coeffs"]] == list(series.coeffs)
+    assert [Fraction(c) for c in loaded["coeffs"]] == list(series.coeffs)
     assert format_rational(Fraction(-3, 2)) == "-3/2"
     assert format_rational(Fraction(5)) == "5/1"
-    assert parse_rational("5/1") == 5
+    assert Fraction("5/1") == 5
