@@ -1,114 +1,44 @@
 """Exact norm-form shells, ellipsoidal design checks and theta coefficients
-for the nine class-number-1 imaginary quadratic rings."""
+for the nine class-number-1 imaginary quadratic rings.
 
-from .arith import (
-    Factorization,
-    factorize,
-    is_prime,
-    is_representable,
-    kronecker,
-    primes_up_to,
-    splitting_type,
-)
-from .design import (
-    DesignReport,
-    FailingDegree,
-    is_t_design,
-    quadrature_average,
-    spherical_map,
-    strength_profile,
-    verify_theorem_main,
-)
+The names below are the API the README documents; everything else stays
+importable from its submodule.
+"""
+
+from .arith import kronecker
+from .design import quadrature_average, spherical_map, strength_profile
 from .harmonic import (
     BasisKind,
-    BivarPoly,
-    HarmonicBasisElement,
-    PolyParseError,
-    basis_pair,
     basis_poly,
     decompose,
     format_poly,
     in_span,
-    norm_form_poly,
     parse_poly,
 )
-from .ring import (
-    ADMISSIBLE_D,
-    QuadInt,
-    SplitType,
-    discriminant,
-    embed,
-    mul,
-    norm_form,
-    unit_count,
-    unit_group,
-)
-from .shells import (
-    Shell,
-    enumerate_shell,
-    shell_orbits,
-    shell_to_json,
-)
-from .theta import (
-    HeckeCheck,
-    HeckeReport,
-    ThetaSeries,
-    a_norm,
-    a_prime_closed_form,
-    basis_shell_sums,
-    hecke_verify,
-    shell_sum,
-    theta_series,
-)
+from .ring import ADMISSIBLE_D, mul, ring_data
+from .shells import enumerate_shell, shell_orbits
+from .theta import a_norm, hecke_verify, shell_sum, theta_series
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ADMISSIBLE_D",
     "BasisKind",
-    "BivarPoly",
-    "DesignReport",
-    "Factorization",
-    "FailingDegree",
-    "HarmonicBasisElement",
-    "HeckeCheck",
-    "HeckeReport",
-    "PolyParseError",
-    "QuadInt",
-    "Shell",
-    "SplitType",
-    "ThetaSeries",
     "a_norm",
-    "a_prime_closed_form",
-    "basis_pair",
     "basis_poly",
-    "basis_shell_sums",
     "decompose",
-    "discriminant",
-    "embed",
     "enumerate_shell",
-    "factorize",
     "format_poly",
     "hecke_verify",
     "in_span",
-    "is_prime",
-    "is_representable",
-    "is_t_design",
     "kronecker",
     "mul",
-    "norm_form",
-    "norm_form_poly",
     "parse_poly",
-    "primes_up_to",
     "quadrature_average",
+    "ring_data",
     "shell_orbits",
     "shell_sum",
-    "shell_to_json",
     "spherical_map",
-    "splitting_type",
     "strength_profile",
     "theta_series",
-    "unit_count",
-    "unit_group",
-    "verify_theorem_main",
 ]

@@ -1,7 +1,8 @@
 """Elementary number theory: Kronecker symbol, factorization, prime splitting.
 
-Everything here is deterministic trial-division arithmetic, ample at the
-scale this package sweeps (r in the low hundreds of thousands).
+Everything here is deterministic trial-division arithmetic: O(sqrt(N))
+divisions, about 1.5*10^4 for the N up to 2*10^9 that ``verify`` is
+benchmarked on. Far larger N would need Miller-Rabin and Pollard rho.
 """
 
 from __future__ import annotations

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import is_representable
 from .harmonic import BivarPoly
 from .ring import require_admissible, ring_data, unit_count
 from .shells import enumerate_shell
@@ -58,12 +57,13 @@ def _require_nonempty(D: int, r: int):
     require_admissible(D)
     if r < 1:
         raise ValueError(f"design checks require r >= 1, got {r}")
-    if not is_representable(D, r):
+    shell = enumerate_shell(D, r)
+    if shell.is_empty():
         raise ValueError(
             f"the norm {r} shell is empty for D={D}: some inert prime divides "
             f"{r} to an odd power"
         )
-    return enumerate_shell(D, r)
+    return shell
 
 
 def strength_profile(D: int, r: int, j_max: int) -> DesignReport:

@@ -17,7 +17,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
-from .ring import QuadInt, require_admissible, ring_data
+from .ring import mul, require_admissible, ring_data
 
 RationalLike = int | Fraction
 
@@ -397,19 +397,18 @@ def basis_poly(D: int, j: int, kind: BasisKind) -> HarmonicBasisElement:
     if j < 1:
         raise ValueError(f"basis degree must be >= 1, got {j}")
     terms: dict[_Monomial, Fraction] = {}
-    w_power = QuadInt(D, 1, 0)
-    w = QuadInt(D, 0, 1)
+    w_power = (1, 0)
     for m in range(j + 1):
         binom = math.comb(j, m)
         # w^m = u + v*w; real part u + v*rho, imag part v*sigma*sqrt(D)
-        u, v = w_power.coords()
+        u, v = w_power
         if kind is BasisKind.REAL_PART:
             c = binom * (u + v * R.rho)
         else:
             c = binom * v * R.sigma
         if c:
             terms[(j - m, m)] = Fraction(c)
-        w_power = w_power * w
+        w_power = mul(D, w_power, (0, 1))
     return HarmonicBasisElement(
         poly=BivarPoly(terms),
         radical=kind is BasisKind.IMAG_PART,

@@ -4,10 +4,9 @@ Each O_D is Z[w] with w^2 = t*w - n: w = sqrt(-D) (t = 0, n = D) for
 D = 1, 2 and w = (1 + sqrt(-D))/2 (t = 1, n = (1+D)/4) for the seven
 admissible D that are 3 mod 4. The norm form is x^2 + t*x*y + n*y^2, the
 discriminant t^2 - 4n. ``ring_data`` holds these constants, one frozen
-record per D, and every other module reads them from it. Elements are
-stored in the integral basis {1, w}; every operation is exact over Python
-integers, and floats appear only in ``embed``, the bridge used by the
-quadrature cross-checks.
+record per D, and every other module reads them from it. An element
+a + b*w is the integer pair (a, b) in the integral basis {1, w}, and
+``mul`` is the one product; every operation is exact over Python integers.
 """
 
 from __future__ import annotations
@@ -25,7 +24,8 @@ ADMISSIBLE_D = (1, 2, 3, 7, 11, 19, 43, 67, 163)
 class RingData:
     """The constants of O_D = Z[w], w^2 = t*w - n.
 
-    ``units`` are the unit coordinates (a, b) in sorted order. w has real
+    ``units`` are the unit pairs (a, b) in sorted order: {+-1, +-i} for
+    D = 1, the six sixth roots of unity for D = 3, {+-1} otherwise. w has real
     part rho and imaginary part sigma*sqrt(D), with rho, sigma rational;
     ``re_w`` and ``im_w`` are the same two parts as floats.
     """
@@ -112,85 +112,13 @@ def unit_count(D: int) -> int:
     return ring_data(D).unit_count
 
 
-@dataclass(frozen=True)
-class QuadInt:
-    """Element a + b*w of O_D in the integral basis {1, w}."""
+def mul(D: int, u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
+    """Product of u = a + b*w and v = c + d*w in O_D, as a pair (a, b).
 
-    D: int
-    a: int
-    b: int
-
-    def __post_init__(self) -> None:
-        require_admissible(self.D)
-
-    def norm(self) -> int:
-        return norm_form(self.D, self.a, self.b)
-
-    def conj(self) -> QuadInt:
-        # w + conj(w) = t
-        return QuadInt(self.D, self.a + _RINGS[self.D].t * self.b, -self.b)
-
-    def coords(self) -> tuple[int, int]:
-        return (self.a, self.b)
-
-    def __neg__(self) -> QuadInt:
-        return QuadInt(self.D, -self.a, -self.b)
-
-    def __add__(self, other: QuadInt) -> QuadInt:
-        if not isinstance(other, QuadInt):
-            return NotImplemented
-        self._check_same_ring(other)
-        return QuadInt(self.D, self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other: QuadInt) -> QuadInt:
-        if not isinstance(other, QuadInt):
-            return NotImplemented
-        self._check_same_ring(other)
-        return QuadInt(self.D, self.a - other.a, self.b - other.b)
-
-    def __mul__(self, other: QuadInt) -> QuadInt:
-        if not isinstance(other, QuadInt):
-            return NotImplemented
-        return mul(self, other)
-
-    def __pow__(self, n: int) -> QuadInt:
-        if n < 0:
-            raise ValueError("negative powers are not defined in O_D")
-        result = QuadInt(self.D, 1, 0)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def _check_same_ring(self, other: QuadInt) -> None:
-        if self.D != other.D:
-            raise ValueError(f"mixed rings: D={self.D} and D={other.D}")
-
-
-def mul(u: QuadInt, v: QuadInt) -> QuadInt:
-    """Product in O_D, expressed in the integral basis.
-
-    Uses w^2 = t*w - n.
+    The one place that applies w^2 = t*w - n.
     """
-    if u.D != v.D:
-        raise ValueError(f"mixed rings: D={u.D} and D={v.D}")
-    R = _RINGS[u.D]
-    bd = u.b * v.b
-    return QuadInt(u.D, u.a * v.a - R.n * bd, u.a * v.b + u.b * v.a + R.t * bd)
-
-
-def unit_group(D: int) -> tuple[QuadInt, ...]:
-    """All units of O_D, in sorted coordinate order.
-
-    {+-1, +-i} for D=1, the six sixth roots of unity for D=3, {+-1} otherwise.
-    """
-    return tuple(QuadInt(D, a, b) for a, b in ring_data(D).units)
-
-
-def embed(u: QuadInt) -> tuple[float, float]:
-    """Complex embedding of u as (real part, imaginary part) floats."""
-    R = _RINGS[u.D]
-    return (u.a + u.b * R.re_w, u.b * R.im_w)
+    R = ring_data(D)
+    a, b = u
+    c, d = v
+    bd = b * d
+    return (a * c - R.n * bd, a * d + b * c + R.t * bd)

@@ -10,7 +10,7 @@ import json
 from dataclasses import dataclass
 from math import isqrt
 
-from .ring import QuadInt, ring_data, unit_group
+from .ring import mul, ring_data
 
 
 @dataclass(frozen=True)
@@ -65,15 +65,15 @@ def shell_orbits(shell: Shell) -> tuple[tuple[tuple[int, int], ...], ...]:
     """
     if shell.r == 0:
         raise ValueError("the zero shell is a unit fixed point, not a free orbit")
-    units = unit_group(shell.D)
+    D = shell.D
+    units = ring_data(D).units
     seen: set[tuple[int, int]] = set()
     orbits: list[tuple[tuple[int, int], ...]] = []
     # points are sorted, so the first unseen point is its orbit's minimum
     for point in shell.points:
         if point in seen:
             continue
-        z = QuadInt(shell.D, *point)
-        orbit = tuple(sorted({(u * z).coords() for u in units}))
+        orbit = tuple(sorted({mul(D, u, point) for u in units}))
         orbits.append(orbit)
         seen.update(orbit)
     return tuple(orbits)

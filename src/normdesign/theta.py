@@ -17,9 +17,9 @@ from math import isqrt
 from .arith import is_prime, kronecker, splitting_type
 from .harmonic import BivarPoly, format_poly
 from .ring import (
-    QuadInt,
     SplitType,
     discriminant,
+    mul,
     require_admissible,
     ring_data,
     unit_count,
@@ -76,15 +76,15 @@ def power_sums(shell: Shell, j_max: int) -> list[tuple[int, int]]:
     Entry j-1 holds (sum of a, sum of b) where z^j = a + b*w for the shell
     point z = x + w*y.
     """
+    D = shell.D
     sums = [[0, 0] for _ in range(j_max)]
-    for x, y in shell.points:
-        z = QuadInt(shell.D, x, y)
-        w = z
+    for z in shell.points:
+        a, b = z
         for j in range(j_max):
-            sums[j][0] += w.a
-            sums[j][1] += w.b
+            sums[j][0] += a
+            sums[j][1] += b
             if j + 1 < j_max:
-                w = w * z
+                a, b = mul(D, (a, b), z)
     return [(sa, sb) for sa, sb in sums]
 
 
@@ -154,21 +154,15 @@ def a_norm(D: int, j: int, r: int) -> Fraction:
     Integer-valued whenever j is a multiple of u_D, where the underlying
     series is a Hecke eigenform with a(1) = 1.
     """
-    if r < 0:
-        raise ValueError(f"norm must be nonnegative, got {r}")
-    if r == 0:
-        # single point at the origin, where every degree >= 1 form vanishes
-        require_admissible(D)
-        if j < 1:
-            raise ValueError(f"basis degree must be >= 1, got {j}")
-        return Fraction(0)
     r_sum, _ = basis_shell_sums(D, j, r)
     return r_sum / unit_count(D)
 
 
 def _real_part_at(D: int, j: int, x: int, y: int) -> Fraction:
-    z = QuadInt(D, x, y) ** j
-    re, _ = _split_real_imag(D, z.a, z.b)
+    z = (1, 0)
+    for _ in range(j):
+        z = mul(D, z, (x, y))
+    re, _ = _split_real_imag(D, *z)
     return re
 
 

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 from normdesign.arith import factorize, kronecker
 from normdesign.ring import (
     ADMISSIBLE_D,
-    QuadInt,
     discriminant,
+    mul,
     norm_form,
+    ring_data,
     unit_count,
-    unit_group,
 )
 from normdesign.shells import enumerate_shell, shell_orbits
 from normdesign.theta import basis_shell_sums_upto
@@ -98,7 +98,7 @@ def test_spot_larger_shells_against_naive_loop(D):
 
 @pytest.mark.parametrize("D", ADMISSIBLE_D)
 def test_shell_invariants(D):
-    units = unit_group(D)
+    units = ring_data(D).units
     for r in range(1, 80):
         shell = enumerate_shell(D, r)
         pts = set(shell.points)
@@ -107,7 +107,7 @@ def test_shell_invariants(D):
             assert norm_form(D, x, y) == r
             assert (-x, -y) in pts
             for u in units:
-                assert (u * QuadInt(D, x, y)).coords() in pts
+                assert mul(D, u, (x, y)) in pts
         if pts:
             assert len(pts) % unit_count(D) == 0
 
@@ -145,7 +145,7 @@ def test_orbits_reject_zero_shell():
 
 @pytest.mark.parametrize("D", ADMISSIBLE_D)
 def test_orbits_partition_the_shell(D):
-    units = unit_group(D)
+    units = ring_data(D).units
     for r in (1, 2, 4, 25, 49, 92):
         shell = enumerate_shell(D, r)
         if not shell.points:
@@ -157,9 +157,7 @@ def test_orbits_partition_the_shell(D):
         for orbit in orbits:
             assert len(orbit) == unit_count(D)
             rep = min(orbit)
-            regenerated = {
-                (u * QuadInt(D, *rep)).coords() for u in units
-            }
+            regenerated = {mul(D, u, rep) for u in units}
             assert regenerated == set(orbit)
         reps = [min(orbit) for orbit in orbits]
         assert reps == sorted(reps)
