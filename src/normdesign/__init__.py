@@ -16,7 +16,7 @@ from .harmonic import (
     parse_poly,
 )
 from .ring import ADMISSIBLE_D, mul, ring_data
-from .shells import enumerate_shell, shell_orbits
+from .shells import enumerate_shell, shell_from_factorization, shell_orbits
 from .theta import a_norm, hecke_verify, shell_sum, theta_series
 
 __version__ = "0.1.0"
@@ -36,6 +36,7 @@ __all__ = [
     "parse_poly",
     "quadrature_average",
     "ring_data",
+    "shell_from_factorization",
     "shell_orbits",
     "shell_sum",
     "spherical_map",

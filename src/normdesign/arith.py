@@ -1,14 +1,19 @@
 """Elementary number theory: Kronecker symbol, factorization, prime splitting.
 
-Everything here is deterministic trial-division arithmetic: O(sqrt(N))
-divisions, about 1.5*10^4 for the N up to 2*10^9 that ``verify`` is
-benchmarked on. Far larger N would need Miller-Rabin and Pollard rho.
+Primality is trial division by the primes up to 41 followed by Miller-Rabin
+with those 13 bases, which is deterministic for n below ``MR_BOUND``
+(about 3.3*10^24; Sorenson-Webster 2015). Factoring adds Pollard rho with
+Brent's cycle finding, whose cost grows like the square root of the
+second-largest prime factor of n. ``is_prime`` and ``factorize`` reject
+n >= ``MR_BOUND``, where the test would no longer be a proof.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import count
+from math import gcd
 
 from .ring import SplitType, discriminant, require_admissible
 
@@ -65,45 +70,132 @@ class Factorization:
         return out
 
 
-def factorize(n: int) -> Factorization:
-    """Exact factorization by deterministic trial division. Requires n >= 1."""
-    if n < 1:
-        raise ValueError(f"factorize requires n >= 1, got {n}")
-    m = n
-    factors: list[tuple[int, int]] = []
-    for p in _trial_divisors(m):
-        if p * p > m:
-            break
-        if m % p == 0:
-            alpha = 0
-            while m % p == 0:
-                m //= p
-                alpha += 1
-            factors.append((p, alpha))
-    if m > 1:
-        factors.append((m, 1))
-    return Factorization(n, tuple(factors))
+#: The primes up to 41: trial divisors, and the Miller-Rabin bases.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+#: Least n that is a strong probable prime to every base in _SMALL_PRIMES
+#: and still composite: below it the Miller-Rabin test decides primality.
+MR_BOUND = 3317044064679887385961981
 
 
-def _trial_divisors(n: int):
-    yield 2
-    yield 3
-    d = 5
-    while d * d <= n:
-        yield d
-        yield d + 2
-        d += 6
+def _require_below_bound(n: int, what: str) -> None:
+    if n >= MR_BOUND:
+        raise ValueError(
+            f"{what} requires n < {MR_BOUND}, where primality is proven, got {n}"
+        )
+
+
+def _is_strong_probable_prime(n: int) -> bool:
+    """Miller-Rabin to every base in _SMALL_PRIMES; n odd and > 41."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def is_prime(n: int) -> bool:
+    """Deterministic primality for n < MR_BOUND; ValueError above."""
     if n < 2:
         return False
-    for p in _trial_divisors(n):
-        if p * p > n:
-            return True
+    _require_below_bound(n, "is_prime")
+    for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
-    return True
+    return n < 43 * 43 or _is_strong_probable_prime(n)
+
+
+def _rho_divisor(n: int) -> int:
+    """A proper divisor of the composite n, which has no prime factor <= 41.
+
+    Pollard rho on x -> x^2 + c with Brent's cycle finding, trying
+    c = 1, 2, ... until one gives a divisor other than n.
+    """
+    batch = 128  # steps whose |x - y| share one gcd
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(batch, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += batch
+            r *= 2
+        if g == n:
+            # the batch overshot: replay it one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def factorize(n: int) -> Factorization:
+    """Exact factorization: trial division to 41, then Pollard rho.
+
+    Requires 1 <= n < MR_BOUND.
+    """
+    if n < 1:
+        raise ValueError(f"factorize requires n >= 1, got {n}")
+    _require_below_bound(n, "factorize")
+    counts: dict[int, int] = {}
+    m = n
+    for p in _SMALL_PRIMES:
+        while m % p == 0:
+            m //= p
+            counts[p] = counts.get(p, 0) + 1
+    pending = [m] if m > 1 else []
+    while pending:
+        m = pending.pop()
+        if is_prime(m):
+            counts[m] = counts.get(m, 0) + 1
+        else:
+            d = _rho_divisor(m)
+            pending += [d, m // d]
+    return Factorization(n, tuple(sorted(counts.items())))
+
+
+def sqrt_mod(a: int, p: int) -> int:
+    """A square root of the quadratic residue a modulo the odd prime p.
+
+    Tonelli-Shanks (Cohen, Alg. 1.5.1). Requires a to be a nonzero residue:
+    at a = 0 (mod p) the search for the order of t never ends.
+    """
+    a %= p
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    m, c, t, root = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        # least i with t^(2^i) = 1; i < m because a is a residue
+        i, t2 = 1, t * t % p
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, root = i, b * b % p, t * b * b % p, root * b % p
+    return root
 
 
 def primes_up_to(n: int) -> list[int]:

@@ -377,10 +377,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    # built on the first call, not at import; every parse returns a fresh
+    # Namespace, so one parser serves all later calls in the process
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -80,16 +80,17 @@ class SplitType(Enum):
     INERT = "inert"
 
 
-def require_admissible(D: int) -> None:
-    """Raise ValueError unless D is one of the nine admissible values."""
-    if D not in _RINGS:
-        raise ValueError(f"D must be one of {ADMISSIBLE_D}, got {D!r}")
-
-
 def ring_data(D: int) -> RingData:
     """The constants of O_D; ValueError unless D is admissible."""
-    require_admissible(D)
-    return _RINGS[D]
+    try:
+        return _RINGS[D]
+    except KeyError:
+        raise ValueError(f"D must be one of {ADMISSIBLE_D}, got {D!r}") from None
+
+
+def require_admissible(D: int) -> None:
+    """Raise ValueError unless D is one of the nine admissible values."""
+    ring_data(D)
 
 
 def norm_form(D: int, x: int, y: int) -> int:

@@ -1,7 +1,10 @@
 """Enumeration of the norm shells: lattice points of O_D with a fixed norm.
 
-Shells come back with a canonical lexicographic point order so that orbit
-tables, JSON snapshots and sweep output are reproducible byte for byte.
+Two routes give the same shell: ``enumerate_shell`` scans the lattice and
+is the reference; ``shell_from_factorization`` builds the shell from the
+prime elements dividing r and is far cheaper once r is large. Shells come
+back with a canonical lexicographic point order so that orbit tables, JSON
+snapshots and sweep output are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -10,7 +13,8 @@ import json
 from dataclasses import dataclass
 from math import isqrt
 
-from .ring import mul, ring_data
+from .arith import factorize, splitting_type, sqrt_mod
+from .ring import SplitType, mul, ring_data
 
 
 @dataclass(frozen=True)
@@ -29,11 +33,12 @@ class Shell:
 
 
 def enumerate_shell(D: int, r: int) -> Shell:
-    """Complete exact enumeration of the norm r shell.
+    """Complete exact enumeration of the norm r shell: the reference route.
 
     One scan over the completed square 4r = (2x + t*y)^2 + |disc|*y^2 of
-    the norm form x^2 + t*x*y + n*y^2: for each |y| <= isqrt(4r // |disc|),
-    the points are the x with 2x + t*y = +-s where s^2 = 4r - |disc|*y^2.
+    the norm form x^2 + t*x*y + n*y^2: for each 0 <= y <= isqrt(4r // |disc|),
+    the points are the x with 2x + t*y = +-s where s^2 = 4r - |disc|*y^2,
+    together with their negatives (-x, -y), since the norm is even in z.
     Perfect squares are detected with isqrt and a re-square, never floats.
     """
     R = ring_data(D)
@@ -43,16 +48,85 @@ def enumerate_shell(D: int, r: int) -> Shell:
         return Shell(D, 0, ((0, 0),))
     t, a = R.t, -R.disc
     r4 = 4 * r
-    ymax = isqrt(r4 // a)
     points: set[tuple[int, int]] = set()
-    for y in range(-ymax, ymax + 1):
+    for y in range(isqrt(r4 // a) + 1):
         rem = r4 - a * y * y
         s = isqrt(rem)
         if s * s == rem:
             # rem = (t*y)^2 mod 4, so s - t*y is always even
             ty = t * y
-            points.add(((s - ty) // 2, y))
-            points.add(((-s - ty) // 2, y))
+            for x in ((s - ty) // 2, (-s - ty) // 2):
+                points.add((x, y))
+                points.add((-x, -y))
+    return Shell(D, r, tuple(sorted(points)))
+
+
+def _prime_element(D: int, p: int) -> tuple[int, int]:
+    """An element of norm p, for a prime p that is split or ramified in O_D.
+
+    At an odd split p: Tonelli-Shanks for sqrt(disc) mod p, then Cornacchia
+    on 4p = X^2 + |disc|*Y^2 (Cohen, Alg. 1.5.3), and x + y*w with
+    X = 2x + t*y, Y = y. Tonelli-Shanks needs an odd p and never ends at
+    disc = 0 (mod p), so at p = 2 and at ramified p the element is read
+    from the tiny norm p shell instead.
+    """
+    R = ring_data(D)
+    a = -R.disc
+    if p == 2 or a % p == 0:
+        return enumerate_shell(D, p).points[0]
+    b = sqrt_mod(R.disc, p)
+    if (b - R.disc) % 2:
+        b = p - b
+    # Euclid on (2p, b) down to the first remainder <= 2*sqrt(p)
+    m, bound = 2 * p, isqrt(4 * p)
+    while b > bound:
+        m, b = b, m % b
+    c, rem = divmod(4 * p - b * b, a)
+    y = isqrt(c)
+    assert rem == 0 and y * y == c, (D, p)
+    return (b - R.t * y) // 2, y
+
+
+def shell_from_factorization(D: int, r: int) -> Shell:
+    """The norm r shell built from the prime factorization of r.
+
+    Class number 1 makes every element of norm r a unit times a product
+    of prime elements: pi^k * conj(pi)^(alpha-k), k = 0..alpha, at a split
+    p^alpha, pi^alpha at a ramified p^alpha, p^(beta/2) at an inert p^beta
+    with beta even; an inert prime to an odd power leaves the shell empty.
+    Returns the same Shell as enumerate_shell, which stays the reference,
+    at the cost of factoring r instead of an O(sqrt(r)) scan.
+    """
+    R = ring_data(D)
+    if r < 0:
+        raise ValueError(f"shell norm must be nonnegative, got {r}")
+    if r == 0:
+        return Shell(D, 0, ((0, 0),))
+    elements = [(1, 0)]
+    expected = R.unit_count
+    for p, alpha in factorize(r).factors:
+        kind = splitting_type(D, p)
+        if kind is SplitType.INERT:
+            if alpha % 2:
+                return Shell(D, r, ())
+            choices = [(p ** (alpha // 2), 0)]
+        else:
+            pi = _prime_element(D, p)
+            powers = [(1, 0)]
+            for _ in range(alpha):
+                powers.append(mul(D, powers[-1], pi))
+            if kind is SplitType.RAMIFIED:
+                choices = [powers[alpha]]
+            else:
+                # pi^k * conj(pi^(alpha-k)), with conj(a + b*w) = a + t*b - b*w
+                choices = [
+                    mul(D, powers[k], (a + R.t * b, -b))
+                    for k, (a, b) in enumerate(reversed(powers))
+                ]
+                expected *= alpha + 1
+        elements = [mul(D, e, c) for e in elements for c in choices]
+    points = {mul(D, u, e) for u in R.units for e in elements}
+    assert len(points) == expected, (D, r, len(points), expected)
     return Shell(D, r, tuple(sorted(points)))
 
 

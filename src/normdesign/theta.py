@@ -88,8 +88,13 @@ def power_sums(shell: Shell, j_max: int) -> list[tuple[int, int]]:
     return [(sa, sb) for sa, sb in sums]
 
 
+_ZERO_PAIR = (Fraction(0), Fraction(0))
+
+
 def _split_real_imag(D: int, sa: int, sb: int) -> tuple[Fraction, Fraction]:
     # a + b*w has real part a + b*rho and imaginary part b*sigma*sqrt(D).
+    if not sa and not sb:
+        return _ZERO_PAIR  # most degrees of a design vanish; share one pair
     R = ring_data(D)
     return Fraction(sa) + sb * R.rho, sb * R.sigma
 

@@ -1,13 +1,18 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normdesign.arith import (
+    MR_BOUND,
     Factorization,
+    _is_strong_probable_prime,
     factorize,
     is_prime,
     is_representable,
     kronecker,
     primes_up_to,
     splitting_type,
+    sqrt_mod,
 )
 from normdesign.ring import ADMISSIBLE_D, SplitType, discriminant, unit_count
 from normdesign.shells import enumerate_shell
@@ -81,6 +86,106 @@ def test_is_prime_against_sieve():
     primes = set(primes_up_to(500))
     for n in range(501):
         assert is_prime(n) == (n in primes)
+
+
+def trial_division_factors(n):
+    """Reference factorization: divide by 2, 3 and 6k +- 1 up to sqrt(n)."""
+
+    def divisors():
+        yield 2
+        yield 3
+        d = 5
+        while True:
+            yield d
+            yield d + 2
+            d += 6
+
+    factors = []
+    for p in divisors():
+        if p * p > n:
+            break
+        alpha = 0
+        while n % p == 0:
+            n //= p
+            alpha += 1
+        if alpha:
+            factors.append((p, alpha))
+    if n > 1:
+        factors.append((n, 1))
+    return tuple(factors)
+
+
+# composites that pass Miller-Rabin to every prime base up to 7, 31 and 37
+# respectively, so each needs a later base than the one before
+STRONG_PSEUDOPRIMES = (3215031751, 3825123056546413051, 318665857834031151167461)
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    for n in STRONG_PSEUDOPRIMES:
+        assert is_prime(n) is False, n
+        assert factorize(n).reconstruct() == n
+        assert len(factorize(n).factors) > 1
+
+
+def test_is_prime_on_large_primes():
+    assert is_prime(2**61 - 1) is True
+    assert is_prime(10**18 + 9) is True
+    assert is_prime((2**61 - 1) * (10**6 + 3)) is False
+    assert factorize(10**18 + 9) == Factorization(10**18 + 9, ((10**18 + 9, 1),))
+
+
+def test_factorize_prime_powers_past_trial_division():
+    # every prime here exceeds 41, the last trial divisor, so Pollard rho
+    # has to split each power itself
+    assert factorize(43**2).factors == ((43, 2),)
+    assert factorize(43**3).factors == ((43, 3),)
+    assert factorize(1009**5).factors == ((1009, 5),)
+    assert factorize(1000003**2).factors == ((1000003, 2),)
+    assert factorize(10007**2 * 10009).factors == ((10007, 2), (10009, 1))
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(
+    st.one_of(
+        st.integers(1, 10**12),
+        # products of two primes near 10^5 and 10^6: rho's hardest inputs here
+        st.builds(
+            lambda a, b: a * b,
+            st.integers(10**5, 2 * 10**5),
+            st.integers(10**6, 2 * 10**6),
+        ),
+    )
+)
+def test_factorize_matches_trial_division(n):
+    assert factorize(n).factors == trial_division_factors(n)
+    assert is_prime(n) == (trial_division_factors(n) == ((n, 1),))
+
+
+def test_primality_and_factoring_reject_the_miller_rabin_bound():
+    for f in (is_prime, factorize):
+        with pytest.raises(ValueError, match="primality is proven"):
+            f(MR_BOUND)
+        with pytest.raises(ValueError):
+            f(MR_BOUND + 2)
+    assert is_prime(MR_BOUND - 1) is False  # even, and still below the bound
+    assert factorize(MR_BOUND - 1).reconstruct() == MR_BOUND - 1
+    # the bound is the first composite that fools all 13 bases
+    assert MR_BOUND == 1287836182261 * 2575672364521
+    assert _is_strong_probable_prime(MR_BOUND)
+    assert factorize(MR_BOUND - 1).reconstruct() == MR_BOUND - 1
+
+
+@pytest.mark.parametrize(
+    # 2-adic valuations of p - 1 from 1 to 23 exercise every depth of the
+    # Tonelli-Shanks loop
+    "p", (3, 5, 7, 13, 17, 41, 73, 97, 193, 257, 65537, 786433, 7340033, 998244353)
+)
+def test_sqrt_mod_squares_back(p):
+    residues = {pow(x, 2, p) for x in range(1, min(p, 400))}
+    for a in residues:
+        root = sqrt_mod(a, p)
+        assert 0 <= root < p
+        assert root * root % p == a, (a, p)
 
 
 def test_splitting_type_examples():

@@ -213,3 +213,56 @@ def test_output_flag_writes_file(tmp_path):
 def test_usage_error_exit_code():
     assert run(["no-such-command"]) == 2
     assert run([]) == 2
+
+
+INTERLEAVED = (
+    ["shell", "3", "691", "--format", "json"],
+    ["verify", "3", "691", "--jmax", "6", "--format", "json"],
+    ["theta", "1", "--j", "4", "--rmax", "12", "--format", "csv"],
+    ["hecke", "1", "--j", "4", "--p", "5", "--alpha", "2", "--format", "json"],
+    ["sweep", "--rmax", "15", "--jmax", "7"],
+    ["verify", "1", "3"],
+    ["shell", "1", "25"],
+    ["verify", "7", "2", "--t", "3"],
+    ["theta", "2", "--poly", "x^2-y", "--rmax", "6"],
+    ["no-such-command"],
+    ["sweep", "--rmax", "9", "--parallel", "1"],
+    ["verify", "3", "691"],
+)
+
+
+def _run_captured(argv, capsys):
+    code = run(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_one_parser_serves_interleaved_commands(capsys, monkeypatch):
+    fresh = []
+    for argv in INTERLEAVED:
+        monkeypatch.setattr(cli, "_PARSER", None)  # build a new parser per call
+        fresh.append(_run_captured(argv, capsys))
+    monkeypatch.setattr(cli, "_PARSER", None)
+    reused = [_run_captured(argv, capsys) for argv in INTERLEAVED]
+    parser = cli._PARSER
+    reused += [_run_captured(argv, capsys) for argv in reversed(INTERLEAVED)]
+    assert cli._PARSER is parser
+    assert reused == fresh + fresh[::-1]
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 0, 2, 0, 1, 0, 2, 0, 0]
+    # no flag of an earlier call leaks into a later one: the last verify
+    # gets the default degree bound, not --jmax 6 or --t 3
+    assert "degrees 1..13" in fresh[-1][1]
+    assert "failing set matches the multiples of u_D=6" in fresh[-1][1]
+
+
+def test_verify_past_the_scan_reach():
+    # 10^18 + 9 is a prime = 1 mod 4: a scan would need 10^9 rows
+    assert run(["verify", "1", "1000000000000000009", "--jmax", "8"]) == 0
+
+
+def test_inputs_at_the_primality_bound_are_usage_errors(capsys):
+    bound = "3317044064679887385961981"
+    assert run(["verify", "1", bound]) == 2
+    assert "primality is proven" in capsys.readouterr().err
+    assert run(["hecke", "1", "--j", "4", "--p", bound]) == 2
+    assert "primality is proven" in capsys.readouterr().err

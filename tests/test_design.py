@@ -3,7 +3,10 @@ import math
 
 import pytest
 
+from normdesign import design
+from normdesign.arith import is_representable
 from normdesign.design import (
+    SCAN_MAX_ROWS,
     DesignReport,
     _ellipse_parametrization,
     is_t_design,
@@ -14,8 +17,8 @@ from normdesign.design import (
     verify_theorem_main,
 )
 from normdesign.harmonic import BasisKind, BivarPoly, basis_pair, basis_poly, parse_poly
-from normdesign.ring import ADMISSIBLE_D, unit_count
-from normdesign.shells import enumerate_shell
+from normdesign.ring import ADMISSIBLE_D, discriminant, unit_count
+from normdesign.shells import enumerate_shell, shell_from_factorization
 from normdesign.theta import format_rational
 
 
@@ -41,6 +44,52 @@ def test_design_checks_reject_empty_shells():
         strength_profile(1, 3, 4)
     with pytest.raises(ValueError):
         is_t_design(1, 0, 2)
+
+
+def _representable_with_rows(D, rows, last):
+    """The last (or first) representable r whose scan has exactly rows + 1 rows."""
+    a = -discriminant(D)
+    lo, hi = (rows * rows * a + 3) // 4, ((rows + 1) ** 2 * a + 3) // 4 - 1
+    candidates = range(hi, lo - 1, -1) if last else range(lo, hi + 1)
+    r = next(r for r in candidates if is_representable(D, r))
+    assert math.isqrt(4 * r // a) == rows
+    return r
+
+
+@pytest.mark.parametrize("D", ADMISSIBLE_D)
+def test_strength_profile_takes_each_route_on_its_side_of_the_crossover(
+    D, monkeypatch
+):
+    calls = []
+
+    def recording(route):
+        def wrapper(D, r):
+            calls.append((route.__name__, r))
+            return route(D, r)
+
+        return wrapper
+
+    monkeypatch.setattr(design, "enumerate_shell", recording(enumerate_shell))
+    monkeypatch.setattr(
+        design, "shell_from_factorization", recording(shell_from_factorization)
+    )
+    below = _representable_with_rows(D, SCAN_MAX_ROWS, last=True)
+    above = _representable_with_rows(D, SCAN_MAX_ROWS + 1, last=False)
+    scanned = strength_profile(D, below, 13)
+    factored = strength_profile(D, above, 13)
+    assert calls == [
+        ("enumerate_shell", below),
+        ("shell_from_factorization", above),
+    ]
+    # forcing the other route gives the same reports
+    monkeypatch.setattr(design, "SCAN_MAX_ROWS", 0)
+    assert strength_profile(D, below, 13) == scanned
+    monkeypatch.setattr(design, "SCAN_MAX_ROWS", 10**9)
+    assert strength_profile(D, above, 13) == factored
+    assert calls[2:] == [
+        ("shell_from_factorization", below),
+        ("enumerate_shell", above),
+    ]
 
 
 def test_profile_guards():

@@ -1,19 +1,21 @@
-from math import isqrt
+from math import isqrt, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normdesign.arith import factorize, kronecker
+from normdesign.arith import factorize, kronecker, splitting_type
+from normdesign.design import SCAN_MAX_ROWS
 from normdesign.ring import (
     ADMISSIBLE_D,
     discriminant,
     mul,
     norm_form,
+    SplitType,
     ring_data,
     unit_count,
 )
-from normdesign.shells import enumerate_shell, shell_orbits
+from normdesign.shells import enumerate_shell, shell_from_factorization, shell_orbits
 from normdesign.theta import basis_shell_sums_upto
 
 EXAMPLE_691 = (
@@ -161,3 +163,101 @@ def test_orbits_partition_the_shell(D):
             assert regenerated == set(orbit)
         reps = [min(orbit) for orbit in orbits]
         assert reps == sorted(reps)
+
+
+# -- the factorization route against the scan -----------------------------------
+
+# Small primes of every splitting type (2 and the odd ramified p = D among
+# them), primes = 1 mod 8 whose p - 1 holds 2^3 up to 2^23 (deep Tonelli-Shanks
+# loops), and larger primes of both residues mod 4.
+ROUTE_PRIMES = (
+    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 67, 73, 97, 163, 193,
+    257, 1009, 1013, 10007, 65537, 786433, 7340033, 999999937, 998244353,
+)
+
+
+def prime_powers(bound):
+    return st.sampled_from(ROUTE_PRIMES).flatmap(
+        lambda p: st.integers(1, max(1, bound.bit_length() // p.bit_length())).map(
+            lambda k: p**k
+        )
+    ).filter(lambda q: q <= bound)
+
+
+def near_crossover(D):
+    """Norms whose scan has SCAN_MAX_ROWS +- 3 rows, so both routes run."""
+    a = -discriminant(D)
+    lo = (SCAN_MAX_ROWS - 3) ** 2 * a // 4
+    hi = (SCAN_MAX_ROWS + 4) ** 2 * a // 4
+    return st.integers(lo, hi).map(lambda r: (D, r))
+
+
+route_case = st.one_of(
+    any_norm,
+    lattice_norm,
+    st.sampled_from(ADMISSIBLE_D).flatmap(near_crossover),
+    st.tuples(
+        st.sampled_from(ADMISSIBLE_D),
+        st.lists(prime_powers(R_MAX), min_size=1, max_size=3).map(prod),
+    ).filter(lambda case: case[1] <= R_MAX),
+)
+
+
+@pytest.mark.parametrize("D", ADMISSIBLE_D)
+def test_factorization_route_matches_scan_on_small_norms(D):
+    for r in range(1000):
+        assert shell_from_factorization(D, r) == enumerate_shell(D, r), (D, r)
+
+
+@pytest.mark.parametrize("D", ADMISSIBLE_D)
+def test_factorization_route_at_every_splitting_type(D):
+    """Every power <= 10^9 of 2 (split for D = 7, ramified for D = 1, 2 and
+    inert otherwise), of the odd ramified prime D, of 3 and 5, and of primes
+    = 1 mod 8, where Tonelli-Shanks runs its inner loop."""
+    primes = sorted({2, D, 3, 5, 17, 41, 73, 97, 193, 65537, 786433, 7340033} - {1})
+    kinds = {splitting_type(D, p) for p in primes}
+    assert kinds == set(SplitType)
+    assert any(
+        p % 8 == 1 and splitting_type(D, p) is SplitType.SPLIT for p in primes
+    )
+    for p in primes:
+        q = p
+        while q <= R_MAX:
+            assert shell_from_factorization(D, q) == enumerate_shell(D, q), (D, q)
+            q *= p
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(route_case)
+def test_factorization_route_matches_scan(case):
+    D, r = case
+    assert shell_from_factorization(D, r) == enumerate_shell(D, r)
+
+
+R_BIG = 2 * 10**18
+big_norm = st.one_of(
+    st.builds(
+        lambda D, x, y: (D, norm_form(D, x, y)),
+        st.sampled_from(ADMISSIBLE_D),
+        st.integers(-(10**9), 10**9),
+        st.integers(-(10**8), 10**8),
+    ),
+    st.tuples(
+        st.sampled_from(ADMISSIBLE_D),
+        st.lists(prime_powers(R_BIG), min_size=1, max_size=4).map(prod),
+    ),
+    st.tuples(st.sampled_from(ADMISSIBLE_D), st.just(10**18 + 9)),
+).filter(lambda case: 1 <= case[1] <= R_BIG)
+
+
+@settings(deadline=None, derandomize=True, max_examples=100)
+@given(big_norm)
+def test_factorization_route_past_the_scan(case):
+    """At r up to 2*10^18 the scan would take up to 10^9 rows, so check the
+    shell against the norm form and the divisor-sum count instead."""
+    D, r = case
+    shell = shell_from_factorization(D, r)
+    assert (shell.D, shell.r) == (D, r)
+    assert list(shell.points) == sorted(set(shell.points))
+    assert all(norm_form(D, x, y) == r for x, y in shell.points)
+    assert len(shell) == representation_count(D, r)

@@ -5,9 +5,10 @@ import pytest
 
 from normdesign.arith import primes_up_to, splitting_type
 from normdesign.harmonic import BasisKind, basis_pair, basis_poly, parse_poly
-from normdesign.ring import ADMISSIBLE_D, SplitType, unit_count
+from normdesign.ring import ADMISSIBLE_D, SplitType, ring_data, unit_count
 from normdesign.shells import enumerate_shell
 from normdesign.theta import (
+    _split_real_imag,
     a_norm,
     a_prime_closed_form,
     basis_shell_sums,
@@ -19,6 +20,16 @@ from normdesign.theta import (
 )
 
 Q6 = "2*x^6+6*x^5*y-15*x^4*y^2-40*x^3*y^3-15*x^2*y^4+6*x*y^5+2*y^6"
+
+
+@pytest.mark.parametrize("D", ADMISSIBLE_D)
+def test_split_real_imag_reads_rho_and_sigma(D):
+    R = ring_data(D)
+    assert _split_real_imag(D, 0, 0) == (0, 0)
+    assert _split_real_imag(D, 5, 0) == (5, 0)
+    # w itself: a zero integer part does not make the element zero
+    assert _split_real_imag(D, 0, 1) == (R.rho, R.sigma)
+    assert _split_real_imag(D, 3, -2) == (3 - 2 * R.rho, -2 * R.sigma)
 
 
 def test_shell_sum_examples():
