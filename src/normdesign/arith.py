@@ -4,13 +4,13 @@ Primality is trial division by the primes up to 41 followed by Miller-Rabin
 with those 13 bases, which is deterministic for n below ``MR_BOUND``
 (about 3.3*10^24; Sorenson-Webster 2015). Factoring adds Pollard rho with
 Brent's cycle finding, whose cost grows like the square root of the
-second-largest prime factor of n. ``is_prime`` and ``factorize`` reject
+second-largest prime factor of n; ``factorize`` returns the pairs
+((p, alpha), ...) sorted by p. ``is_prime`` and ``factorize`` reject
 n >= ``MR_BOUND``, where the test would no longer be a proof.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count
 from math import gcd
@@ -54,20 +54,6 @@ def kronecker(a: int, n: int) -> int:
             sign = -sign
         a %= n
     return sign if n == 1 else 0
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """Prime factorization of n, factors sorted by increasing prime."""
-
-    n: int
-    factors: tuple[tuple[int, int], ...]
-
-    def reconstruct(self) -> int:
-        out = 1
-        for p, alpha in self.factors:
-            out *= p**alpha
-        return out
 
 
 #: The primes up to 41: trial divisors, and the Miller-Rabin bases.
@@ -147,10 +133,10 @@ def _rho_divisor(n: int) -> int:
             return g
 
 
-def factorize(n: int) -> Factorization:
-    """Exact factorization: trial division to 41, then Pollard rho.
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Exact factorization as ((p, alpha), ...) pairs, sorted by increasing p.
 
-    Requires 1 <= n < MR_BOUND.
+    Trial division to 41, then Pollard rho. Requires 1 <= n < MR_BOUND.
     """
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
@@ -169,7 +155,7 @@ def factorize(n: int) -> Factorization:
         else:
             d = _rho_divisor(m)
             pending += [d, m // d]
-    return Factorization(n, tuple(sorted(counts.items())))
+    return tuple(sorted(counts.items()))
 
 
 def sqrt_mod(a: int, p: int) -> int:
@@ -198,19 +184,8 @@ def sqrt_mod(a: int, p: int) -> int:
     return root
 
 
-def primes_up_to(n: int) -> list[int]:
-    """All primes <= n by a byte sieve."""
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, int(n**0.5) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i, flag in enumerate(sieve) if flag]
-
-
-@lru_cache(maxsize=None)
+# bounded: the factorization route feeds it every prime factor of every r
+@lru_cache(maxsize=1024)
 def splitting_type(D: int, p: int) -> SplitType:
     """How the rational prime p behaves in O_D.
 
@@ -235,7 +210,7 @@ def is_representable(D: int, r: int) -> bool:
     require_admissible(D)
     if r < 1:
         raise ValueError(f"is_representable requires r >= 1, got {r}")
-    for p, alpha in factorize(r).factors:
+    for p, alpha in factorize(r):
         if alpha % 2 == 1 and splitting_type(D, p) is SplitType.INERT:
             return False
     return True

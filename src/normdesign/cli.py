@@ -15,7 +15,7 @@ import sys
 from multiprocessing import Pool
 
 from .arith import is_representable
-from .design import quadrature_average, strength_profile, verify_theorem_main
+from .design import quadrature_average, strength_profile
 from .harmonic import BivarPoly, PolyParseError, format_poly, parse_poly
 from .ring import ADMISSIBLE_D, unit_count
 from .shells import Shell, enumerate_shell, shell_to_json
@@ -86,16 +86,14 @@ def _shell_table(shell: Shell) -> str:
 def _cmd_verify(args) -> int:
     if args.t is None and args.jmax is None:
         args.jmax = min(2 * unit_count(args.D) + 1, 13)
-    if not is_representable(args.D, args.r):
-        raise UsageError(
-            f"the norm {args.r} shell is empty for D={args.D}: an inert prime "
-            f"divides {args.r} to an odd power, so there is nothing to verify"
-        )
+    # an empty shell raises ValueError in strength_profile: exit 2
     if args.t is not None:
-        ok, report = verify_theorem_main(args.D, args.r, args.t)
-        passed = not any(f.j <= args.t for f in report.failing)
+        report = strength_profile(args.D, args.r, args.t)
+        # the report stops at degree t, so a t-design has no failing degree
+        passed = not report.failing
     else:
-        passed, report = verify_theorem_main(args.D, args.r, args.jmax)
+        report = strength_profile(args.D, args.r, args.jmax)
+        passed = report.theorem_main_ok
     if args.format == "json":
         _emit(_dumps(report.to_json_dict()), args.output)
     elif args.format == "csv":
@@ -237,8 +235,7 @@ def _cmd_quadrature(args) -> int:
 
 def _sweep_task(task: tuple[int, int, int]) -> dict:
     D, r, j_max = task
-    _, report = verify_theorem_main(D, r, j_max)
-    return report.to_json_dict()
+    return strength_profile(D, r, j_max).to_json_dict()
 
 
 def _cmd_sweep(args) -> int:
@@ -301,13 +298,8 @@ def _cmd_reproduce_example(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
-def _add_common(sub, fmt_default: str = "table") -> None:
-    sub.add_argument(
-        "--format",
-        choices=("json", "csv", "table"),
-        default=fmt_default,
-        help="output format",
-    )
+def _add_common(sub, formats=("json", "csv", "table")) -> None:
+    sub.add_argument("--format", choices=formats, default="table", help="output format")
     sub.add_argument("--output", help="write output to this path instead of stdout")
 
 
@@ -350,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_hecke.add_argument("--j", type=int, required=True)
     p_hecke.add_argument("--p", type=int, required=True)
     p_hecke.add_argument("--alpha", type=int, default=3)
-    _add_common(p_hecke)
+    _add_common(p_hecke, formats=("json", "table"))
     p_hecke.set_defaults(func=_cmd_hecke)
 
     p_quad = sub.add_parser("quadrature", help="weighted ellipse average")
@@ -358,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_quad.add_argument("r", type=int)
     p_quad.add_argument("--poly", required=True)
     p_quad.add_argument("--nodes", type=int, default=256)
-    _add_common(p_quad)
+    _add_common(p_quad, formats=("json", "table"))
     p_quad.set_defaults(func=_cmd_quadrature)
 
     p_sweep = sub.add_parser("sweep", help="verify all nine rings up to rmax")

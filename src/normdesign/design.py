@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .harmonic import BivarPoly
-from .ring import require_admissible, ring_data, unit_count
+from .ring import norm_form, require_admissible, ring_data, unit_count
 from .shells import Shell, enumerate_shell, shell_from_factorization
 from .theta import basis_shell_sums_upto, format_rational
 
@@ -41,7 +41,6 @@ class DesignReport:
     j_max: int
     vanishing: tuple[int, ...]
     failing: tuple[FailingDegree, ...]
-    claimed_T: str
     theorem_main_ok: bool
 
     def to_json_dict(self) -> dict:
@@ -104,26 +103,8 @@ def strength_profile(D: int, r: int, j_max: int) -> DesignReport:
         j_max=j_max,
         vanishing=tuple(vanishing),
         failing=tuple(failing),
-        claimed_T=f"Z+ minus {u}Z+",
         theorem_main_ok=ok,
     )
-
-
-def is_t_design(D: int, r: int, t: int) -> bool:
-    """Whether the nonempty norm r shell averages all degrees <= t exactly."""
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
-    shell = _require_nonempty(D, r)
-    return all(
-        r_sum == 0 and i_sum == 0
-        for r_sum, i_sum in basis_shell_sums_upto(shell, t)
-    )
-
-
-def verify_theorem_main(D: int, r: int, j_max: int) -> tuple[bool, DesignReport]:
-    """Check that the failing degrees are exactly the multiples of u_D."""
-    report = strength_profile(D, r, j_max)
-    return report.theorem_main_ok, report
 
 
 # -- quadrature cross-check ------------------------------------------------------
@@ -198,11 +179,6 @@ def quadrature_average(D: int, r: int, P: BivarPoly, M: int) -> float:
     return prefactor * total * step
 
 
-def norm_form_float(D: int, x: float, y: float) -> float:
-    R = ring_data(D)
-    return x * x + R.t * x * y + R.n * y * y
-
-
 _CIRCLE_TOL = 1e-9
 
 
@@ -223,7 +199,7 @@ def spherical_map(
         if abs(x * x + y * y - 1.0) > _CIRCLE_TOL:
             raise ValueError(f"({x}, {y}) is not on the unit circle")
         image = (x - R.t * y / sqrt_d, y / R.im_w)
-        if abs(norm_form_float(D, *image) - 1.0) > _CIRCLE_TOL:
+        if abs(norm_form(D, *image) - 1.0) > _CIRCLE_TOL:
             raise ValueError(f"image of ({x}, {y}) left the unit norm ellipse")
         out.append(image)
     return out

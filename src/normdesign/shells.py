@@ -104,7 +104,7 @@ def shell_from_factorization(D: int, r: int) -> Shell:
         return Shell(D, 0, ((0, 0),))
     elements = [(1, 0)]
     expected = R.unit_count
-    for p, alpha in factorize(r).factors:
+    for p, alpha in factorize(r):
         kind = splitting_type(D, p)
         if kind is SplitType.INERT:
             if alpha % 2:

@@ -37,9 +37,6 @@ class ThetaSeries:
     coeffs: tuple[Fraction, ...]
     weight: int
 
-    def coefficient(self, r: int) -> Fraction:
-        return self.coeffs[r]
-
 
 @dataclass(frozen=True)
 class HeckeCheck:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from normdesign.arith import is_representable, primes_up_to, splitting_type
+from normdesign.arith import is_prime, is_representable, splitting_type
 from normdesign.cli import _default_coprime_pairs, run
 from normdesign.design import quadrature_average
 from normdesign.harmonic import BasisKind, BivarPoly, basis_poly, parse_poly
@@ -29,6 +29,11 @@ EXAMPLE_POINTS = (
 )
 P_TEXT = "2*x^2+3462*x*y+1729*y^2"
 Q_TEXT = "2*x^6+6*x^5*y-15*x^4*y^2-40*x^3*y^3-15*x^2*y^4+6*x*y^5+2*y^6"
+
+
+def primes_up_to(n):
+    # is_prime is checked against a sieve in test_arith
+    return [p for p in range(n + 1) if is_prime(p)]
 
 
 @contextmanager

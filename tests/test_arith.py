@@ -1,21 +1,37 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normdesign.arith import (
     MR_BOUND,
-    Factorization,
     _is_strong_probable_prime,
     factorize,
     is_prime,
     is_representable,
     kronecker,
-    primes_up_to,
     splitting_type,
     sqrt_mod,
 )
 from normdesign.ring import ADMISSIBLE_D, SplitType, discriminant, unit_count
 from normdesign.shells import enumerate_shell
+
+
+def primes_up_to(n):
+    """All primes <= n by a byte sieve: the reference for is_prime."""
+    if n < 2:
+        return []
+    sieve = bytearray([1]) * (n + 1)
+    sieve[0] = sieve[1] = 0
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
+    return [i for i, flag in enumerate(sieve) if flag]
+
+
+def product(factors):
+    return math.prod(p**alpha for p, alpha in factors)
 
 
 def legendre_oracle(a, p):
@@ -60,9 +76,9 @@ def test_kronecker_multiplicative_in_both_arguments():
 
 
 def test_factorize_examples():
-    assert factorize(691) == Factorization(691, ((691, 1),))
-    assert factorize(12) == Factorization(12, ((2, 2), (3, 1)))
-    assert factorize(1) == Factorization(1, ())
+    assert factorize(691) == ((691, 1),)
+    assert factorize(12) == ((2, 2), (3, 1))
+    assert factorize(1) == ()
 
 
 def test_factorize_rejects_nonpositive():
@@ -74,12 +90,12 @@ def test_factorize_rejects_nonpositive():
 
 def test_factorize_reconstructs_and_sorts():
     for n in range(1, 2001):
-        fac = factorize(n)
-        assert fac.reconstruct() == n
-        primes = [p for p, _ in fac.factors]
+        factors = factorize(n)
+        assert product(factors) == n
+        primes = [p for p, _ in factors]
         assert primes == sorted(primes)
         assert all(is_prime(p) for p in primes)
-        assert all(alpha >= 1 for _, alpha in fac.factors)
+        assert all(alpha >= 1 for _, alpha in factors)
 
 
 def test_is_prime_against_sieve():
@@ -123,25 +139,25 @@ STRONG_PSEUDOPRIMES = (3215031751, 3825123056546413051, 318665857834031151167461
 def test_is_prime_rejects_strong_pseudoprimes():
     for n in STRONG_PSEUDOPRIMES:
         assert is_prime(n) is False, n
-        assert factorize(n).reconstruct() == n
-        assert len(factorize(n).factors) > 1
+        assert product(factorize(n)) == n
+        assert len(factorize(n)) > 1
 
 
 def test_is_prime_on_large_primes():
     assert is_prime(2**61 - 1) is True
     assert is_prime(10**18 + 9) is True
     assert is_prime((2**61 - 1) * (10**6 + 3)) is False
-    assert factorize(10**18 + 9) == Factorization(10**18 + 9, ((10**18 + 9, 1),))
+    assert factorize(10**18 + 9) == ((10**18 + 9, 1),)
 
 
 def test_factorize_prime_powers_past_trial_division():
     # every prime here exceeds 41, the last trial divisor, so Pollard rho
     # has to split each power itself
-    assert factorize(43**2).factors == ((43, 2),)
-    assert factorize(43**3).factors == ((43, 3),)
-    assert factorize(1009**5).factors == ((1009, 5),)
-    assert factorize(1000003**2).factors == ((1000003, 2),)
-    assert factorize(10007**2 * 10009).factors == ((10007, 2), (10009, 1))
+    assert factorize(43**2) == ((43, 2),)
+    assert factorize(43**3) == ((43, 3),)
+    assert factorize(1009**5) == ((1009, 5),)
+    assert factorize(1000003**2) == ((1000003, 2),)
+    assert factorize(10007**2 * 10009) == ((10007, 2), (10009, 1))
 
 
 @settings(deadline=None, derandomize=True, max_examples=150)
@@ -157,7 +173,7 @@ def test_factorize_prime_powers_past_trial_division():
     )
 )
 def test_factorize_matches_trial_division(n):
-    assert factorize(n).factors == trial_division_factors(n)
+    assert factorize(n) == trial_division_factors(n)
     assert is_prime(n) == (trial_division_factors(n) == ((n, 1),))
 
 
@@ -168,11 +184,10 @@ def test_primality_and_factoring_reject_the_miller_rabin_bound():
         with pytest.raises(ValueError):
             f(MR_BOUND + 2)
     assert is_prime(MR_BOUND - 1) is False  # even, and still below the bound
-    assert factorize(MR_BOUND - 1).reconstruct() == MR_BOUND - 1
+    assert product(factorize(MR_BOUND - 1)) == MR_BOUND - 1
     # the bound is the first composite that fools all 13 bases
     assert MR_BOUND == 1287836182261 * 2575672364521
     assert _is_strong_probable_prime(MR_BOUND)
-    assert factorize(MR_BOUND - 1).reconstruct() == MR_BOUND - 1
 
 
 @pytest.mark.parametrize(
@@ -199,6 +214,16 @@ def test_splitting_type_rejects_composites():
         splitting_type(1, 6)
     with pytest.raises(ValueError):
         splitting_type(1, 1)
+
+
+def test_splitting_type_cache_is_bounded():
+    primes = primes_up_to(17389)  # the first 2000 primes
+    assert len(primes) == 2000
+    for p in primes:
+        is_representable(1, p)
+    info = splitting_type.cache_info()
+    assert info.maxsize == 1024
+    assert info.currsize <= 1024
 
 
 @pytest.mark.parametrize("D", ADMISSIBLE_D)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from normdesign import cli
+from normdesign import arith, cli, shells
 from normdesign.cli import run
 from normdesign.shells import enumerate_shell
 
@@ -60,6 +60,12 @@ def test_verify_empty_shell_is_usage_error(capsys):
     assert run(["verify", "1", "3"]) == 2
     err = capsys.readouterr().err
     assert "inert prime" in err
+    # the inert prime 3 divides 3 * 10^18 once; the factorization route
+    # finds the shell empty where a scan would need about 1.7 * 10^9 rows
+    assert run(["verify", "1", "3000000000000000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "inert prime" in captured.err
 
 
 def test_verify_json_schema(capsys):
@@ -103,6 +109,13 @@ def test_hecke_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_hecke_rejects_csv(capsys):
+    assert run(["hecke", "1", "--j", "4", "--p", "5", "--format", "csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid choice: 'csv'" in captured.err
+
+
 def test_quadrature_command(capsys):
     assert run(["quadrature", "1", "1", "--poly", "x^2", "--nodes", "256"]) == 0
     out = capsys.readouterr().out
@@ -114,6 +127,13 @@ def test_quadrature_bad_poly_reports_position(capsys):
     err = capsys.readouterr().err
     assert "position 4" in err
     assert "^" in err
+
+
+def test_quadrature_rejects_csv(capsys):
+    assert run(["quadrature", "1", "1", "--poly", "x^2", "--format", "csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid choice: 'csv'" in captured.err
 
 
 def test_quadrature_bad_nodes(capsys):
@@ -258,6 +278,22 @@ def test_one_parser_serves_interleaved_commands(capsys, monkeypatch):
 def test_verify_past_the_scan_reach():
     # 10^18 + 9 is a prime = 1 mod 4: a scan would need 10^9 rows
     assert run(["verify", "1", "1000000000000000009", "--jmax", "8"]) == 0
+
+
+def test_verify_factors_n_once(capsys, monkeypatch):
+    calls = []
+    original = arith.factorize
+
+    def counting(n):
+        calls.append(n)
+        return original(n)
+
+    monkeypatch.setattr(arith, "factorize", counting)
+    monkeypatch.setattr(shells, "factorize", counting)
+    # 10^9 + 9 is a prime = 1 mod 4, past the scan crossover
+    assert run(["verify", "1", "1000000009"]) == 0
+    assert calls == [1000000009]
+    capsys.readouterr()
 
 
 def test_inputs_at_the_primality_bound_are_usage_errors(capsys):

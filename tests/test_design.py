@@ -9,23 +9,21 @@ from normdesign.design import (
     SCAN_MAX_ROWS,
     DesignReport,
     _ellipse_parametrization,
-    is_t_design,
-    norm_form_float,
     quadrature_average,
     spherical_map,
     strength_profile,
-    verify_theorem_main,
 )
 from normdesign.harmonic import BasisKind, BivarPoly, basis_pair, basis_poly, parse_poly
-from normdesign.ring import ADMISSIBLE_D, discriminant, unit_count
+from normdesign.ring import ADMISSIBLE_D, discriminant, norm_form, unit_count
 from normdesign.shells import enumerate_shell, shell_from_factorization
 from normdesign.theta import format_rational
 
 
-def test_is_t_design_examples():
-    assert is_t_design(3, 691, 5) is True
-    assert is_t_design(3, 691, 6) is False
-    assert is_t_design(1, 2, 3) is True
+def test_t_design_examples():
+    # strength_profile(D, r, t) stops at degree t: a t-design fails nowhere
+    assert strength_profile(3, 691, 5).failing == ()
+    assert [f.j for f in strength_profile(3, 691, 6).failing] == [6]
+    assert strength_profile(1, 2, 3).failing == ()
 
 
 def test_is_t_design_brute_force_cross_check():
@@ -38,12 +36,12 @@ def test_is_t_design_brute_force_cross_check():
 
 
 def test_design_checks_reject_empty_shells():
-    with pytest.raises(ValueError):
-        is_t_design(1, 3, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="inert prime"):
+        strength_profile(1, 3, 2)
+    with pytest.raises(ValueError, match="inert prime"):
         strength_profile(1, 3, 4)
-    with pytest.raises(ValueError):
-        is_t_design(1, 0, 2)
+    with pytest.raises(ValueError, match="r >= 1"):
+        strength_profile(1, 0, 2)
 
 
 def _representable_with_rows(D, rows, last):
@@ -98,7 +96,7 @@ def test_profile_guards():
     with pytest.raises(ValueError):
         strength_profile(1, 2, 0)
     with pytest.raises(ValueError):
-        is_t_design(1, 2, 0)
+        strength_profile(1, 2, -1)
 
 
 def test_strength_profile_examples():
@@ -114,18 +112,18 @@ def test_strength_profile_examples():
     assert [f.j for f in report.failing] == [2, 4, 6]
 
 
-def test_verify_theorem_main_examples():
-    ok, report = verify_theorem_main(3, 691, 12)
-    assert ok and report.theorem_main_ok
+def test_theorem_main_examples():
+    report = strength_profile(3, 691, 12)
+    assert report.theorem_main_ok
     assert [f.j for f in report.failing] == [6, 12]
 
-    ok, report = verify_theorem_main(163, 41, 8)
-    assert ok
+    report = strength_profile(163, 41, 8)
+    assert report.theorem_main_ok
     assert [f.j for f in report.failing] == [2, 4, 6, 8]
 
     assert enumerate_shell(2, 3).points == ((-1, -1), (-1, 1), (1, -1), (1, 1))
-    ok, report = verify_theorem_main(2, 3, 8)
-    assert ok
+    report = strength_profile(2, 3, 8)
+    assert report.theorem_main_ok
     assert [f.j for f in report.failing] == [2, 4, 6, 8]
 
 
@@ -278,7 +276,7 @@ def test_spherical_map_lands_on_the_ellipse(D):
         for k in range(40)
     ]
     for x, y in spherical_map(D, circle):
-        assert abs(norm_form_float(D, x, y) - 1.0) < 1e-9
+        assert abs(norm_form(D, x, y) - 1.0) < 1e-9
 
 
 @pytest.mark.parametrize("D", (1, 2, 3, 7))

@@ -1,0 +1,34 @@
+import re
+from pathlib import Path
+
+import normdesign
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+    encoding="utf-8"
+)
+DELETED = (
+    "is_t_design",
+    "verify_theorem_main",
+    "claimed_T",
+    "norm_form_float",
+    "Factorization",
+    "primes_up_to",
+)
+
+
+def _in_backticks(name):
+    word = re.compile(rf"\b{re.escape(name)}\b")
+    return any(word.search(span) for span in re.findall(r"`([^`\n]+)`", README))
+
+
+def test_every_export_imports_and_is_documented():
+    for name in normdesign.__all__:
+        assert hasattr(normdesign, name), name
+        assert _in_backticks(name), name
+
+
+def test_deleted_names_are_gone():
+    for name in DELETED:
+        assert name not in normdesign.__all__
+        assert not hasattr(normdesign, name), name
+        assert name not in README, name

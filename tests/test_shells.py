@@ -42,7 +42,7 @@ def representation_count(D, r):
     """
     disc = discriminant(D)
     count = unit_count(D)
-    for p, alpha in factorize(r).factors:
+    for p, alpha in factorize(r):
         count *= sum(kronecker(disc, p**k) for k in range(alpha + 1))
     return count
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from normdesign.arith import primes_up_to, splitting_type
+from normdesign.arith import is_prime, splitting_type
 from normdesign.harmonic import BasisKind, basis_pair, basis_poly, parse_poly
 from normdesign.ring import ADMISSIBLE_D, SplitType, ring_data, unit_count
 from normdesign.shells import enumerate_shell
@@ -20,6 +20,11 @@ from normdesign.theta import (
 )
 
 Q6 = "2*x^6+6*x^5*y-15*x^4*y^2-40*x^3*y^3-15*x^2*y^4+6*x*y^5+2*y^6"
+
+
+def primes_up_to(n):
+    # is_prime is checked against a sieve in test_arith
+    return [p for p in range(n + 1) if is_prime(p)]
 
 
 @pytest.mark.parametrize("D", ADMISSIBLE_D)
@@ -67,7 +72,7 @@ def test_theta_series_matches_per_shell_sums(D):
     p = parse_poly("x^2+2*x*y-y^2")
     series = theta_series(D, p, 40)
     for r in range(41):
-        assert series.coefficient(r) == shell_sum(D, p, r), (D, r)
+        assert series.coeffs[r] == shell_sum(D, p, r), (D, r)
 
 
 def test_theta_series_rejects_bad_rmax():
