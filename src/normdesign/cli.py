@@ -18,7 +18,7 @@ from .arith import is_representable
 from .design import quadrature_average, strength_profile
 from .harmonic import BivarPoly, PolyParseError, format_poly, parse_poly
 from .ring import ADMISSIBLE_D, unit_count
-from .shells import Shell, enumerate_shell, shell_to_json
+from .shells import Shell, enumerate_shell, norm_shell, shell_to_json
 from .theta import (
     HeckeReport,
     format_rational,
@@ -63,7 +63,7 @@ class UsageError(Exception):
 
 
 def _cmd_shell(args) -> int:
-    shell = enumerate_shell(args.D, args.r)
+    shell = norm_shell(args.D, args.r)
     if args.format == "json":
         _emit(shell_to_json(shell), args.output)
     elif args.format == "csv":

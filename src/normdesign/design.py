@@ -15,15 +15,10 @@ from fractions import Fraction
 
 from .harmonic import BivarPoly
 from .ring import norm_form, require_admissible, ring_data, unit_count
-from .shells import Shell, enumerate_shell, shell_from_factorization
+from .shells import Shell, norm_shell
 from .theta import basis_shell_sums_upto, format_rational
 
 MAX_PROFILE_DEGREE = 40  # shell sums grow like r^(j/2); keep scans at desk scale
-
-#: Scan rows above which a design check builds its shell from the
-#: factorization of r: the two routes cost the same near 300 rows for
-#: D = 1, 3, 7 and 163 (Python 3.11, best of 7 over 60 norms per size).
-SCAN_MAX_ROWS = 300
 
 
 @dataclass(frozen=True)
@@ -58,18 +53,11 @@ class DesignReport:
 
 
 def _require_nonempty(D: int, r: int) -> Shell:
-    """The norm r shell, by the cheaper route; ValueError when it is empty.
-
-    The scan costs isqrt(4r // |disc|) + 1 rows; above SCAN_MAX_ROWS rows,
-    factoring r and multiplying prime elements is cheaper.
-    """
-    R = ring_data(D)
+    """The norm r shell, by the cheaper route; ValueError when it is empty."""
+    require_admissible(D)
     if r < 1:
         raise ValueError(f"design checks require r >= 1, got {r}")
-    if math.isqrt(4 * r // -R.disc) > SCAN_MAX_ROWS:
-        shell = shell_from_factorization(D, r)
-    else:
-        shell = enumerate_shell(D, r)
+    shell = norm_shell(D, r)
     if shell.is_empty():
         raise ValueError(
             f"the norm {r} shell is empty for D={D}: some inert prime divides "

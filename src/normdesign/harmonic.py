@@ -5,13 +5,17 @@ real and imaginary part of (x + w*y)^j, with w the second basis element of
 O_D. R_{D,j} is rational; I_{D,j} is sqrt(D) times a rational polynomial,
 so imaginary parts are carried as (rational polynomial, radical flag) and
 never leave the rationals. Denominators only ever involve powers of 2.
+
+``decompose`` and ``in_span`` need no linear algebra: in z = x + w*y and
+zbar = x + wbar*y the norm form is z*zbar and R, I are the parts of z^j, so
+the layer coordinates are a polynomial's coefficients in z and zbar.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -208,12 +212,6 @@ def _powers(v: int, n: int) -> list[int]:
     return out
 
 
-def norm_form_poly(D: int) -> BivarPoly:
-    """The norm form x^2 + t*x*y + n*y^2 of O_D as a BivarPoly."""
-    R = ring_data(D)
-    return BivarPoly({(2, 0): 1, (1, 1): R.t, (0, 2): R.n})
-
-
 # -- text format ---------------------------------------------------------------
 
 class PolyParseError(ValueError):
@@ -382,9 +380,33 @@ class HarmonicBasisElement:
 
     poly: BivarPoly
     radical: bool
-    D: int
-    j: int
-    kind: BasisKind
+
+
+def _linear_power(
+    D: int, a: tuple[int, int], b: tuple[int, int], e: int
+) -> list[tuple[int, int]]:
+    """Coefficients of (a*X + b*Y)^e for a, b in O_D, held as pairs.
+
+    Entry m is C(e, m) * a^(e-m) * b^m, the coefficient of X^(e-m) * Y^m.
+    """
+    a_powers = [(1, 0)]
+    b_powers = [(1, 0)]
+    for _ in range(e):
+        a_powers.append(mul(D, a_powers[-1], a))
+        b_powers.append(mul(D, b_powers[-1], b))
+    out = []
+    for m in range(e + 1):
+        u, v = mul(D, a_powers[e - m], b_powers[m])
+        binom = math.comb(e, m)
+        out.append((binom * u, binom * v))
+    return out
+
+
+def _re_im(D: int, element: tuple[int, int]) -> tuple[Fraction, Fraction]:
+    """(Re, Im/sqrt(D)) of u + v*w: (u + v*rho, v*sigma), both rational."""
+    R = ring_data(D)
+    u, v = element
+    return u + v * R.rho, v * R.sigma
 
 
 def basis_poly(D: int, j: int, kind: BasisKind) -> HarmonicBasisElement:
@@ -393,89 +415,20 @@ def basis_poly(D: int, j: int, kind: BasisKind) -> HarmonicBasisElement:
     Powers of w are computed in the integral basis, so coefficients stay
     rational with denominators dividing 2^j.
     """
-    R = ring_data(D)
+    require_admissible(D)
     if j < 1:
         raise ValueError(f"basis degree must be >= 1, got {j}")
-    terms: dict[_Monomial, Fraction] = {}
-    w_power = (1, 0)
-    for m in range(j + 1):
-        binom = math.comb(j, m)
-        # w^m = u + v*w; real part u + v*rho, imag part v*sigma*sqrt(D)
-        u, v = w_power
-        if kind is BasisKind.REAL_PART:
-            c = binom * (u + v * R.rho)
-        else:
-            c = binom * v * R.sigma
-        if c:
-            terms[(j - m, m)] = Fraction(c)
-        w_power = mul(D, w_power, (0, 1))
+    part = 0 if kind is BasisKind.REAL_PART else 1
     return HarmonicBasisElement(
-        poly=BivarPoly(terms),
+        poly=BivarPoly(
+            ((j - m, m), _re_im(D, c)[part])
+            for m, c in enumerate(_linear_power(D, (1, 0), (0, 1), j))
+        ),
         radical=kind is BasisKind.IMAG_PART,
-        D=D,
-        j=j,
-        kind=kind,
     )
 
 
-def basis_pair(D: int, j: int) -> tuple[BivarPoly, BivarPoly]:
-    """(R_{D,j}, I_{D,j}/sqrt(D)) as rational polynomials."""
-    return (
-        basis_poly(D, j, BasisKind.REAL_PART).poly,
-        basis_poly(D, j, BasisKind.IMAG_PART).poly,
-    )
-
-
-# -- exact linear algebra ------------------------------------------------------
-
-
-def _solve_exact(
-    columns: Sequence[Sequence[Fraction]], target: Sequence[Fraction]
-) -> Optional[list[Fraction]]:
-    """Solve sum_i x_i * columns[i] == target exactly, or return None.
-
-    Plain Gaussian elimination over Fraction on the augmented matrix;
-    any candidate solution is verified against every input row, so an
-    inconsistent or underdetermined-but-wrong system is always rejected.
-    """
-    ncols = len(columns)
-    nrows = len(target)
-    rows = [[col[r] for col in columns] + [target[r]] for r in range(nrows)]
-    pivot_of_col: dict[int, int] = {}
-    pivot_row = 0
-    for col in range(ncols):
-        pivot = next(
-            (r for r in range(pivot_row, nrows) if rows[r][col] != 0), None
-        )
-        if pivot is None:
-            continue
-        rows[pivot_row], rows[pivot] = rows[pivot], rows[pivot_row]
-        lead = rows[pivot_row][col]
-        rows[pivot_row] = [v / lead for v in rows[pivot_row]]
-        for r in range(nrows):
-            if r != pivot_row and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [v - factor * w for v, w in zip(rows[r], rows[pivot_row])]
-        pivot_of_col[col] = pivot_row
-        pivot_row += 1
-    solution = [Fraction(0)] * ncols
-    for col, r in pivot_of_col.items():
-        solution[col] = rows[r][ncols]
-    # exact residual check
-    for r in range(nrows):
-        lhs = sum(
-            (columns[c][r] * solution[c] for c in range(ncols)), Fraction(0)
-        )
-        if lhs != target[r]:
-            return None
-    return solution
-
-
-def _homogeneous_coordinates(
-    P: BivarPoly, j: int
-) -> list[Fraction]:
-    """Coefficients of P on the degree-j monomials x^j, x^{j-1}y, ..., y^j."""
-    return [P.coefficient(j - m, m) for m in range(j + 1)]
+# -- coordinates in z = x + w*y -------------------------------------------------
 
 
 def in_span(
@@ -492,14 +445,10 @@ def in_span(
         raise ValueError(f"span degree must be >= 1, got {j}")
     if P.is_zero or not P.is_homogeneous or P.degree != j:
         raise ValueError(f"in_span requires a homogeneous polynomial of degree {j}")
-    R, Iq = basis_pair(D, j)
-    solution = _solve_exact(
-        [_homogeneous_coordinates(R, j), _homogeneous_coordinates(Iq, j)],
-        _homogeneous_coordinates(P, j),
-    )
-    if solution is None:
+    (_, a, b), *higher = decompose(D, P)
+    if any(a_k or b_k for _, a_k, b_k in higher):
         return None
-    return solution[0], solution[1]
+    return a, b
 
 
 def decompose(
@@ -509,9 +458,10 @@ def decompose(
 
     Writes P as a sum over k of q^k * (a_k*R_{D,j-2k} + b_k*I_{D,j-2k}/sqrt(D)),
     with q the norm form, plus a_k * q^{j/2} for the constant layer when j
-    is even. The system is square and nonsingular, so the coefficients are
-    unique; returned as (k, a_k, b_k) triples with b_k = 0 on the constant
-    layer.
+    is even; returned as (k, a_k, b_k) triples with b_k = 0 on the constant
+    layer. With c_k P's coefficient of z^(j-k)*zbar^k, the layer k < j/2 is
+    q^k * 2*Re(c_k * z^(j-2k)): a_k = 2*Re c_k and b_k = -2*D*(Im c_k/sqrt(D));
+    the constant layer is a_k = c_k. The coordinates are unique, as the c_k are.
     """
     require_admissible(D)
     if P.is_zero:
@@ -519,33 +469,29 @@ def decompose(
     if not P.is_homogeneous:
         raise ValueError("decompose requires a homogeneous polynomial")
     j = P.degree
-    if j == 0:
-        return ((0, P.coefficient(0, 0), Fraction(0)),)
-    q = norm_form_poly(D)
-    columns: list[list[Fraction]] = []
-    layout: list[tuple[int, bool]] = []  # (k, has_imag_column)
-    q_power = BivarPoly.constant(1)
-    for k in range(j // 2 + 1):
-        sub_degree = j - 2 * k
-        if sub_degree >= 1:
-            R, Iq = basis_pair(D, sub_degree)
-            columns.append(_homogeneous_coordinates(q_power * R, j))
-            columns.append(_homogeneous_coordinates(q_power * Iq, j))
-            layout.append((k, True))
-        else:
-            columns.append(_homogeneous_coordinates(q_power, j))
-            layout.append((k, False))
-        q_power = q_power * q
-    solution = _solve_exact(columns, _homogeneous_coordinates(P, j))
-    if solution is None:  # direct sum: cannot happen for homogeneous input
-        raise ArithmeticError("decomposition system was inconsistent")
+    half = j // 2
+    R = ring_data(D)
+    # with wbar = t - w and delta = w - wbar = (-t, 2): delta*x = -wbar*z + w*zbar
+    # and delta*y = z - zbar, so den*delta^j*P is a polynomial in z, zbar over
+    # Z[w], with den clearing P's denominators; only layers k <= j/2 are read
+    den, _, _, terms = P._integer_form()
+    coeffs = [(0, 0)] * (half + 1)
+    for c, i, m in terms:
+        y_terms = _linear_power(D, (1, 0), (-1, 0), m)
+        for s, x_term in enumerate(_linear_power(D, (-R.t, 1), (0, 1), i)[: half + 1]):
+            for l, y_term in enumerate(y_terms[: half + 1 - s]):
+                u, v = mul(D, x_term, y_term)
+                cu, cv = coeffs[s + l]
+                coeffs[s + l] = (cu + c * u, cv + c * v)
+    # delta^2 = disc, so 1/delta^j = delta^(j mod 2)/disc^ceil(j/2)
+    delta = (-R.t, 2) if j % 2 else (1, 0)
+    scale = den * R.disc ** ((j + 1) // 2)
     out: list[tuple[int, Fraction, Fraction]] = []
-    pos = 0
-    for k, has_imag in layout:
-        if has_imag:
-            out.append((k, solution[pos], solution[pos + 1]))
-            pos += 2
+    for k, c in enumerate(coeffs):
+        re, im = _re_im(D, mul(D, c, delta))
+        re, im = re / scale, im / scale
+        if 2 * k == j:
+            out.append((k, re, Fraction(0)))
         else:
-            out.append((k, solution[pos], Fraction(0)))
-            pos += 1
+            out.append((k, 2 * re, -2 * D * im))
     return tuple(out)

@@ -6,7 +6,8 @@ admissible D that are 3 mod 4. The norm form is x^2 + t*x*y + n*y^2, the
 discriminant t^2 - 4n. ``ring_data`` holds these constants, one frozen
 record per D, and every other module reads them from it. An element
 a + b*w is the integer pair (a, b) in the integral basis {1, w}, and
-``mul`` is the one product; every operation is exact over Python integers.
+``mul`` is the one product; every operation is exact over Python integers,
+and ``mul`` is exact on Fraction pairs (elements of Q(w)) too.
 """
 
 from __future__ import annotations
@@ -116,7 +117,8 @@ def unit_count(D: int) -> int:
 def mul(D: int, u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
     """Product of u = a + b*w and v = c + d*w in O_D, as a pair (a, b).
 
-    The one place that applies w^2 = t*w - n.
+    The one place that applies w^2 = t*w - n. Exact on int or Fraction
+    pairs; Fraction pairs multiply in Q(w).
     """
     R = ring_data(D)
     a, b = u

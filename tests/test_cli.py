@@ -4,6 +4,7 @@ import pytest
 
 from normdesign import arith, cli, shells
 from normdesign.cli import run
+from normdesign.ring import norm_form
 from normdesign.shells import enumerate_shell
 
 
@@ -278,6 +279,15 @@ def test_one_parser_serves_interleaved_commands(capsys, monkeypatch):
 def test_verify_past_the_scan_reach():
     # 10^18 + 9 is a prime = 1 mod 4: a scan would need 10^9 rows
     assert run(["verify", "1", "1000000000000000009", "--jmax", "8"]) == 0
+
+
+def test_shell_past_the_scan_reach(capsys):
+    # 10^18 + 9 is a prime = 1 mod 4: u_D * 2 = 8 points, built by factoring
+    r = 1000000000000000009
+    assert run(["shell", "1", str(r), "--format", "json"]) == 0
+    points = json.loads(capsys.readouterr().out)["points"]
+    assert len(points) == 8
+    assert all(norm_form(1, x, y) == r for x, y in points)
 
 
 def test_verify_factors_n_once(capsys, monkeypatch):

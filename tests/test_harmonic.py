@@ -10,19 +10,31 @@ from normdesign.harmonic import (
     BasisKind,
     BivarPoly,
     PolyParseError,
-    basis_pair,
     basis_poly,
     decompose,
     format_poly,
     in_span,
-    norm_form_poly,
     parse_poly,
 )
-from normdesign.ring import ADMISSIBLE_D
+from normdesign.ring import ADMISSIBLE_D, ring_data
 
 
 def poly(text):
     return parse_poly(text)
+
+
+def norm_form_poly(D):
+    """The norm form x^2 + t*x*y + n*y^2 of O_D."""
+    R = ring_data(D)
+    return BivarPoly({(2, 0): 1, (1, 1): R.t, (0, 2): R.n})
+
+
+def basis_pair(D, j):
+    """(R_{D,j}, I_{D,j}/sqrt(D)) as rational polynomials."""
+    return (
+        basis_poly(D, j, BasisKind.REAL_PART).poly,
+        basis_poly(D, j, BasisKind.IMAG_PART).poly,
+    )
 
 
 def random_fraction(rng, span=9):
@@ -314,6 +326,20 @@ def test_in_span_rejects_outside_vectors():
         assert in_span(D, 2, norm_form_poly(D)) is None
 
 
+@pytest.mark.parametrize("D", ADMISSIBLE_D)
+@pytest.mark.parametrize("j", range(3, 9))
+def test_in_span_rejects_a_nonzero_norm_form_layer(D, j):
+    """a*R_j + b*Iq_j + c*q*R_{j-2} leaves the span whenever c != 0."""
+    R, Iq = basis_pair(D, j)
+    q_layer = norm_form_poly(D) * basis_pair(D, j - 2)[0]
+    rng = random.Random(31 * D + j)
+    for _ in range(5):
+        a = random_fraction(rng)
+        b = random_fraction(rng)
+        c = random_fraction(rng) or Fraction(1)
+        assert in_span(D, j, a * R + b * Iq + c * q_layer) is None
+
+
 # -- decomposition --------------------------------------------------------------
 
 
@@ -351,7 +377,7 @@ def reconstruct(D, layers, j):
 
 
 @pytest.mark.parametrize("D", ADMISSIBLE_D)
-@pytest.mark.parametrize("j", range(0, 7))
+@pytest.mark.parametrize("j", range(0, 13))
 def test_decompose_reconstructs_random_homogeneous_polys(D, j):
     rng = random.Random(17 * D + j)
     for _ in range(4):

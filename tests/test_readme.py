@@ -13,6 +13,8 @@ DELETED = (
     "norm_form_float",
     "Factorization",
     "primes_up_to",
+    "basis_pair",
+    "norm_form_poly",
 )
 
 

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normdesign.arith import factorize, kronecker, splitting_type
-from normdesign.design import SCAN_MAX_ROWS
 from normdesign.ring import (
     ADMISSIBLE_D,
     discriminant,
@@ -15,7 +14,12 @@ from normdesign.ring import (
     ring_data,
     unit_count,
 )
-from normdesign.shells import enumerate_shell, shell_from_factorization, shell_orbits
+from normdesign.shells import (
+    SCAN_MAX_ROWS,
+    enumerate_shell,
+    shell_from_factorization,
+    shell_orbits,
+)
 from normdesign.theta import basis_shell_sums_upto
 
 EXAMPLE_691 = (
