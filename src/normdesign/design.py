@@ -19,6 +19,7 @@ from .shells import Shell, norm_shell
 from .theta import basis_shell_sums_upto, format_rational
 
 MAX_PROFILE_DEGREE = 40  # shell sums grow like r^(j/2); keep scans at desk scale
+MAX_NODES = 2**20  # about 2 us per node (Python 3.11): seconds at the cap
 
 
 @dataclass(frozen=True)
@@ -145,26 +146,36 @@ def quadrature_average(D: int, r: int, P: BivarPoly, M: int) -> float:
     explicitly. The weighted arc-length density is constant along the
     curve, so the integrand is a trigonometric polynomial of degree deg P,
     and the rule is exact (up to rounding) only when M > deg P; fewer
-    nodes alias high frequencies and are rejected.
+    nodes alias high frequencies and are rejected, as are more than
+    MAX_NODES. ValueError when r or the integrand leaves the float range.
     """
     require_admissible(D)
     if r < 1:
         raise ValueError(f"quadrature requires r >= 1, got {r}")
     if M < 16 or M & (M - 1) != 0:
         raise ValueError(f"node count must be a power of two >= 16, got {M}")
+    if M > MAX_NODES:
+        raise ValueError(f"node count must be at most 2^20, got {M}")
     if M <= P.degree:
         raise ValueError(
             f"node count must exceed the polynomial degree {P.degree}, got {M}"
         )
-    gamma, gamma_prime, weight, prefactor = _ellipse_parametrization(D, r)
-    step = 2.0 * math.pi / M
-    total = 0.0
-    for i in range(M):
-        theta = step * i
-        x, y = gamma(theta)
-        dx, dy = gamma_prime(theta)
-        total += P.evaluate_float(x, y) * weight(x, y) * math.hypot(dx, dy)
-    return prefactor * total * step
+    try:
+        gamma, gamma_prime, weight, prefactor = _ellipse_parametrization(D, r)
+        step = 2.0 * math.pi / M
+        total = 0.0
+        for i in range(M):
+            theta = step * i
+            x, y = gamma(theta)
+            dx, dy = gamma_prime(theta)
+            w = weight(x, y) or math.nan  # 0 only if its quadratic form overflowed
+            total += P.evaluate_float(x, y) * w * math.hypot(dx, dy)
+        value = prefactor * total * step
+    except OverflowError:
+        value = math.nan
+    if math.isfinite(value):
+        return value
+    raise ValueError(f"quadrature leaves the float range at r of {r.bit_length()} bits")
 
 
 _CIRCLE_TOL = 1e-9

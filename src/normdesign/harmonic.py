@@ -19,9 +19,8 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
 
-from .ring import mul, require_admissible, ring_data
+from .ring import mul, parts, powers, require_admissible, ring_data
 
 RationalLike = int | Fraction
 
@@ -242,99 +241,53 @@ def parse_poly(text: str) -> BivarPoly:
             tokens.append(("op", match.group(2), pos))
     if not tokens:
         raise PolyParseError("empty polynomial", 0)
+    # an end token at len(text) gives every lookahead a token and a position
+    tokens.append(("end", "", len(text)))
 
     terms: list[tuple[_Monomial, Fraction]] = []
-    idx = 0
-
-    def peek() -> Optional[tuple[str, str, int]]:
-        return tokens[idx] if idx < len(tokens) else None
-
-    def take() -> tuple[str, str, int]:
-        nonlocal idx
-        tok = tokens[idx]
-        idx += 1
-        return tok
-
-    def parse_number(end_pos: int) -> Fraction:
-        tok = peek()
-        if tok is None or tok[0] != "int":
-            raise PolyParseError("expected a number", tok[2] if tok else end_pos)
-        take()
-        num = int(tok[1])
-        nxt = peek()
-        if nxt is not None and nxt[1] == "/":
-            take()
-            dtok = peek()
-            if dtok is None or dtok[0] != "int":
-                raise PolyParseError(
-                    "expected a denominator", dtok[2] if dtok else end_pos
-                )
-            take()
-            if int(dtok[1]) == 0:
-                raise PolyParseError("zero denominator", dtok[2])
-            return Fraction(num, int(dtok[1]))
-        return Fraction(num)
-
-    def parse_term(sign: int, end_pos: int) -> tuple[_Monomial, Fraction]:
-        coeff = Fraction(sign)
-        xexp = 0
-        yexp = 0
-        expect_factor = True
-        saw_factor = False
-        while True:
-            tok = peek()
-            if tok is None or (tok[1] in "+-" and not expect_factor):
-                break
-            kind, value, pos = tok
-            if not expect_factor:
-                if value == "*":
-                    take()
-                    expect_factor = True
-                    continue
-                raise PolyParseError(f"expected '*', '+' or '-', got {value!r}", pos)
+    i = 0
+    while True:  # one signed term per pass; the sign is optional on the first
+        coeff, exps = Fraction(-1 if tokens[i][1] == "-" else 1), [0, 0]
+        if tokens[i][1] in ("+", "-"):
+            i += 1
+        if tokens[i][0] == "end":
+            raise PolyParseError("empty term", tokens[i][2])
+        while True:  # one factor per pass, joined by '*'
+            kind, value, pos = tokens[i]
+            i += 1
             if kind == "int":
-                coeff *= parse_number(end_pos)
-            elif value in "xy":
-                take()
+                num = int(value)
+                if tokens[i][1] == "/":
+                    kind, value, pos = tokens[i + 1]
+                    if kind != "int":
+                        raise PolyParseError("expected a denominator", pos)
+                    if int(value) == 0:
+                        raise PolyParseError("zero denominator", pos)
+                    num = Fraction(num, int(value))
+                    i += 2
+                coeff *= num
+            elif value in ("x", "y"):
                 exp = 1
-                nxt = peek()
-                if nxt is not None and nxt[1] == "^":
-                    take()
-                    etok = peek()
-                    if etok is None or etok[0] != "int":
-                        raise PolyParseError(
-                            "expected an exponent", etok[2] if etok else end_pos
-                        )
-                    take()
-                    exp = int(etok[1])
-                if value == "x":
-                    xexp += exp
-                else:
-                    yexp += exp
+                if tokens[i][1] == "^":
+                    ekind, evalue, epos = tokens[i + 1]
+                    if ekind != "int":
+                        raise PolyParseError("expected an exponent", epos)
+                    exp = int(evalue)
+                    i += 2
+                exps["xy".index(value)] += exp
+            elif kind == "end":
+                raise PolyParseError("dangling '*'", pos)
             else:
                 raise PolyParseError(f"expected a factor, got {value!r}", pos)
-            expect_factor = False
-            saw_factor = True
-        if not saw_factor:
-            tok = peek()
-            raise PolyParseError("empty term", tok[2] if tok else end_pos)
-        if expect_factor:
-            raise PolyParseError("dangling '*'", end_pos)
-        return (xexp, yexp), coeff
-
-    end = len(text)
-    sign = 1
-    tok = peek()
-    if tok is not None and tok[1] in "+-":
-        take()
-        sign = -1 if tok[1] == "-" else 1
-    terms.append(parse_term(sign, end))
-    while peek() is not None:
-        tok = take()
-        if tok[1] not in "+-":
-            raise PolyParseError(f"expected '+' or '-', got {tok[1]!r}", tok[2])
-        terms.append(parse_term(-1 if tok[1] == "-" else 1, end))
-    return BivarPoly(terms)
+            kind, value, pos = tokens[i]
+            if value != "*":
+                break
+            i += 1
+        terms.append(((exps[0], exps[1]), coeff))
+        if kind == "end":
+            return BivarPoly(terms)
+        if value not in ("+", "-"):
+            raise PolyParseError(f"expected '*', '+' or '-', got {value!r}", pos)
 
 
 def format_poly(P: BivarPoly) -> str:
@@ -389,24 +342,13 @@ def _linear_power(
 
     Entry m is C(e, m) * a^(e-m) * b^m, the coefficient of X^(e-m) * Y^m.
     """
-    a_powers = [(1, 0)]
-    b_powers = [(1, 0)]
-    for _ in range(e):
-        a_powers.append(mul(D, a_powers[-1], a))
-        b_powers.append(mul(D, b_powers[-1], b))
+    a_powers, b_powers = powers(D, a, e), powers(D, b, e)
     out = []
     for m in range(e + 1):
         u, v = mul(D, a_powers[e - m], b_powers[m])
         binom = math.comb(e, m)
         out.append((binom * u, binom * v))
     return out
-
-
-def _re_im(D: int, element: tuple[int, int]) -> tuple[Fraction, Fraction]:
-    """(Re, Im/sqrt(D)) of u + v*w: (u + v*rho, v*sigma), both rational."""
-    R = ring_data(D)
-    u, v = element
-    return u + v * R.rho, v * R.sigma
 
 
 def basis_poly(D: int, j: int, kind: BasisKind) -> HarmonicBasisElement:
@@ -421,7 +363,7 @@ def basis_poly(D: int, j: int, kind: BasisKind) -> HarmonicBasisElement:
     part = 0 if kind is BasisKind.REAL_PART else 1
     return HarmonicBasisElement(
         poly=BivarPoly(
-            ((j - m, m), _re_im(D, c)[part])
+            ((j - m, m), parts(D, c)[part])
             for m, c in enumerate(_linear_power(D, (1, 0), (0, 1), j))
         ),
         radical=kind is BasisKind.IMAG_PART,
@@ -433,7 +375,7 @@ def basis_poly(D: int, j: int, kind: BasisKind) -> HarmonicBasisElement:
 
 def in_span(
     D: int, j: int, P: BivarPoly
-) -> Optional[tuple[Fraction, Fraction]]:
+) -> tuple[Fraction, Fraction] | None:
     """Rational coordinates of P in the basis {R_{D,j}, I_{D,j}/sqrt(D)}.
 
     Returns (a, b) with P == a*R + b*(I/sqrt(D)) when P lies in the span,
@@ -488,7 +430,7 @@ def decompose(
     scale = den * R.disc ** ((j + 1) // 2)
     out: list[tuple[int, Fraction, Fraction]] = []
     for k, c in enumerate(coeffs):
-        re, im = _re_im(D, mul(D, c, delta))
+        re, im = parts(D, mul(D, c, delta))
         re, im = re / scale, im / scale
         if 2 * k == j:
             out.append((k, re, Fraction(0)))

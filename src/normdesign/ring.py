@@ -5,9 +5,11 @@ D = 1, 2 and w = (1 + sqrt(-D))/2 (t = 1, n = (1+D)/4) for the seven
 admissible D that are 3 mod 4. The norm form is x^2 + t*x*y + n*y^2, the
 discriminant t^2 - 4n. ``ring_data`` holds these constants, one frozen
 record per D, and every other module reads them from it. An element
-a + b*w is the integer pair (a, b) in the integral basis {1, w}, and
-``mul`` is the one product; every operation is exact over Python integers,
-and ``mul`` is exact on Fraction pairs (elements of Q(w)) too.
+a + b*w is the integer pair (a, b) in the integral basis {1, w}. ``mul`` is
+the one product (``powers`` repeats it), and ``parts`` is the one place that
+applies rho and sigma to read an element's real and imaginary parts. Every
+operation is exact over Python integers, and exact on Fraction pairs
+(elements of Q(w)) too.
 """
 
 from __future__ import annotations
@@ -125,3 +127,29 @@ def mul(D: int, u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
     c, d = v
     bd = b * d
     return (a * c - R.n * bd, a * d + b * c + R.t * bd)
+
+
+def powers(D: int, u: tuple[int, int], e: int) -> list[tuple[int, int]]:
+    """[u^0, u^1, ..., u^e], each power one ``mul`` by u from the last."""
+    out = [(1, 0)]
+    for _ in range(e):
+        out.append(mul(D, out[-1], u))
+    return out
+
+
+def conj(D: int, u: tuple[int, int]) -> tuple[int, int]:
+    """Complex conjugate of u = a + b*w: (a + t*b, -b), since w + conj(w) = t."""
+    a, b = u
+    return a + ring_data(D).t * b, -b
+
+
+_ZERO_PARTS = (Fraction(0), Fraction(0))  # most degrees of a design vanish
+
+
+def parts(D: int, u: tuple[int, int]) -> tuple[Fraction, Fraction]:
+    """(Re u, Im u / sqrt(D)) of u = a + b*w: (a + b*rho, b*sigma), both rational."""
+    a, b = u
+    if not a and not b:
+        return _ZERO_PARTS
+    R = ring_data(D)
+    return a + b * R.rho, b * R.sigma

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .arith import factorize, splitting_type, sqrt_mod
-from .ring import SplitType, mul, ring_data
+from .ring import SplitType, conj, mul, powers, ring_data
 
 #: Scan rows above which ``norm_shell`` builds the shell from the
 #: factorization of r: the two routes cost the same near 300 rows for
@@ -117,17 +117,14 @@ def shell_from_factorization(D: int, r: int) -> Shell:
                 return Shell(D, r, ())
             choices = [(p ** (alpha // 2), 0)]
         else:
-            pi = _prime_element(D, p)
-            powers = [(1, 0)]
-            for _ in range(alpha):
-                powers.append(mul(D, powers[-1], pi))
+            pi_powers = powers(D, _prime_element(D, p), alpha)
             if kind is SplitType.RAMIFIED:
-                choices = [powers[alpha]]
+                choices = [pi_powers[alpha]]
             else:
-                # pi^k * conj(pi^(alpha-k)), with conj(a + b*w) = a + t*b - b*w
+                # pi^k * conj(pi^(alpha-k)), k = 0..alpha
                 choices = [
-                    mul(D, powers[k], (a + R.t * b, -b))
-                    for k, (a, b) in enumerate(reversed(powers))
+                    mul(D, u, conj(D, v))
+                    for u, v in zip(pi_powers, reversed(pi_powers))
                 ]
                 expected *= alpha + 1
         elements = [mul(D, e, c) for e in elements for c in choices]

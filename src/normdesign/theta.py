@@ -20,6 +20,8 @@ from .ring import (
     SplitType,
     discriminant,
     mul,
+    parts,
+    powers,
     require_admissible,
     ring_data,
     unit_count,
@@ -42,8 +44,8 @@ class ThetaSeries:
 class HeckeCheck:
     identity: str
     inputs: tuple[int, ...]
-    left: Fraction
-    right: Fraction
+    left: int
+    right: int
     passed: bool
 
 
@@ -85,34 +87,17 @@ def power_sums(shell: Shell, j_max: int) -> list[tuple[int, int]]:
     return [(sa, sb) for sa, sb in sums]
 
 
-_ZERO_PAIR = (Fraction(0), Fraction(0))
-
-
-def _split_real_imag(D: int, sa: int, sb: int) -> tuple[Fraction, Fraction]:
-    # a + b*w has real part a + b*rho and imaginary part b*sigma*sqrt(D).
-    if not sa and not sb:
-        return _ZERO_PAIR  # most degrees of a design vanish; share one pair
-    R = ring_data(D)
-    return Fraction(sa) + sb * R.rho, sb * R.sigma
-
-
 def basis_shell_sums(D: int, j: int, r: int) -> tuple[Fraction, Fraction]:
     """(sum of R_{D,j}, sum of I_{D,j}/sqrt(D)) over the norm r shell."""
     require_admissible(D)
     if j < 1:
         raise ValueError(f"basis degree must be >= 1, got {j}")
-    shell = enumerate_shell(D, r)
-    sa, sb = power_sums(shell, j)[j - 1]
-    return _split_real_imag(D, sa, sb)
+    return parts(D, power_sums(enumerate_shell(D, r), j)[j - 1])
 
 
-def basis_shell_sums_upto(
-    shell: Shell, j_max: int
-) -> list[tuple[Fraction, Fraction]]:
+def basis_shell_sums_upto(shell: Shell, j_max: int) -> list[tuple[Fraction, Fraction]]:
     """Basis sums of every degree 1..j_max over one shell, in one pass."""
-    return [
-        _split_real_imag(shell.D, sa, sb) for sa, sb in power_sums(shell, j_max)
-    ]
+    return [parts(shell.D, s) for s in power_sums(shell, j_max)]
 
 
 def _lattice_norms_upto(D: int, bound: int):
@@ -160,14 +145,6 @@ def a_norm(D: int, j: int, r: int) -> Fraction:
     return r_sum / unit_count(D)
 
 
-def _real_part_at(D: int, j: int, x: int, y: int) -> Fraction:
-    z = (1, 0)
-    for _ in range(j):
-        z = mul(D, z, (x, y))
-    re, _ = _split_real_imag(D, *z)
-    return re
-
-
 def a_prime_closed_form(D: int, j: int, p: int) -> Fraction:
     """Eigenform coefficient at a prime with a nonempty shell, closed form.
 
@@ -184,16 +161,8 @@ def a_prime_closed_form(D: int, j: int, p: int) -> Fraction:
     split = splitting_type(D, p)
     if split is SplitType.INERT:
         raise ValueError(f"the norm {p} shell is empty for D={D}")
-    shell = enumerate_shell(D, p)
-    x, y = shell.points[0]
-    value = _real_part_at(D, j, x, y)
+    value = parts(D, powers(D, enumerate_shell(D, p).points[0], j)[j])[0]
     return value if split is SplitType.RAMIFIED else 2 * value
-
-
-def _as_int(value: Fraction, what: str) -> int:
-    if value.denominator != 1:
-        raise ArithmeticError(f"{what} = {value} is not an integer")
-    return value.numerator
 
 
 def hecke_verify(
@@ -208,7 +177,9 @@ def hecke_verify(
     Verifies multiplicativity over the given coprime pairs, the prime
     power recursion with character value kronecker(discriminant(D), p),
     and the mod p congruence a(p^alpha) = a(p)^alpha. Every quantity on
-    either side is an independently computed shell sum.
+    either side is built from independently computed shell sums, and every
+    side of every check is an integer: a(r) is integral for j a multiple of
+    u_D, and ArithmeticError is raised if a_norm ever returns a non-integer.
     """
     require_admissible(D)
     if j < 1 or j % unit_count(D) != 0:
@@ -221,31 +192,32 @@ def hecke_verify(
         raise ValueError(f"alpha_max must be >= 2, got {alpha_max}")
     checks: list[HeckeCheck] = []
 
+    def a(r: int) -> int:
+        value = a_norm(D, j, r)
+        if value.denominator != 1:
+            raise ArithmeticError(f"a({D},{j},{r}) = {value} is not an integer")
+        return value.numerator
+
     for r1, r2 in coprime_pairs:
         if math.gcd(r1, r2) != 1:
             raise ValueError(f"pair ({r1}, {r2}) is not coprime")
-        left = a_norm(D, j, r1 * r2)
-        right = a_norm(D, j, r1) * a_norm(D, j, r2)
+        left = a(r1 * r2)
+        right = a(r1) * a(r2)
         checks.append(
             HeckeCheck("multiplicativity", (r1, r2), left, right, left == right)
         )
 
     chi = kronecker(discriminant(D), p)
-    a_cache = {alpha: a_norm(D, j, p**alpha) for alpha in range(alpha_max + 1)}
+    a_pow = [a(p**alpha) for alpha in range(alpha_max + 1)]
     for alpha in range(2, alpha_max + 1):
-        left = a_cache[alpha]
-        right = a_cache[1] * a_cache[alpha - 1] - chi * Fraction(p) ** j * a_cache[
-            alpha - 2
-        ]
+        left = a_pow[alpha]
+        right = a_pow[1] * a_pow[alpha - 1] - chi * p**j * a_pow[alpha - 2]
         checks.append(
             HeckeCheck("prime-power-recursion", (p, alpha), left, right, left == right)
         )
 
-    a_p = _as_int(a_cache[1], f"a({D},{j},{p})")
     for alpha in range(1, alpha_max + 1):
-        value = _as_int(a_cache[alpha], f"a({D},{j},{p}^{alpha})")
-        left = Fraction(value % p)
-        right = Fraction(pow(a_p, alpha, p))
+        left, right = a_pow[alpha] % p, pow(a_pow[1], alpha, p)
         checks.append(
             HeckeCheck(
                 "prime-power-congruence", (p, alpha), left, right, left == right
@@ -266,5 +238,6 @@ def theta_series_to_json_dict(series: ThetaSeries, j: int | None = None) -> dict
     return out
 
 
-def format_rational(value: Fraction) -> str:
+def format_rational(value: Fraction | int) -> str:
+    """"num/den" in lowest terms; an int n prints as "n/1"."""
     return f"{value.numerator}/{value.denominator}"

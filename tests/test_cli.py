@@ -4,6 +4,7 @@ import pytest
 
 from normdesign import arith, cli, shells
 from normdesign.cli import run
+from normdesign.harmonic import BivarPoly
 from normdesign.ring import norm_form
 from normdesign.shells import enumerate_shell
 
@@ -140,6 +141,27 @@ def test_quadrature_rejects_csv(capsys):
 def test_quadrature_bad_nodes(capsys):
     assert run(["quadrature", "1", "1", "--poly", "x", "--nodes", "100"]) == 2
     capsys.readouterr()
+
+
+def test_quadrature_node_bound_is_checked_before_any_node(capsys, monkeypatch):
+    def no_evaluation(*args):
+        raise AssertionError("a node was evaluated")
+
+    monkeypatch.setattr(BivarPoly, "evaluate_float", no_evaluation)
+    assert run(["quadrature", "1", "1", "--poly", "x^2", "--nodes", "2097152"]) == 2
+    assert "at most 2^20" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "r,poly",
+    [(10**400, "x^2"), (10**306, "1000*x^2"), (10**306, "1000*x^2-1000*y^2")],
+)
+def test_quadrature_outside_the_float_range_is_a_usage_error(capsys, r, poly):
+    assert run(["quadrature", "1", str(r), "--poly", poly, "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "float range" in captured.err
+    assert "Infinity" not in captured.err and "NaN" not in captured.err
 
 
 def test_quadrature_too_few_nodes_for_degree(capsys):

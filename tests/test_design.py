@@ -6,6 +6,7 @@ import pytest
 from normdesign import shells
 from normdesign.arith import is_representable
 from normdesign.design import (
+    MAX_NODES,
     DesignReport,
     _ellipse_parametrization,
     quadrature_average,
@@ -178,6 +179,25 @@ def test_quadrature_node_validation():
         quadrature_average(1, 1, one, 8)  # too few
     with pytest.raises(ValueError):
         quadrature_average(1, 0, one, 256)
+    with pytest.raises(ValueError, match="at most 2"):
+        quadrature_average(1, 1, one, 2 * MAX_NODES)
+
+
+@pytest.mark.parametrize(
+    "D,r,poly",
+    [
+        (1, 10**400, "x^2"),
+        (1, 10**306, "1000*x^2"),
+        (1, 10**306, "1000*x^2-1000*y^2"),
+        # the weight's quadratic form overflows, so the weight would read 0
+        # and the average of 1 would come out near 0.31
+        (163, 10**306, "1"),
+    ],
+)
+def test_quadrature_outside_the_float_range_is_a_value_error(D, r, poly):
+    with pytest.raises(ValueError, match="float range") as err:
+        quadrature_average(D, r, parse_poly(poly), 256)
+    assert str(r) not in str(err.value)
 
 
 @pytest.mark.parametrize("M", (16, 32, 64))

@@ -193,24 +193,38 @@ def test_round_trip_property(P):
     assert parse_poly(format_poly(P)) == P
 
 
+PARSE_ERRORS = [
+    ("x^2+oops", 4, "unexpected character 'o'"),
+    ("", 0, "empty polynomial"),
+    ("2**x", 2, "expected a factor"),
+    ("x^", 2, "expected an exponent"),
+    ("1/0", 2, "zero denominator"),
+    ("+", 1, "empty term"),
+    ("x y", 2, "expected '*', '+' or '-'"),
+    ("2*", 2, "dangling '*'"),
+    ("x*y*", 4, "dangling '*'"),
+    ("1/", 2, "expected a denominator"),
+    ("x^y", 2, "expected an exponent"),
+    ("x+", 2, "empty term"),
+    ("-", 1, "empty term"),
+    ("2 3", 2, "expected '*', '+' or '-'"),
+    ("x*-y", 2, "expected a factor"),
+    ("/", 0, "expected a factor"),
+    ("x^2^3", 3, "expected '*', '+' or '-'"),
+    ("--x", 1, "expected a factor"),
+]
+
+
 @pytest.mark.parametrize(
-    "text,position",
-    [
-        ("x^2+oops", 4),
-        ("", 0),
-        ("2**x", 2),
-        ("x^", 2),
-        ("1/0", 2),
-        ("+", 1),
-        ("x y", 2),
-        ("2*", 2),
-        ("x*y*", 4),
-    ],
+    "text,position,message",
+    PARSE_ERRORS,
+    ids=[f"{text}-{position}" for text, position, _ in PARSE_ERRORS],
 )
-def test_parse_errors_carry_positions(text, position):
+def test_parse_errors_carry_positions(text, position, message):
     with pytest.raises(PolyParseError) as err:
         parse_poly(text)
     assert err.value.position == position
+    assert str(err.value).startswith(message), str(err.value)
 
 
 # -- basis polynomials ---------------------------------------------------------

@@ -1,4 +1,5 @@
 import cmath
+import math
 import random
 from fractions import Fraction
 
@@ -6,18 +7,15 @@ import pytest
 
 from normdesign.ring import (
     ADMISSIBLE_D,
+    conj,
     discriminant,
     mul,
     norm_form,
+    parts,
+    powers,
     ring_data,
     unit_count,
 )
-
-
-def conj(D, u):
-    """Complex conjugate of a + b*w: w + conj(w) = t."""
-    a, b = u
-    return (a + ring_data(D).t * b, -b)
 
 
 def brute_force_units(D):
@@ -103,6 +101,37 @@ def test_conj_gives_the_norm(D):
     for _ in range(25):
         u = (rng.randint(-40, 40), rng.randint(-40, 40))
         assert mul(D, u, conj(D, u)) == (norm_form(D, *u), 0)
+
+
+@pytest.mark.parametrize("D", ADMISSIBLE_D)
+def test_parts_reads_rho_and_sigma(D):
+    R = ring_data(D)
+    assert parts(D, (0, 0)) == (0, 0)
+    assert parts(D, (5, 0)) == (5, 0)
+    # w itself: a zero integer part does not make the element zero
+    assert parts(D, (0, 1)) == (R.rho, R.sigma)
+    assert parts(D, (3, -2)) == (3 - 2 * R.rho, -2 * R.sigma)
+
+
+@pytest.mark.parametrize("D", ADMISSIBLE_D)
+def test_powers_repeat_mul_and_parts_match_the_embedding(D):
+    R = ring_data(D)
+    rng = random.Random(3000 + D)
+    for _ in range(20):
+        u = (rng.randint(-30, 30), rng.randint(-30, 30))
+        e = rng.randint(0, 12)
+        got = powers(D, u, e)
+        assert len(got) == e + 1
+        expected = (1, 0)
+        for k in range(e + 1):
+            assert got[k] == expected, (u, e, k)
+            expected = mul(D, expected, u)
+        # a + b*w sits at (a + b*Re w, b*Im w), and Im w = sigma*sqrt(D)
+        a, b = got[e]
+        re, im_over_root = parts(D, (a, b))
+        scale = max(1.0, abs(a) + abs(b))
+        assert abs(float(re) - (a + b * R.re_w)) <= 1e-12 * scale
+        assert abs(float(im_over_root) - b * R.im_w / math.sqrt(D)) <= 1e-12 * scale
 
 
 def test_discriminant_examples():

@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from normdesign import theta
 from normdesign.arith import is_prime, splitting_type
 from normdesign.harmonic import BasisKind, basis_poly, parse_poly
-from normdesign.ring import ADMISSIBLE_D, SplitType, ring_data, unit_count
+from normdesign.ring import ADMISSIBLE_D, SplitType, unit_count
 from normdesign.shells import enumerate_shell
 from normdesign.theta import (
-    _split_real_imag,
     a_norm,
     a_prime_closed_form,
     basis_shell_sums,
@@ -25,16 +25,6 @@ Q6 = "2*x^6+6*x^5*y-15*x^4*y^2-40*x^3*y^3-15*x^2*y^4+6*x*y^5+2*y^6"
 def primes_up_to(n):
     # is_prime is checked against a sieve in test_arith
     return [p for p in range(n + 1) if is_prime(p)]
-
-
-@pytest.mark.parametrize("D", ADMISSIBLE_D)
-def test_split_real_imag_reads_rho_and_sigma(D):
-    R = ring_data(D)
-    assert _split_real_imag(D, 0, 0) == (0, 0)
-    assert _split_real_imag(D, 5, 0) == (5, 0)
-    # w itself: a zero integer part does not make the element zero
-    assert _split_real_imag(D, 0, 1) == (R.rho, R.sigma)
-    assert _split_real_imag(D, 3, -2) == (3 - 2 * R.rho, -2 * R.sigma)
 
 
 def test_shell_sum_examples():
@@ -242,6 +232,21 @@ def test_hecke_verify_examples():
     assert mult[0].left == a_norm(7, 2, 22)
     assert mult[0].right == a_norm(7, 2, 2) * a_norm(7, 2, 11)
     assert mult[0].passed
+
+
+def test_hecke_checks_are_integers():
+    report = hecke_verify(1, 4, 5, 3, [(2, 11), (3, 7), (4, 9)])
+    assert report.all_passed
+    for check in report.checks:
+        assert type(check.left) is int, check
+        assert type(check.right) is int, check
+    assert format_rational(report.checks[0].left) == f"{report.checks[0].left}/1"
+
+
+def test_hecke_verify_rejects_a_non_integer_coefficient(monkeypatch):
+    monkeypatch.setattr(theta, "a_norm", lambda D, j, r: Fraction(1, 2))
+    with pytest.raises(ArithmeticError):
+        hecke_verify(1, 4, 5, 3, [(2, 11)])
 
 
 def test_hecke_verify_validation():
