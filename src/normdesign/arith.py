@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import count
 from math import gcd
 
-from .ring import SplitType, discriminant, require_admissible
+from .ring import SplitType, ring_data
 
 
 def kronecker(a: int, n: int) -> int:
@@ -192,10 +192,9 @@ def splitting_type(D: int, p: int) -> SplitType:
     Ramified iff p divides the discriminant; otherwise split or inert by
     the sign of the Kronecker symbol of the discriminant at p.
     """
-    require_admissible(D)
+    delta = ring_data(D).disc
     if not is_prime(p):
         raise ValueError(f"splitting_type requires a prime, got {p}")
-    delta = discriminant(D)
     if abs(delta) % p == 0:
         return SplitType.RAMIFIED
     return SplitType.SPLIT if kronecker(delta, p) == 1 else SplitType.INERT
@@ -207,7 +206,7 @@ def is_representable(D: int, r: int) -> bool:
     True iff every inert prime divides r to an even power; class number 1
     makes this criterion exact, and it is certified against enumeration.
     """
-    require_admissible(D)
+    ring_data(D)
     if r < 1:
         raise ValueError(f"is_representable requires r >= 1, got {r}")
     for p, alpha in factorize(r):

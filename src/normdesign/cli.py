@@ -15,18 +15,11 @@ import sys
 from multiprocessing import Pool
 
 from .arith import is_representable
-from .design import quadrature_average, strength_profile
+from .design import DesignReport, quadrature_average, strength_profile
 from .harmonic import BivarPoly, PolyParseError, format_poly, parse_poly
 from .ring import ADMISSIBLE_D, unit_count
-from .shells import Shell, enumerate_shell, norm_shell, shell_to_json
-from .theta import (
-    HeckeReport,
-    format_rational,
-    hecke_verify,
-    shell_sum,
-    theta_series,
-    theta_series_to_json_dict,
-)
+from .shells import Shell, enumerate_shell, norm_shell
+from .theta import HeckeReport, format_rational, hecke_verify, shell_sum, theta_series
 
 EXAMPLE_D = 3
 EXAMPLE_R = 691
@@ -65,7 +58,8 @@ class UsageError(Exception):
 def _cmd_shell(args) -> int:
     shell = norm_shell(args.D, args.r)
     if args.format == "json":
-        _emit(shell_to_json(shell), args.output)
+        points = [list(p) for p in shell.points]
+        _emit(_dumps({"D": shell.D, "r": shell.r, "points": points}), args.output)
     elif args.format == "csv":
         lines = ["x,y"] + [f"{x},{y}" for x, y in shell.points]
         _emit("\n".join(lines), args.output)
@@ -95,7 +89,7 @@ def _cmd_verify(args) -> int:
         report = strength_profile(args.D, args.r, args.jmax)
         passed = report.theorem_main_ok
     if args.format == "json":
-        _emit(_dumps(report.to_json_dict()), args.output)
+        _emit(_dumps(_report_json(report)), args.output)
     elif args.format == "csv":
         lines = ["j,status,witness"]
         failing = {f.j: f.witness for f in report.failing}
@@ -108,6 +102,19 @@ def _cmd_verify(args) -> int:
     else:
         _emit(_verify_table(report, args.t, passed), args.output)
     return 0 if passed else 1
+
+
+def _report_json(report: DesignReport) -> dict:
+    return {
+        "D": report.D,
+        "r": report.r,
+        "jmax": report.j_max,
+        "vanishing": list(report.vanishing),
+        "failing": [
+            {"j": f.j, "witness": format_rational(f.witness)} for f in report.failing
+        ],
+        "theorem_main_ok": report.theorem_main_ok,
+    }
 
 
 def _verify_table(report, t: int | None, passed: bool) -> str:
@@ -135,30 +142,31 @@ def _cmd_theta(args) -> int:
         poly = basis_poly(args.D, args.j, BasisKind.REAL_PART).poly
     else:
         poly = _parse_poly_arg(args.poly)
-    series = theta_series(args.D, poly, args.rmax)
+    coeffs = [format_rational(c) for c in theta_series(args.D, poly, args.rmax)]
     if args.format == "json":
-        _emit(_dumps(theta_series_to_json_dict(series, j=args.j)), args.output)
+        payload = {"D": args.D, "rmax": args.rmax, "coeffs": coeffs}
+        if args.j is not None:
+            payload["j"] = args.j
+        else:
+            payload["poly"] = format_poly(poly)
+        _emit(_dumps(payload), args.output)
     elif args.format == "csv":
-        lines = ["r,coefficient"]
-        lines += [
-            f"{r},{format_rational(c)}" for r, c in enumerate(series.coeffs)
-        ]
+        lines = ["r,coefficient"] + [f"{r},{c}" for r, c in enumerate(coeffs)]
         _emit("\n".join(lines), args.output)
     else:
         lines = [
-            f"theta coefficients for D={series.D}, P = {series.descriptor}, "
-            f"weight {series.weight}"
+            f"theta coefficients for D={args.D}, P = {format_poly(poly)}, "
+            f"weight {max(poly.degree, 0) + 1}"
         ]
-        lines += [
-            f"  r={r}: {format_rational(c)}" for r, c in enumerate(series.coeffs)
-        ]
+        lines += [f"  r={r}: {c}" for r, c in enumerate(coeffs)]
         _emit("\n".join(lines), args.output)
     return 0
 
 
-def _default_coprime_pairs(count: int = 20, product_max: int = 300):
+def _default_coprime_pairs():
+    """The first 20 coprime pairs (r1, r2), 1 < r1 < r2, by increasing r1*r2 <= 300."""
     pairs = []
-    for product in range(6, product_max + 1):
+    for product in range(6, 301):
         for r1 in range(2, product):
             if r1 * r1 >= product:
                 break
@@ -166,9 +174,9 @@ def _default_coprime_pairs(count: int = 20, product_max: int = 300):
                 r2 = product // r1
                 if math.gcd(r1, r2) == 1:
                     pairs.append((r1, r2))
-        if len(pairs) >= count:
+        if len(pairs) >= 20:
             break
-    return pairs[:count]
+    return pairs[:20]
 
 
 def _cmd_hecke(args) -> int:
@@ -235,7 +243,7 @@ def _cmd_quadrature(args) -> int:
 
 def _sweep_task(task: tuple[int, int, int]) -> dict:
     D, r, j_max = task
-    return strength_profile(D, r, j_max).to_json_dict()
+    return _report_json(strength_profile(D, r, j_max))
 
 
 def _cmd_sweep(args) -> int:
@@ -373,6 +381,10 @@ _PARSER: argparse.ArgumentParser | None = None
 
 
 def run(argv: list[str] | None = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # Python >= 3.10.7
+        # exact integers of any length in and out; one argv string is
+        # bounded by the OS (128 KiB on Linux) anyway
+        sys.set_int_max_str_digits(0)
     # built on the first call, not at import; every parse returns a fresh
     # Namespace, so one parser serves all later calls in the process
     global _PARSER

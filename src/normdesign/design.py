@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .harmonic import BivarPoly
-from .ring import norm_form, require_admissible, ring_data, unit_count
+from .ring import norm_form, ring_data, unit_count
 from .shells import Shell, norm_shell
-from .theta import basis_shell_sums_upto, format_rational
+from .theta import basis_shell_sums_upto
 
 MAX_PROFILE_DEGREE = 40  # shell sums grow like r^(j/2); keep scans at desk scale
 MAX_NODES = 2**20  # about 2 us per node (Python 3.11): seconds at the cap
@@ -39,23 +39,10 @@ class DesignReport:
     failing: tuple[FailingDegree, ...]
     theorem_main_ok: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "D": self.D,
-            "r": self.r,
-            "jmax": self.j_max,
-            "vanishing": list(self.vanishing),
-            "failing": [
-                {"j": f.j, "witness": format_rational(f.witness)}
-                for f in self.failing
-            ],
-            "theorem_main_ok": self.theorem_main_ok,
-        }
-
 
 def _require_nonempty(D: int, r: int) -> Shell:
     """The norm r shell, by the cheaper route; ValueError when it is empty."""
-    require_admissible(D)
+    ring_data(D)
     if r < 1:
         raise ValueError(f"design checks require r >= 1, got {r}")
     shell = norm_shell(D, r)
@@ -149,7 +136,7 @@ def quadrature_average(D: int, r: int, P: BivarPoly, M: int) -> float:
     nodes alias high frequencies and are rejected, as are more than
     MAX_NODES. ValueError when r or the integrand leaves the float range.
     """
-    require_admissible(D)
+    ring_data(D)
     if r < 1:
         raise ValueError(f"quadrature requires r >= 1, got {r}")
     if M < 16 or M & (M - 1) != 0:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .ring import mul, parts, powers, require_admissible, ring_data
+from .ring import mul, parts, powers, ring_data
 
 RationalLike = int | Fraction
 
@@ -166,30 +166,16 @@ class BivarPoly:
         return form
 
     def evaluate(self, x: RationalLike, y: RationalLike) -> Fraction:
-        """Exact value at a rational point, summed in integers.
+        """Exact value at a point with int or Fraction coordinates.
 
-        int and Fraction inputs are read through .numerator/.denominator;
-        anything else (float, str, Decimal, ...) goes through Fraction()
-        once. With x = a/b, y = c/d and the coefficients cleared to
-        integers t = c*den, the value is
-        sum t * a^i * b^(dx-i) * c^k * d^(dy-k) over den * b^dx * d^dy,
-        so only the final division builds a Fraction.
+        The coefficients are cleared to integers t = c * den once per
+        polynomial, so on an integer point the sum of t * x^i * y^k stays in
+        ints and only the final division by den builds a Fraction.
         """
-        if not isinstance(x, (int, Fraction)):
-            x = Fraction(x)
-        if not isinstance(y, (int, Fraction)):
-            y = Fraction(y)
         den, dx, dy, terms = self._integer_form()
-        a, b = x.numerator, x.denominator
-        c, d = y.numerator, y.denominator
-        a_pows = _powers(a, dx)
-        b_pows = _powers(b, dx)
-        c_pows = _powers(c, dy)
-        d_pows = _powers(d, dy)
-        total = 0
-        for t, i, k in terms:
-            total += t * a_pows[i] * b_pows[dx - i] * c_pows[k] * d_pows[dy - k]
-        return Fraction(total, den * b_pows[dx] * d_pows[dy])
+        xs = _powers(x, dx)
+        ys = _powers(y, dy)
+        return Fraction(sum(t * xs[i] * ys[k] for t, i, k in terms), den)
 
     def evaluate_float(self, x: float, y: float) -> float:
         return sum(float(c) * x**i * y**k for (i, k), c in self._terms.items())
@@ -201,7 +187,7 @@ class BivarPoly:
         return format_poly(self)
 
 
-def _powers(v: int, n: int) -> list[int]:
+def _powers(v: RationalLike, n: int) -> list[RationalLike]:
     """[v^0, v^1, ..., v^n]."""
     if v == 1:
         return [1] * (n + 1)
@@ -357,7 +343,7 @@ def basis_poly(D: int, j: int, kind: BasisKind) -> HarmonicBasisElement:
     Powers of w are computed in the integral basis, so coefficients stay
     rational with denominators dividing 2^j.
     """
-    require_admissible(D)
+    ring_data(D)
     if j < 1:
         raise ValueError(f"basis degree must be >= 1, got {j}")
     part = 0 if kind is BasisKind.REAL_PART else 1
@@ -382,7 +368,7 @@ def in_span(
     None otherwise. Membership here implies membership in the real span
     of {R, I}, since sqrt(D) only rescales the second basis vector.
     """
-    require_admissible(D)
+    ring_data(D)
     if j < 1:
         raise ValueError(f"span degree must be >= 1, got {j}")
     if P.is_zero or not P.is_homogeneous or P.degree != j:
@@ -405,14 +391,13 @@ def decompose(
     q^k * 2*Re(c_k * z^(j-2k)): a_k = 2*Re c_k and b_k = -2*D*(Im c_k/sqrt(D));
     the constant layer is a_k = c_k. The coordinates are unique, as the c_k are.
     """
-    require_admissible(D)
+    R = ring_data(D)
     if P.is_zero:
         return ()
     if not P.is_homogeneous:
         raise ValueError("decompose requires a homogeneous polynomial")
     j = P.degree
     half = j // 2
-    R = ring_data(D)
     # with wbar = t - w and delta = w - wbar = (-t, 2): delta*x = -wbar*z + w*zbar
     # and delta*y = z - zbar, so den*delta^j*P is a polynomial in z, zbar over
     # Z[w], with den clearing P's denominators; only layers k <= j/2 are read

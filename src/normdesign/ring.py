@@ -91,11 +91,6 @@ def ring_data(D: int) -> RingData:
         raise ValueError(f"D must be one of {ADMISSIBLE_D}, got {D!r}") from None
 
 
-def require_admissible(D: int) -> None:
-    """Raise ValueError unless D is one of the nine admissible values."""
-    ring_data(D)
-
-
 def norm_form(D: int, x: int, y: int) -> int:
     """The norm of x + y*w as a binary quadratic form in lattice coordinates.
 

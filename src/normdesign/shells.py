@@ -4,13 +4,12 @@ Two routes give the same shell: ``enumerate_shell`` scans the lattice and
 is the reference; ``shell_from_factorization`` builds the shell from the
 prime elements dividing r and is far cheaper once r is large.
 ``norm_shell`` picks the cheaper of the two for r. Shells come
-back with a canonical lexicographic point order so that orbit tables, JSON
-snapshots and sweep output are reproducible byte for byte.
+back with a canonical lexicographic point order so that orbit tables and
+every CLI output are reproducible byte for byte.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import isqrt
 
@@ -166,11 +165,3 @@ def shell_orbits(shell: Shell) -> tuple[tuple[tuple[int, int], ...], ...]:
         seen.update(orbit)
     return tuple(orbits)
 
-
-def shell_to_json(shell: Shell) -> str:
-    """Canonical JSON: {"D": ..., "r": ..., "points": [[x, y], ...]}."""
-    return json.dumps(
-        {"D": shell.D, "r": shell.r, "points": [list(p) for p in shell.points]},
-        sort_keys=True,
-        separators=(",", ":"),
-    )

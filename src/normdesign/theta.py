@@ -15,29 +15,9 @@ from fractions import Fraction
 from math import isqrt
 
 from .arith import is_prime, kronecker, splitting_type
-from .harmonic import BivarPoly, format_poly
-from .ring import (
-    SplitType,
-    discriminant,
-    mul,
-    parts,
-    powers,
-    require_admissible,
-    ring_data,
-    unit_count,
-)
+from .harmonic import BivarPoly
+from .ring import SplitType, mul, parts, powers, ring_data
 from .shells import Shell, enumerate_shell
-
-
-@dataclass(frozen=True)
-class ThetaSeries:
-    """Coefficient table r -> sum of P over the norm r shell, r <= r_max."""
-
-    D: int
-    descriptor: str
-    r_max: int
-    coeffs: tuple[Fraction, ...]
-    weight: int
 
 
 @dataclass(frozen=True)
@@ -87,14 +67,6 @@ def power_sums(shell: Shell, j_max: int) -> list[tuple[int, int]]:
     return [(sa, sb) for sa, sb in sums]
 
 
-def basis_shell_sums(D: int, j: int, r: int) -> tuple[Fraction, Fraction]:
-    """(sum of R_{D,j}, sum of I_{D,j}/sqrt(D)) over the norm r shell."""
-    require_admissible(D)
-    if j < 1:
-        raise ValueError(f"basis degree must be >= 1, got {j}")
-    return parts(D, power_sums(enumerate_shell(D, r), j)[j - 1])
-
-
 def basis_shell_sums_upto(shell: Shell, j_max: int) -> list[tuple[Fraction, Fraction]]:
     """Basis sums of every degree 1..j_max over one shell, in one pass."""
     return [parts(shell.D, s) for s in power_sums(shell, j_max)]
@@ -117,22 +89,18 @@ def _lattice_norms_upto(D: int, bound: int):
             yield x, y, x * x + ty * x + n * y * y
 
 
-def theta_series(D: int, P: BivarPoly, r_max: int) -> ThetaSeries:
-    """Coefficients of the theta series of P up to r_max in one lattice sweep."""
-    require_admissible(D)
+def theta_series(D: int, P: BivarPoly, r_max: int) -> tuple[Fraction, ...]:
+    """Theta coefficients of P for r = 0..r_max, in one lattice sweep.
+
+    Entry r is the sum of P over the norm r shell.
+    """
+    ring_data(D)
     if r_max < 1:
         raise ValueError(f"r_max must be >= 1, got {r_max}")
     coeffs = [Fraction(0)] * (r_max + 1)
     for x, y, n in _lattice_norms_upto(D, r_max):
         coeffs[n] += P.evaluate(x, y)
-    degree = max(P.degree, 0)
-    return ThetaSeries(
-        D=D,
-        descriptor=format_poly(P),
-        r_max=r_max,
-        coeffs=tuple(coeffs),
-        weight=degree + 1,
-    )
+    return tuple(coeffs)
 
 
 def a_norm(D: int, j: int, r: int) -> Fraction:
@@ -141,8 +109,11 @@ def a_norm(D: int, j: int, r: int) -> Fraction:
     Integer-valued whenever j is a multiple of u_D, where the underlying
     series is a Hecke eigenform with a(1) = 1.
     """
-    r_sum, _ = basis_shell_sums(D, j, r)
-    return r_sum / unit_count(D)
+    R = ring_data(D)
+    if j < 1:
+        raise ValueError(f"basis degree must be >= 1, got {j}")
+    r_sum = parts(D, power_sums(enumerate_shell(D, r), j)[j - 1])[0]
+    return r_sum / R.unit_count
 
 
 def a_prime_closed_form(D: int, j: int, p: int) -> Fraction:
@@ -151,13 +122,11 @@ def a_prime_closed_form(D: int, j: int, p: int) -> Fraction:
     R_{D,j} at any shell point for ramified p, twice that for split p;
     valid only for j a multiple of u_D, where the value is orbit-invariant.
     """
-    require_admissible(D)
+    u = ring_data(D).unit_count
     if not is_prime(p):
         raise ValueError(f"a_prime_closed_form requires a prime, got {p}")
-    if j < 1 or j % unit_count(D) != 0:
-        raise ValueError(
-            f"closed form requires j to be a positive multiple of u_D={unit_count(D)}"
-        )
+    if j < 1 or j % u != 0:
+        raise ValueError(f"closed form requires j to be a positive multiple of u_D={u}")
     split = splitting_type(D, p)
     if split is SplitType.INERT:
         raise ValueError(f"the norm {p} shell is empty for D={D}")
@@ -181,11 +150,10 @@ def hecke_verify(
     side of every check is an integer: a(r) is integral for j a multiple of
     u_D, and ArithmeticError is raised if a_norm ever returns a non-integer.
     """
-    require_admissible(D)
-    if j < 1 or j % unit_count(D) != 0:
-        raise ValueError(
-            f"Hecke identities hold for j a multiple of u_D={unit_count(D)}"
-        )
+    R = ring_data(D)
+    u = R.unit_count
+    if j < 1 or j % u != 0:
+        raise ValueError(f"Hecke identities hold for j a multiple of u_D={u}")
     if not is_prime(p):
         raise ValueError(f"hecke_verify requires a prime, got {p}")
     if alpha_max < 2:
@@ -207,7 +175,7 @@ def hecke_verify(
             HeckeCheck("multiplicativity", (r1, r2), left, right, left == right)
         )
 
-    chi = kronecker(discriminant(D), p)
+    chi = kronecker(R.disc, p)
     a_pow = [a(p**alpha) for alpha in range(alpha_max + 1)]
     for alpha in range(2, alpha_max + 1):
         left = a_pow[alpha]
@@ -225,17 +193,6 @@ def hecke_verify(
         )
 
     return HeckeReport(D=D, j=j, checks=tuple(checks))
-
-
-def theta_series_to_json_dict(series: ThetaSeries, j: int | None = None) -> dict:
-    """Documented JSON shape; rationals as "num/den" strings."""
-    out: dict = {"D": series.D, "rmax": series.r_max}
-    if j is not None:
-        out["j"] = j
-    else:
-        out["poly"] = series.descriptor
-    out["coeffs"] = [format_rational(c) for c in series.coeffs]
-    return out
 
 
 def format_rational(value: Fraction | int) -> str:

@@ -113,7 +113,7 @@ def test_criterion_5_strength_sweep(vanishing_sweep):
 
 def test_criterion_6_hecke_identities():
     with criterion("6 (Hecke identities)"):
-        pairs = _default_coprime_pairs(20, 300)
+        pairs = _default_coprime_pairs()
         assert len(pairs) == 20
         assert all(r1 * r2 <= 300 for r1, r2 in pairs)
         for D in ADMISSIBLE_D:

@@ -73,8 +73,14 @@ def test_verify_empty_shell_is_usage_error(capsys):
 def test_verify_json_schema(capsys):
     assert run(["verify", "3", "691", "--jmax", "6", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["failing"] == [{"j": 6, "witness": "-2409417348/1"}]
-    assert payload["theorem_main_ok"] is True
+    assert payload == {
+        "D": 3,
+        "r": 691,
+        "jmax": 6,
+        "vanishing": [1, 2, 3, 4, 5],
+        "failing": [{"j": 6, "witness": "-2409417348/1"}],
+        "theorem_main_ok": True,
+    }
 
 
 def test_theta_with_j_and_poly(capsys):
@@ -87,6 +93,23 @@ def test_theta_with_j_and_poly(capsys):
     rows = capsys.readouterr().out.strip().splitlines()
     assert rows[0] == "r,coefficient"
     assert rows[1:] == ["0,1/1", "1,4/1", "2,4/1", "3,0/1", "4,4/1", "5,8/1"]
+
+    assert run(["theta", "1", "--poly", "x^2-y^2", "--rmax", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "theta coefficients for D=1, P = x^2-y^2, weight 3"
+    assert lines[1:] == ["  r=0: 0/1", "  r=1: 0/1", "  r=2: 0/1"]
+
+    # exact integers past Python's default 4300-digit int/str limit: x^20000
+    # sums to 2 * 2^20000 over the norm 4 shell and 4 + 4 * 2^20000 over norm 5
+    argv = ["theta", "1", "--poly", "x^20000", "--rmax", "5", "--format", "json"]
+    assert run(argv) == 0
+    coeffs = json.loads(capsys.readouterr().out)["coeffs"]
+    assert coeffs[:3] == ["0/1", "2/1", "4/1"]
+    assert coeffs[4:] == [f"{2 * 2**20000}/1", f"{4 + 4 * 2**20000}/1"]
+    assert [len(c) for c in coeffs[4:]] == [6023, 6024]
+    big = "7" * 5000
+    assert run(["theta", "1", "--poly", f"{big}*x^2", "--rmax", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"  r=1: {2 * int(big)}/1"
 
 
 def test_theta_requires_exactly_one_polynomial_choice(capsys):

@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -125,17 +126,11 @@ def test_evaluate_matches_horner_at_mixed_points(P, x, y):
     assert P.evaluate(y, x) == horner_reference(P, y, x)
 
 
-@PROPERTY
-@given(
-    polys,
-    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
-    fractions.map(str),
-    rational_points,
-)
-def test_evaluate_converts_float_and_str_like_fraction(P, f, text, q):
-    assert P.evaluate(f, q) == P.evaluate(Fraction(f), q)
-    assert P.evaluate(q, text) == P.evaluate(q, Fraction(text))
-    assert P.evaluate(f, text) == horner_reference(P, Fraction(f), Fraction(text))
+def test_evaluate_rejects_inexact_points():
+    p = poly("1/2*x^3-2/3*x*y")
+    for point in ((0.5, 2), (2, Decimal("0.5")), ("1/2", "3")):
+        with pytest.raises(TypeError):
+            p.evaluate(*point)
 
 
 def test_evaluate_cache_is_invisible_to_equality():

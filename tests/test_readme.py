@@ -15,6 +15,12 @@ DELETED = (
     "primes_up_to",
     "basis_pair",
     "norm_form_poly",
+    "ThetaSeries",
+    "shell_to_json",
+    "theta_series_to_json_dict",
+    "to_json_dict",
+    "require_admissible",
+    "basis_shell_sums",
 )
 
 

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from normdesign import arith, design, harmonic, theta
+from normdesign.harmonic import BivarPoly
 from normdesign.ring import (
     ADMISSIBLE_D,
     conj,
@@ -44,6 +46,30 @@ def test_inadmissible_d_rejected(bad):
         discriminant(bad)
     with pytest.raises(ValueError):
         ring_data(bad)
+
+
+# Each call is also wrong in its next argument: D must be the one reported.
+D_FIRST = {
+    "splitting_type": lambda: arith.splitting_type(5, 4),
+    "is_representable": lambda: arith.is_representable(5, 0),
+    "strength_profile": lambda: design.strength_profile(5, 0, 3),
+    "quadrature_average": lambda: design.quadrature_average(
+        5, 0, BivarPoly.constant(1), 3
+    ),
+    "basis_poly": lambda: harmonic.basis_poly(5, 0, harmonic.BasisKind.REAL_PART),
+    "in_span": lambda: harmonic.in_span(5, 0, BivarPoly()),
+    "decompose": lambda: harmonic.decompose(5, BivarPoly({(1, 0): 1, (0, 0): 1})),
+    "theta_series": lambda: theta.theta_series(5, BivarPoly.constant(1), 0),
+    "a_norm": lambda: theta.a_norm(5, 0, -1),
+    "a_prime_closed_form": lambda: theta.a_prime_closed_form(5, 0, 4),
+    "hecke_verify": lambda: theta.hecke_verify(5, 0, 4, 0),
+}
+
+
+@pytest.mark.parametrize("call", D_FIRST.values(), ids=D_FIRST.keys())
+def test_inadmissible_d_is_reported_before_other_arguments(call):
+    with pytest.raises(ValueError, match=r"^D must be one of .*, got 5$"):
+        call()
 
 
 @pytest.mark.parametrize("D", ADMISSIBLE_D)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from normdesign import theta
+from normdesign.cli import run
 from normdesign.arith import is_prime, splitting_type
 from normdesign.harmonic import BasisKind, basis_poly, parse_poly
 from normdesign.ring import ADMISSIBLE_D, SplitType, unit_count
@@ -11,12 +12,11 @@ from normdesign.shells import enumerate_shell
 from normdesign.theta import (
     a_norm,
     a_prime_closed_form,
-    basis_shell_sums,
+    basis_shell_sums_upto,
     format_rational,
     hecke_verify,
     shell_sum,
     theta_series,
-    theta_series_to_json_dict,
 )
 
 Q6 = "2*x^6+6*x^5*y-15*x^4*y^2-40*x^3*y^3-15*x^2*y^4+6*x*y^5+2*y^6"
@@ -25,6 +25,11 @@ Q6 = "2*x^6+6*x^5*y-15*x^4*y^2-40*x^3*y^3-15*x^2*y^4+6*x*y^5+2*y^6"
 def primes_up_to(n):
     # is_prime is checked against a sieve in test_arith
     return [p for p in range(n + 1) if is_prime(p)]
+
+
+def basis_sums(D, j, r):
+    """(sum of R_{D,j}, sum of I_{D,j}/sqrt(D)) over the norm r shell."""
+    return basis_shell_sums_upto(enumerate_shell(D, r), j)[j - 1]
 
 
 def test_shell_sum_examples():
@@ -41,21 +46,19 @@ def test_basis_sums_agree_with_generic_evaluation(D, j):
     R = basis_poly(D, j, BasisKind.REAL_PART).poly
     Iq = basis_poly(D, j, BasisKind.IMAG_PART).poly
     for r in (1, 2, 4, 25, 49, 90, 121):
-        r_sum, i_sum = basis_shell_sums(D, j, r)
+        r_sum, i_sum = basis_sums(D, j, r)
         assert r_sum == shell_sum(D, R, r), (D, j, r)
         assert i_sum == shell_sum(D, Iq, r), (D, j, r)
 
 
 def test_theta_series_representation_counts():
     ones = parse_poly("1")
-    assert [c for c in theta_series(1, ones, 5).coeffs] == [1, 4, 4, 0, 4, 8]
-    assert [c for c in theta_series(3, ones, 3).coeffs] == [1, 6, 0, 6]
+    assert theta_series(1, ones, 5) == (1, 4, 4, 0, 4, 8)
+    assert theta_series(3, ones, 3) == (1, 6, 0, 6)
 
 
 def test_theta_series_vanishing_tail():
-    series = theta_series(1, parse_poly("x^2-y^2"), 10)
-    assert all(c == 0 for c in series.coeffs)
-    assert series.weight == 3
+    assert all(c == 0 for c in theta_series(1, parse_poly("x^2-y^2"), 10))
 
 
 @pytest.mark.parametrize("D", ADMISSIBLE_D)
@@ -63,7 +66,7 @@ def test_theta_series_matches_per_shell_sums(D):
     p = parse_poly("x^2+2*x*y-y^2")
     series = theta_series(D, p, 40)
     for r in range(41):
-        assert series.coeffs[r] == shell_sum(D, p, r), (D, r)
+        assert series[r] == shell_sum(D, p, r), (D, r)
 
 
 def test_theta_series_rejects_bad_rmax():
@@ -90,7 +93,7 @@ def test_a_norm_at_zero_and_validation():
 def test_cuspidality_of_basis_sums_at_zero():
     for D in ADMISSIBLE_D:
         for j in range(1, 11):
-            r_sum, i_sum = basis_shell_sums(D, j, 0)
+            r_sum, i_sum = basis_sums(D, j, 0)
             assert r_sum == 0 and i_sum == 0
 
 
@@ -98,7 +101,7 @@ def test_cuspidality_of_basis_sums_at_zero():
 def test_imag_sums_vanish_for_even_degrees(D):
     for j in (2, 4, 6, 8, 10, 12):
         for r in range(1, 101):
-            assert basis_shell_sums(D, j, r)[1] == 0, (D, j, r)
+            assert basis_sums(D, j, r)[1] == 0, (D, j, r)
 
 
 @pytest.mark.parametrize("D", ADMISSIBLE_D)
@@ -115,14 +118,12 @@ def test_real_sums_vanish_off_unit_multiples(D):
 def test_both_sums_vanish_for_odd_degrees(D):
     for j in (1, 3, 5, 7, 9, 11, 13):
         for r in range(1, 101):
-            r_sum, i_sum = basis_shell_sums(D, j, r)
+            r_sum, i_sum = basis_sums(D, j, r)
             assert r_sum == 0 and i_sum == 0, (D, j, r)
 
 
 @pytest.mark.parametrize("D", ADMISSIBLE_D)
 def test_integrality_on_unit_multiples(D):
-    from normdesign.theta import basis_shell_sums_upto
-
     u = unit_count(D)
     multiples = [j for j in range(1, 13) if j % u == 0]
     for r in range(1, 301):
@@ -269,14 +270,14 @@ def test_hecke_identities_small_grid(D):
         assert report.all_passed, (D, p)
 
 
-def test_theta_json_round_trip():
-    series = theta_series(3, parse_poly("x^2+x*y+y^2"), 8)
-    payload = theta_series_to_json_dict(series)
-    text = json.dumps(payload, sort_keys=True)
-    loaded = json.loads(text)
+def test_theta_json_round_trip(capsys):
+    poly = "x^2+x*y+y^2"
+    assert run(["theta", "3", "--poly", poly, "--rmax", "8", "--format", "json"]) == 0
+    loaded = json.loads(capsys.readouterr().out)
     assert loaded["D"] == 3
-    assert loaded["poly"] == "x^2+x*y+y^2"
-    assert [Fraction(c) for c in loaded["coeffs"]] == list(series.coeffs)
+    assert loaded["poly"] == poly
+    series = theta_series(3, parse_poly(poly), 8)
+    assert tuple(Fraction(c) for c in loaded["coeffs"]) == series
     assert format_rational(Fraction(-3, 2)) == "-3/2"
     assert format_rational(Fraction(5)) == "5/1"
     assert Fraction("5/1") == 5
