@@ -1,8 +1,10 @@
+import json
 import math
 
 import pytest
 
 from normdesign import shells
+from normdesign.cli import _report_json
 from normdesign.arith import is_representable
 from normdesign.design import (
     MAX_NODES,
@@ -138,6 +140,23 @@ def test_witnesses_are_reproducible_shell_sums(D):
             assert f.witness == r_sum and f.witness != 0
         covered = set(report.vanishing) | {f.j for f in report.failing}
         assert covered == set(range(1, report.j_max + 1))
+
+
+def test_design_report_json_shape():
+    report = strength_profile(3, 691, 6)
+    assert (report.D, report.r, report.j_max) == (3, 691, 6)
+    assert report.vanishing == (1, 2, 3, 4, 5)
+    assert [(f.j, f.witness) for f in report.failing] == [(6, -2409417348)]
+    payload = _report_json(report)
+    assert json.loads(json.dumps(payload)) == payload
+    assert payload == {
+        "D": 3,
+        "r": 691,
+        "jmax": 6,
+        "vanishing": [1, 2, 3, 4, 5],
+        "failing": [{"j": 6, "witness": "-2409417348/1"}],
+        "theorem_main_ok": True,
+    }
 
 
 # -- quadrature ----------------------------------------------------------------
