@@ -170,8 +170,14 @@ class BivarPoly:
 
         The coefficients are cleared to integers t = c * den once per
         polynomial, so on an integer point the sum of t * x^i * y^k stays in
-        ints and only the final division by den builds a Fraction.
+        ints and only the final division by den builds a Fraction. Any
+        other coordinate type raises TypeError before any product.
         """
+        if not (isinstance(x, (int, Fraction)) and isinstance(y, (int, Fraction))):
+            raise TypeError(
+                "point coordinates must be int or Fraction, got "
+                f"{type(x).__name__} and {type(y).__name__}"
+            )
         den, dx, dy, terms = self._integer_form()
         xs = _powers(x, dx)
         ys = _powers(y, dy)

@@ -166,6 +166,28 @@ def test_quadrature_bad_nodes(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("rmax", [10**9, 10**20])
+def test_theta_rmax_bound_is_checked_before_any_work(capsys, monkeypatch, rmax):
+    def no_series(*args):
+        raise AssertionError("theta_series was called")
+
+    monkeypatch.setattr(cli, "theta_series", no_series)
+    assert run(["theta", "1", "--j", "4", "--rmax", str(rmax)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"at most 10^6, got {rmax}" in captured.err
+
+
+def test_theta_rmax_at_the_bound_is_accepted(capsys, monkeypatch):
+    def reached(D, poly, r_max):
+        raise ValueError(f"theta_series reached at r_max={r_max}")
+
+    monkeypatch.setattr(cli, "theta_series", reached)
+    assert cli.MAX_THETA_RMAX == 10**6
+    assert run(["theta", "1", "--j", "4", "--rmax", str(10**6)]) == 2
+    assert "theta_series reached at r_max=1000000" in capsys.readouterr().err
+
+
 def test_quadrature_node_bound_is_checked_before_any_node(capsys, monkeypatch):
     def no_evaluation(*args):
         raise AssertionError("a node was evaluated")

@@ -133,6 +133,15 @@ def test_evaluate_rejects_inexact_points():
             p.evaluate(*point)
 
 
+def test_evaluate_rejects_a_str_point_before_any_product():
+    # t * "ab" with t = 3*10^30 would raise OverflowError (or, for a smaller
+    # t, build a string of t copies) before the TypeError at the sum
+    p = poly("3000000000000000000000000000000*x+y")
+    for point in (("ab", 0), (0, "ab"), ("ab", "cd")):
+        with pytest.raises(TypeError, match="int or Fraction"):
+            p.evaluate(*point)
+
+
 def test_evaluate_cache_is_invisible_to_equality():
     p = poly("1/2*x^3-2/3*y")
     q = poly("1/2*x^3-2/3*y")

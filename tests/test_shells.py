@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normdesign.arith import factorize, kronecker, splitting_type
+from normdesign.arith import factorize, is_prime, kronecker, splitting_type
 from normdesign.ring import (
     ADMISSIBLE_D,
     discriminant,
@@ -16,6 +16,7 @@ from normdesign.ring import (
 )
 from normdesign.shells import (
     SCAN_MAX_ROWS,
+    WHEEL_MIN_ROWS,
     enumerate_shell,
     shell_from_factorization,
     shell_orbits,
@@ -36,6 +37,25 @@ def naive_shell(D, r):
         for y in range(-bound, bound + 1)
         if norm_form(D, x, y) == r
     )
+
+
+def plain_scan(D, r):
+    """The reference scan without the exclusion wheel: isqrt on every row."""
+    R = ring_data(D)
+    if r == 0:
+        return ((0, 0),)
+    t, a = R.t, -R.disc
+    r4 = 4 * r
+    points = set()
+    for y in range(isqrt(r4 // a) + 1):
+        rem = r4 - a * y * y
+        s = isqrt(rem)
+        if s * s == rem:
+            ty = t * y
+            for x in ((s - ty) // 2, (-s - ty) // 2):
+                points.add((x, y))
+                points.add((-x, -y))
+    return tuple(sorted(points))
 
 
 def representation_count(D, r):
@@ -167,6 +187,63 @@ def test_orbits_partition_the_shell(D):
             assert regenerated == set(orbit)
         reps = [min(orbit) for orbit in orbits]
         assert reps == sorted(reps)
+
+
+# -- the exclusion wheel against the plain scan ----------------------------------
+
+WHEEL_MODULUS = 3 * 5 * 7 * 11 * 13 * 17
+
+
+def near_wheel_threshold(D):
+    """Norms whose scan has WHEEL_MIN_ROWS +- 3 rows, so both row walks run."""
+    a = -discriminant(D)
+    lo = (WHEEL_MIN_ROWS - 4) ** 2 * a // 4
+    hi = (WHEEL_MIN_ROWS + 3) ** 2 * a // 4
+    return st.integers(max(lo, 1), hi).map(lambda r: (D, r))
+
+
+def split_prime_powers(D):
+    """p^2 and p^3 for the split primes 1000 <= p < 2000, as Hecke checks scan."""
+    primes = [
+        p for p in range(1000, 2000)
+        if is_prime(p) and splitting_type(D, p) is SplitType.SPLIT
+    ]
+    return st.tuples(st.sampled_from(primes), st.sampled_from((2, 3))).map(
+        lambda pe: (D, pe[0] ** pe[1])
+    )
+
+
+wheel_case = st.one_of(
+    st.sampled_from(ADMISSIBLE_D).flatmap(near_wheel_threshold),
+    st.builds(
+        lambda D, x, y: (D, norm_form(D, x, y)),
+        st.sampled_from(ADMISSIBLE_D),
+        st.integers(-30000, 30000),
+        st.integers(-30000, 30000),
+    ).filter(lambda case: case[1] >= 1),
+    st.tuples(
+        st.sampled_from(ADMISSIBLE_D),
+        st.integers(1, 40000).map(lambda k: k * WHEEL_MODULUS),
+    ),
+    st.sampled_from(ADMISSIBLE_D).flatmap(split_prime_powers),
+)
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(wheel_case)
+def test_wheel_scan_matches_plain_scan(case):
+    D, r = case
+    assert enumerate_shell(D, r).points == plain_scan(D, r)
+
+
+@pytest.mark.parametrize("D", ADMISSIBLE_D)
+def test_wheel_with_all_six_primes_matches_plain_scan(D):
+    """y >= 255 254 rows, so the wheel runs mod 3*5*7*11*13*17 with a tail."""
+    r = norm_form(D, 123457, 255300)
+    assert isqrt(4 * r // -discriminant(D)) + 1 >= WHEEL_MODULUS
+    shell = enumerate_shell(D, r)
+    assert (123457, 255300) in shell.points
+    assert shell.points == plain_scan(D, r)
 
 
 # -- the factorization route against the scan -----------------------------------
