@@ -12,12 +12,16 @@ import json
 import math
 import os
 import sys
-from multiprocessing import Pool
 
-from .arith import is_representable
-from .design import DesignReport, quadrature_average, strength_profile
+from .arith import MR_BOUND, is_representable
+from .design import (
+    MAX_PROFILE_DEGREE,
+    DesignReport,
+    quadrature_average,
+    strength_profile,
+)
 from .harmonic import BivarPoly, PolyParseError, format_poly, parse_poly
-from .ring import ADMISSIBLE_D, unit_count
+from .ring import ADMISSIBLE_D, ring_data, unit_count
 from .shells import Shell, enumerate_shell, norm_shell
 from .theta import HeckeReport, format_rational, hecke_verify, shell_sum, theta_series
 
@@ -31,6 +35,18 @@ EXAMPLE_Q_SUM = -4818834696
 #: and walks every lattice point up to it; D = 1 at --j 4 takes 27 s and
 #: peaks at 114 MB at the cap (Python 3.11).
 MAX_THETA_RMAX = 10**6
+
+#: Largest reference scan ``hecke`` may start, in rows: the norm p^alpha
+#: shell takes isqrt(4*p^alpha // |disc|) + 1. The wheel scans 10^8 rows in
+#: 0.6-1.7 s for D = 1, 2, 3 and in up to 4.4 s for D = 67 and 163 (54
+#: random p^3 shells, p up to 4*10^5, Python 3.11).
+MAX_HECKE_ROWS = 10**8
+
+#: Largest ``sweep --rmax``: cost and memory grow about linearly in rmax
+#: (one report per representable norm, all held until the JSON is written);
+#: at the cap --jmax 13 takes about 5 s and peaks at 72 MB, --jmax 40
+#: takes 13 s and 198 MB (Python 3.11).
+MAX_SWEEP_RMAX = 10**4
 
 
 def _dumps(obj) -> str:
@@ -186,7 +202,33 @@ def _default_coprime_pairs():
     return pairs[:20]
 
 
+def _check_hecke_budget(D: int, p: int, alpha: int) -> None:
+    """UsageError when the largest scan, the norm p^alpha shell, passes MAX_HECKE_ROWS.
+
+    p^alpha is bounded by bit lengths before it is formed: argv integers
+    run to 128 KiB. Inputs hecke_verify rejects before any scan (alpha < 2,
+    p past the primality bound) are left to it.
+    """
+    if alpha < 2 or not 2 <= p < MR_BOUND:
+        return
+    a = -ring_data(D).disc
+    # p^alpha >= 2^bits and a < 2^8, so the scan has more than 2^((bits-6)//2) rows
+    bits = alpha * (p.bit_length() - 1)
+    if bits > 2 * MAX_HECKE_ROWS.bit_length() + 6:
+        rows = f"more than 2^{(bits - 6) // 2}"
+    else:
+        count = math.isqrt(4 * p**alpha // a) + 1
+        if count <= MAX_HECKE_ROWS:
+            return
+        rows = str(count)
+    raise UsageError(
+        f"hecke would scan {rows} rows for the norm p^alpha shell at "
+        f"--p {p}; the limit is 10^8 rows"
+    )
+
+
 def _cmd_hecke(args) -> int:
+    _check_hecke_budget(args.D, args.p, args.alpha)
     report = hecke_verify(
         args.D, args.j, args.p, args.alpha, _default_coprime_pairs()
     )
@@ -254,6 +296,12 @@ def _sweep_task(task: tuple[int, int, int]) -> dict:
 
 
 def _cmd_sweep(args) -> int:
+    if args.rmax > MAX_SWEEP_RMAX:
+        raise UsageError(f"--rmax must be at most 10^4, got {args.rmax}")
+    if not 1 <= args.jmax <= MAX_PROFILE_DEGREE:
+        raise UsageError(
+            f"--jmax must be in [1, {MAX_PROFILE_DEGREE}], got {args.jmax}"
+        )
     tasks = [
         (D, r, args.jmax)
         for D in ADMISSIBLE_D
@@ -265,6 +313,9 @@ def _cmd_sweep(args) -> int:
     if workers <= 1:
         reports = [_sweep_task(t) for t in tasks]
     else:
+        # imported here: multiprocessing adds about 9 ms to every start-up
+        from multiprocessing import Pool
+
         with Pool(workers) as pool:
             reports = pool.map(_sweep_task, tasks, chunksize=32)
     all_ok = all(rep["theorem_main_ok"] for rep in reports)

@@ -10,8 +10,7 @@ validating the analytic normalization constants in floating point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 
 from .harmonic import BivarPoly
 from .ring import norm_form, ring_data, unit_count
@@ -22,22 +21,12 @@ MAX_PROFILE_DEGREE = 40  # shell sums grow like r^(j/2); keep scans at desk scal
 MAX_NODES = 2**20  # about 2 us per node (Python 3.11): seconds at the cap
 
 
-@dataclass(frozen=True)
-class FailingDegree:
-    j: int
-    witness: Fraction
+FailingDegree = namedtuple("FailingDegree", "j witness")
 
-
-@dataclass(frozen=True)
-class DesignReport:
-    """Exact classification of every degree j <= j_max for one shell."""
-
-    D: int
-    r: int
-    j_max: int
-    vanishing: tuple[int, ...]
-    failing: tuple[FailingDegree, ...]
-    theorem_main_ok: bool
+DesignReport = namedtuple(
+    "DesignReport", "D r j_max vanishing failing theorem_main_ok"
+)
+DesignReport.__doc__ = "Exact classification of every degree j <= j_max for one shell."
 
 
 def _require_nonempty(D: int, r: int) -> Shell:

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import math
 import re
+from collections import namedtuple
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -315,16 +315,13 @@ class BasisKind(Enum):
     IMAG_PART = "imag"
 
 
-@dataclass(frozen=True)
-class HarmonicBasisElement:
-    """One of the two degree-j basis polynomials attached to O_D.
+HarmonicBasisElement = namedtuple("HarmonicBasisElement", "poly radical")
+HarmonicBasisElement.__doc__ = """\
+One of the two degree-j basis polynomials attached to O_D.
 
-    ``poly`` is always rational. For the imaginary part the true
-    polynomial is sqrt(D) * poly, recorded by ``radical=True``.
-    """
-
-    poly: BivarPoly
-    radical: bool
+``poly`` is always rational. For the imaginary part the true
+polynomial is sqrt(D) * poly, recorded by ``radical=True``.
+"""
 
 
 def _linear_power(

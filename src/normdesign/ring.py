@@ -15,7 +15,7 @@ operation is exact over Python integers, and exact on Fraction pairs
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 
@@ -23,25 +23,14 @@ from fractions import Fraction
 ADMISSIBLE_D = (1, 2, 3, 7, 11, 19, 43, 67, 163)
 
 
-@dataclass(frozen=True, slots=True)
-class RingData:
-    """The constants of O_D = Z[w], w^2 = t*w - n.
+RingData = namedtuple("RingData", "t n disc unit_count units rho sigma re_w im_w")
+RingData.__doc__ = """The constants of O_D = Z[w], w^2 = t*w - n.
 
-    ``units`` are the unit pairs (a, b) in sorted order: {+-1, +-i} for
-    D = 1, the six sixth roots of unity for D = 3, {+-1} otherwise. w has real
-    part rho and imaginary part sigma*sqrt(D), with rho, sigma rational;
-    ``re_w`` and ``im_w`` are the same two parts as floats.
-    """
-
-    t: int
-    n: int
-    disc: int
-    unit_count: int
-    units: tuple[tuple[int, int], ...]
-    rho: Fraction
-    sigma: Fraction
-    re_w: float
-    im_w: float
+``units`` are the unit pairs (a, b) in sorted order: {+-1, +-i} for
+D = 1, the six sixth roots of unity for D = 3, {+-1} otherwise. w has real
+part rho and imaginary part sigma*sqrt(D), with rho, sigma rational;
+``re_w`` and ``im_w`` are the same two parts as floats.
+"""
 
 
 def _ring_data(D: int) -> RingData:

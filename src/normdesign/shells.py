@@ -18,8 +18,8 @@ the factorization of r.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from math import isqrt
 
 from .arith import factorize, splitting_type, sqrt_mod
@@ -44,13 +44,10 @@ _WHEEL_PRIMES = tuple(
 )
 
 
-@dataclass(frozen=True)
-class Shell:
+class Shell(namedtuple("Shell", "D r points")):
     """All (x, y) with norm_form(D, x, y) == r, sorted lexicographically."""
 
-    D: int
-    r: int
-    points: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
     def __len__(self) -> int:
         return len(self.points)

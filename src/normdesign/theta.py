@@ -10,7 +10,7 @@ against the generic polynomial evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import isqrt
 
@@ -20,20 +20,11 @@ from .ring import SplitType, mul, parts, powers, ring_data
 from .shells import Shell, enumerate_shell
 
 
-@dataclass(frozen=True)
-class HeckeCheck:
-    identity: str
-    inputs: tuple[int, ...]
-    left: int
-    right: int
-    passed: bool
+HeckeCheck = namedtuple("HeckeCheck", "identity inputs left right passed")
 
 
-@dataclass(frozen=True)
-class HeckeReport:
-    D: int
-    j: int
-    checks: tuple[HeckeCheck, ...]
+class HeckeReport(namedtuple("HeckeReport", "D j checks")):
+    __slots__ = ()
 
     @property
     def all_passed(self) -> bool:

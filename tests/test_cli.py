@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from normdesign import arith, cli, shells
+import normdesign
+from normdesign import arith, cli, shells, theta
 from normdesign.cli import run
 from normdesign.harmonic import BivarPoly
 from normdesign.ring import norm_form
@@ -188,6 +193,99 @@ def test_theta_rmax_at_the_bound_is_accepted(capsys, monkeypatch):
     assert "theta_series reached at r_max=1000000" in capsys.readouterr().err
 
 
+def _no_scan(monkeypatch):
+    def scan(D, r):
+        raise ValueError(f"scan reached at r={r}")
+
+    monkeypatch.setattr(shells, "enumerate_shell", scan)
+    monkeypatch.setattr(theta, "enumerate_shell", scan)
+
+
+@pytest.mark.parametrize(
+    "D,p,alpha,rows",
+    [
+        (1, "1000003", "3", "1000004501"),
+        (7, "2", "54", "101459066"),
+        (1, "1009", "7", "more than 2^28"),
+        (163, "1000000000000000009", "3", "more than 2^85"),
+        (1, "1009", "1" + "0" * 5000, "more than 2^44999"),
+    ],
+)
+def test_hecke_scan_budget_is_checked_before_any_scan(
+    capsys, monkeypatch, D, p, alpha, rows
+):
+    _no_scan(monkeypatch)
+    assert run(["hecke", str(D), "--j", "2", "--p", p, "--alpha", alpha]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"hecke would scan {rows}" in captured.err
+    assert "the limit is 10^8 rows" in captured.err
+
+
+@pytest.mark.parametrize(
+    "D,p,alpha",
+    [(7, "2", "53"), (1, "1009", "5"), (3, "1999", "3"), (1, "1000003", "1")],
+)
+def test_hecke_within_the_scan_budget_is_accepted(capsys, monkeypatch, D, p, alpha):
+    _no_scan(monkeypatch)
+    assert cli.MAX_HECKE_ROWS == 10**8
+    j = str(cli.unit_count(D))
+    assert run(["hecke", str(D), "--j", j, "--p", p, "--alpha", alpha]) == 2
+    err = capsys.readouterr().err
+    # alpha < 2 is hecke_verify's own usage error; the rest reach a scan
+    assert ("alpha_max must be >= 2" if alpha == "1" else "scan reached") in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--rmax", "10001"], "--rmax must be at most 10^4, got 10001"),
+        (["--rmax", "1" + "0" * 5000], "--rmax must be at most 10^4"),
+        (["--jmax", "0"], "--jmax must be in [1, 40], got 0"),
+        (["--jmax", "41"], "--jmax must be in [1, 40], got 41"),
+        (["--rmax", "10", "--jmax", "-5"], "--jmax must be in [1, 40], got -5"),
+    ],
+)
+def test_sweep_budget_is_checked_before_any_task(capsys, monkeypatch, argv, message):
+    def no_task(*args):
+        raise AssertionError("a sweep task was built")
+
+    monkeypatch.setattr(cli, "is_representable", no_task)
+    monkeypatch.setattr(cli, "strength_profile", no_task)
+    assert run(["sweep", "--parallel", "2"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv", [["--rmax", "10000"], ["--jmax", "1"], ["--jmax", "40"]]
+)
+def test_sweep_within_the_budget_is_accepted(capsys, monkeypatch, argv):
+    def reached(D, r):
+        raise ValueError("task list reached")
+
+    monkeypatch.setattr(cli, "is_representable", reached)
+    assert cli.MAX_SWEEP_RMAX == 10**4
+    assert run(["sweep"] + argv) == 2
+    assert "task list reached" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_out_dataclasses_and_multiprocessing():
+    # a structural check on start-up cost, not a timing bound: modules a
+    # bare interpreter already loads in the same environment are exempt
+    heavy = ("dataclasses", "inspect", "multiprocessing")
+    env = {**os.environ, "PYTHONPATH": str(Path(normdesign.__file__).parents[1])}
+
+    def loaded(statement: str) -> set[str]:
+        code = f"{statement}\nimport sys\nprint(*sys.modules.keys() & {heavy})"
+        argv = [sys.executable, "-c", code]
+        out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+        return set(out.stdout.split())
+
+    assert loaded("import normdesign.cli") <= loaded("pass")
+
+
 def test_quadrature_node_bound_is_checked_before_any_node(capsys, monkeypatch):
     def no_evaluation(*args):
         raise AssertionError("a node was evaluated")
@@ -273,7 +371,7 @@ def test_sweep_parallel_is_clamped_to_cpu_count(
     tmp_path, monkeypatch, cpus, requested, expected
 ):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(cli, "Pool", RecordingPool)
+    monkeypatch.setattr("multiprocessing.Pool", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     serial = tmp_path / "serial.json"
     clamped = tmp_path / "clamped.json"
