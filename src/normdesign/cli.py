@@ -32,9 +32,17 @@ EXAMPLE_Q = "2*x^6+6*x^5*y-15*x^4*y^2-40*x^3*y^3-15*x^2*y^4+6*x*y^5+2*y^6"
 EXAMPLE_Q_SUM = -4818834696
 
 #: Largest ``theta --rmax``: theta_series holds one coefficient per norm
-#: and walks every lattice point up to it; D = 1 at --j 4 takes 27 s and
-#: peaks at 114 MB at the cap (Python 3.11).
+#: and walks one point of each +-z pair up to it; D = 1 at --j 4 takes
+#: 13-14 s at the cap and peaks at 111 MB RSS with --format json, 200 MB
+#: with the table (Python 3.11).
 MAX_THETA_RMAX = 10**6
+
+#: Largest basis degree ``theta --j`` and ``hecke --j`` accept: the degree-j
+#: basis polynomial has up to j + 1 terms whose coefficients grow
+#: exponentially in j, and hecke keeps j power sums per shell point. At the cap ``theta 1 --j 1000 --rmax
+#: 20`` takes 0.4 s and ``hecke 1 --j 1000 --p 5 --alpha 2`` 0.5 s; at
+#: --j 4000 both take about 2.5 s (Python 3.11).
+MAX_DEGREE = 1000
 
 #: Largest reference scan ``hecke`` may start, in rows: the norm p^alpha
 #: shell takes isqrt(4*p^alpha // |disc|) + 1. The wheel scans 10^8 rows in
@@ -71,6 +79,13 @@ def _parse_poly_arg(text: str) -> BivarPoly:
 
 class UsageError(Exception):
     pass
+
+
+def _check_degree(j: int) -> None:
+    """UsageError when --j passes MAX_DEGREE; a huge value is named by size."""
+    if j > MAX_DEGREE:
+        shown = j if j.bit_length() <= 64 else f"more than 2^{j.bit_length() - 1}"
+        raise UsageError(f"--j must be at most {MAX_DEGREE}, got {shown}")
 
 
 # -- subcommands -----------------------------------------------------------
@@ -160,6 +175,7 @@ def _cmd_theta(args) -> int:
     if args.rmax > MAX_THETA_RMAX:
         raise UsageError(f"--rmax must be at most 10^6, got {args.rmax}")
     if args.j is not None:
+        _check_degree(args.j)
         from .harmonic import BasisKind, basis_poly
 
         poly = basis_poly(args.D, args.j, BasisKind.REAL_PART).poly
@@ -228,6 +244,7 @@ def _check_hecke_budget(D: int, p: int, alpha: int) -> None:
 
 
 def _cmd_hecke(args) -> int:
+    _check_degree(args.j)
     _check_hecke_budget(args.D, args.p, args.alpha)
     report = hecke_verify(
         args.D, args.j, args.p, args.alpha, _default_coprime_pairs()

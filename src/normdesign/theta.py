@@ -1,10 +1,15 @@
 """Theta coefficients over the norm lattices and Hecke identity checks.
 
 The coefficient of q^r in the theta series of a polynomial P over O_D is
-the exact sum of P over the norm r shell. Basis-polynomial sums are also
-available through a faster route: summing (x + w*y)^j in the integral
-basis and reading off real and imaginary parts, which the tests pin
-against the generic polynomial evaluation.
+the exact sum of P over the norm r shell. The norm is even in z and every
+shell is closed under z -> -z, while P(z) + P(-z) is twice the even-degree
+part of P; so theta_series walks one point of each +-z pair and evaluates
+that doubled even part there, and adds P(0, 0) at r = 0. shell_sum
+evaluates P at every shell point and stays the reference the tests check
+theta_series against. Basis-polynomial sums are also available through a
+faster route: summing (x + w*y)^j in the integral basis and reading off
+real and imaginary parts, which the tests pin against the generic
+polynomial evaluation.
 """
 
 from __future__ import annotations
@@ -32,7 +37,11 @@ class HeckeReport(namedtuple("HeckeReport", "D j checks")):
 
 
 def shell_sum(D: int, P: BivarPoly, r: int) -> Fraction:
-    """Exact sum of P over the norm r shell; 0 on an empty shell."""
+    """Exact sum of P over the norm r shell; 0 on an empty shell.
+
+    The all-points reference: P is evaluated at every shell point, with no
+    use of the +-z symmetry theta_series relies on.
+    """
     shell = enumerate_shell(D, r)
     total = Fraction(0)
     for x, y in shell.points:
@@ -63,34 +72,45 @@ def basis_shell_sums_upto(shell: Shell, j_max: int) -> list[tuple[Fraction, Frac
     return [parts(shell.D, s) for s in power_sums(shell, j_max)]
 
 
-def _lattice_norms_upto(D: int, bound: int):
-    """Yield (x, y, norm) over every lattice point with norm <= bound.
+def _half_lattice_norms_upto(D: int, bound: int):
+    """Yield (x, y, norm) over one point of each +-z pair with 0 < norm <= bound.
 
-    Same completed square as enumerate_shell: for each y the x range is
-    |2x + t*y| <= isqrt(4*bound - |disc|*y^2).
+    The row y = 0 gives x = 1..isqrt(bound); the rows y >= 1 are whole, with
+    the completed square of enumerate_shell: |2x + t*y| <= isqrt(4*bound -
+    |disc|*y^2). These points and their negatives make up the ball without 0.
     """
     R = ring_data(D)
     t, n, a = R.t, R.n, -R.disc
+    for x in range(1, isqrt(bound) + 1):
+        yield x, 0, x * x
     b4 = 4 * bound
-    ymax = isqrt(b4 // a)
-    for y in range(-ymax, ymax + 1):
+    for y in range(1, isqrt(b4 // a) + 1):
         s = isqrt(b4 - a * y * y)
         ty = t * y
+        ny2 = n * y * y
         for x in range(-((s + ty) // 2), (s - ty) // 2 + 1):
-            yield x, y, x * x + ty * x + n * y * y
+            yield x, y, x * x + ty * x + ny2
 
 
 def theta_series(D: int, P: BivarPoly, r_max: int) -> tuple[Fraction, ...]:
     """Theta coefficients of P for r = 0..r_max, in one lattice sweep.
 
-    Entry r is the sum of P over the norm r shell.
+    Entry r is the sum of P over the norm r shell. The norm is even in z,
+    so the walk visits one point of each +-z pair and adds E(z) = P(z) +
+    P(-z), twice the terms of P with even total degree; entry 0 is P(0, 0).
+    When P has only odd-degree terms every entry is 0 and nothing is walked.
     """
     ring_data(D)
     if r_max < 1:
         raise ValueError(f"r_max must be >= 1, got {r_max}")
     coeffs = [Fraction(0)] * (r_max + 1)
-    for x, y, n in _lattice_norms_upto(D, r_max):
-        coeffs[n] += P.evaluate(x, y)
+    coeffs[0] = P.evaluate(0, 0)
+    even = BivarPoly(
+        ((i, k), 2 * c) for (i, k), c in P.terms.items() if (i + k) % 2 == 0
+    )
+    if not even.is_zero:
+        for x, y, n in _half_lattice_norms_upto(D, r_max):
+            coeffs[n] += even.evaluate(x, y)
     return tuple(coeffs)
 
 

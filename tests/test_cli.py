@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import normdesign
-from normdesign import arith, cli, shells, theta
+from normdesign import arith, cli, harmonic, shells, theta
 from normdesign.cli import run
 from normdesign.harmonic import BivarPoly
 from normdesign.ring import norm_form
@@ -234,6 +234,66 @@ def test_hecke_within_the_scan_budget_is_accepted(capsys, monkeypatch, D, p, alp
     err = capsys.readouterr().err
     # alpha < 2 is hecke_verify's own usage error; the rest reach a scan
     assert ("alpha_max must be >= 2" if alpha == "1" else "scan reached") in err
+
+
+def _no_degree_work(monkeypatch):
+    def work(*args):
+        raise AssertionError("degree work was started")
+
+    monkeypatch.setattr(harmonic, "basis_poly", work)
+    monkeypatch.setattr(cli, "theta_series", work)
+    monkeypatch.setattr(cli, "hecke_verify", work)
+    _no_scan(monkeypatch)
+
+
+ARGV_LENGTH_J = "9" * 100_000
+
+
+@pytest.mark.parametrize(
+    "j,shown",
+    [
+        ("1001", "got 1001"),
+        ("100000", "got 100000"),
+        ("1" + "0" * 30, "got more than 2^99"),
+        pytest.param(ARGV_LENGTH_J, "got more than 2^332192", id="argv-length"),
+    ],
+)
+@pytest.mark.parametrize(
+    "command",
+    [["theta", "1", "--rmax", "1"], ["hecke", "1", "--p", "5", "--alpha", "2"]],
+)
+def test_degree_budget_is_checked_before_any_work(
+    capsys, monkeypatch, command, j, shown
+):
+    _no_degree_work(monkeypatch)
+    assert run(command + ["--j", j]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: --j must be at most 1000, {shown}\n" == captured.err
+
+
+@pytest.mark.parametrize(
+    "command,reached",
+    [
+        (["theta", "1", "--rmax", "20"], "basis_poly"),
+        (["hecke", "1", "--p", "5", "--alpha", "2"], "hecke_verify"),
+    ],
+)
+def test_degree_at_the_budget_is_accepted(capsys, monkeypatch, command, reached):
+    def stop(*args):
+        raise ValueError(f"{reached} reached")
+
+    monkeypatch.setattr(harmonic, "basis_poly", stop)
+    monkeypatch.setattr(cli, "hecke_verify", stop)
+    assert cli.MAX_DEGREE == 1000
+    assert run(command + ["--j", "1000"]) == 2
+    assert f"{reached} reached" in capsys.readouterr().err
+
+
+def test_poly_degree_is_not_budgeted(capsys):
+    # the degree budget covers --j only; a --poly of any degree is summed
+    assert run(["theta", "1", "--poly", "x^2000", "--rmax", "1"]) == 0
+    assert capsys.readouterr().out.endswith("  r=1: 2/1\n")
 
 
 @pytest.mark.parametrize(

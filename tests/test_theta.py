@@ -1,13 +1,16 @@
 import json
 from fractions import Fraction
+from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normdesign import theta
 from normdesign.cli import run
 from normdesign.arith import is_prime, splitting_type
-from normdesign.harmonic import BasisKind, basis_poly, parse_poly
-from normdesign.ring import ADMISSIBLE_D, SplitType, unit_count
+from normdesign.harmonic import BasisKind, BivarPoly, basis_poly, parse_poly
+from normdesign.ring import ADMISSIBLE_D, SplitType, norm_form, unit_count
 from normdesign.shells import enumerate_shell
 from normdesign.theta import (
     a_norm,
@@ -67,6 +70,73 @@ def test_theta_series_matches_per_shell_sums(D):
     series = theta_series(D, p, 40)
     for r in range(41):
         assert series[r] == shell_sum(D, p, r), (D, r)
+
+
+def _monomials(parity):
+    return st.tuples(st.integers(0, 7), st.integers(0, 7)).filter(
+        lambda m: sum(m) % 2 == parity and sum(m) > 0
+    )
+
+
+_COEFFS = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@st.composite
+def mixed_polys(draw):
+    """A constant plus odd- and even-degree terms, all with Fraction coefficients."""
+    terms = {(0, 0): draw(_COEFFS)}
+    terms.update(draw(st.dictionaries(_monomials(1), _COEFFS, max_size=4)))
+    terms.update(draw(st.dictionaries(_monomials(0), _COEFFS, max_size=4)))
+    return BivarPoly(terms)
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(st.sampled_from(ADMISSIBLE_D), mixed_polys(), st.integers(1, 60))
+def test_theta_series_matches_all_point_shell_sums(D, P, r_max):
+    """The +-z paired walk against shell_sum, which evaluates every point."""
+    series = theta_series(D, P, r_max)
+    assert len(series) == r_max + 1
+    for r in range(r_max + 1):
+        assert series[r] == shell_sum(D, P, r), (D, P, r)
+
+
+ODD_ONLY = "x^3-2*x*y^2+5/3*y+x^2*y^5"
+
+
+@pytest.mark.parametrize("D", ADMISSIBLE_D)
+def test_theta_series_of_odd_only_poly_is_zero_without_a_walk(D, monkeypatch):
+    def no_walk(D, bound):
+        raise AssertionError("the lattice was walked")
+
+    monkeypatch.setattr(theta, "_half_lattice_norms_upto", no_walk)
+    assert theta_series(D, parse_poly(ODD_ONLY), 40) == (0,) * 41
+
+
+@pytest.mark.parametrize("D", ADMISSIBLE_D)
+def test_theta_series_of_constant_plus_odd_terms_counts_points(D):
+    c = Fraction(-7, 3)
+    series = theta_series(D, parse_poly(ODD_ONLY + "-7/3"), 60)
+    for r in range(61):
+        assert series[r] == c * len(enumerate_shell(D, r).points), (D, r)
+
+
+@pytest.mark.parametrize("D", ADMISSIBLE_D)
+@pytest.mark.parametrize("bound", [1, 2, 3, 50, 257])
+def test_half_walk_takes_one_point_of_each_pair(D, bound):
+    walked = list(theta._half_lattice_norms_upto(D, bound))
+    for x, y, n in walked:
+        assert n == norm_form(D, x, y), (x, y, n)
+    half = {(x, y) for x, y, _ in walked}
+    assert len(half) == len(walked)
+    assert not half & {(-x, -y) for x, y in half}
+    box = 2 + isqrt(4 * bound)
+    ball = {
+        (x, y)
+        for x in range(-box, box + 1)
+        for y in range(-box, box + 1)
+        if 0 < norm_form(D, x, y) <= bound
+    }
+    assert half | {(-x, -y) for x, y in half} == ball
 
 
 def test_theta_series_rejects_bad_rmax():
