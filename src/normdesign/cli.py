@@ -37,17 +37,29 @@ EXAMPLE_Q_SUM = -4818834696
 #: with the table (Python 3.11).
 MAX_THETA_RMAX = 10**6
 
-#: Largest basis degree ``theta --j`` and ``hecke --j`` accept: the degree-j
-#: basis polynomial has up to j + 1 terms whose coefficients grow
-#: exponentially in j, and hecke keeps j power sums per shell point. At the cap ``theta 1 --j 1000 --rmax
-#: 20`` takes 0.4 s and ``hecke 1 --j 1000 --p 5 --alpha 2`` 0.5 s; at
-#: --j 4000 both take about 2.5 s (Python 3.11).
+#: Largest basis degree ``theta --j`` and ``hecke --j`` accept. The degree-j
+#: basis polynomial that theta expands has up to j + 1 terms whose
+#: coefficients grow exponentially in j: in the library, theta_series at
+#: --rmax 20 takes 0.09 s at the cap and 2.6 s at j = 4000. hecke takes one
+#: power of each shell point, so hecke_verify at --p 5 --alpha 2 takes under
+#: 0.01 s at the cap and 0.3 s at j = 40000 (Python 3.11).
 MAX_DEGREE = 1000
 
-#: Largest reference scan ``hecke`` may start, in rows: the norm p^alpha
-#: shell takes isqrt(4*p^alpha // |disc|) + 1. The wheel scans 10^8 rows in
-#: 0.6-1.7 s for D = 1, 2, 3 and in up to 4.4 s for D = 67 and 163 (54
-#: random p^3 shells, p up to 4*10^5, Python 3.11).
+#: Largest ``theta`` work, (degree + 32)^2 * rmax, for --j and --poly alike.
+#: A walk point costs about a + b*degree + c*degree^2: the walk step, one
+#: product per term, and the powers of x and y, whose sizes grow with the
+#: degree. For the basis polynomials on D = 1, the densest ball, (degree +
+#: 32)^2 tracks the time per unit of rmax within about 40% from --j 4 to
+#: --j 1000. At the cap, --j 18 at --rmax 10^6 takes 25 s and 108 MB, and
+#: --j 1000 at --rmax 2347 takes 22 s. A single-term --poly is far cheaper:
+#: x^20000 at --rmax 5 takes 0.2 s and 41 MB, but x^(10^6) would hold 10^6
+#: powers of up to 10^6 bits each (Python 3.11).
+MAX_THETA_WORK = 25 * 10**8
+
+#: Largest total of reference scan rows ``hecke`` may start: the norm p^k
+#: shell takes isqrt(4*p^k // |disc|) + 1 rows, and hecke scans k = 1..alpha.
+#: The wheel scans 10^8 rows in 0.6-1.7 s for D = 1, 2, 3 and in up to 4.4 s
+#: for D = 67 and 163 (54 random p^3 shells, p up to 4*10^5, Python 3.11).
 MAX_HECKE_ROWS = 10**8
 
 #: Largest ``sweep --rmax``: cost and memory grow about linearly in rmax
@@ -81,11 +93,26 @@ class UsageError(Exception):
     pass
 
 
+def _shown(value: int) -> str:
+    """value itself, or its size when it runs past 64 bits."""
+    if value.bit_length() <= 64:
+        return str(value)
+    return f"more than 2^{value.bit_length() - 1}"
+
+
 def _check_degree(j: int) -> None:
     """UsageError when --j passes MAX_DEGREE; a huge value is named by size."""
     if j > MAX_DEGREE:
-        shown = j if j.bit_length() <= 64 else f"more than 2^{j.bit_length() - 1}"
-        raise UsageError(f"--j must be at most {MAX_DEGREE}, got {shown}")
+        raise UsageError(f"--j must be at most {MAX_DEGREE}, got {_shown(j)}")
+
+
+def _check_theta_budget(degree: int, rmax: int) -> None:
+    """UsageError when (degree + 32)^2 * rmax passes MAX_THETA_WORK."""
+    if (degree + 32) ** 2 * rmax > MAX_THETA_WORK:
+        raise UsageError(
+            f"theta at degree {_shown(degree)} and --rmax {rmax} is past the "
+            "work budget: (degree + 32)^2 * rmax must be at most 2.5*10^9"
+        )
 
 
 # -- subcommands -----------------------------------------------------------
@@ -176,11 +203,13 @@ def _cmd_theta(args) -> int:
         raise UsageError(f"--rmax must be at most 10^6, got {args.rmax}")
     if args.j is not None:
         _check_degree(args.j)
+        _check_theta_budget(args.j, args.rmax)
         from .harmonic import BasisKind, basis_poly
 
         poly = basis_poly(args.D, args.j, BasisKind.REAL_PART).poly
     else:
         poly = _parse_poly_arg(args.poly)
+        _check_theta_budget(max(poly.degree, 0), args.rmax)
     coeffs = [format_rational(c) for c in theta_series(args.D, poly, args.rmax)]
     if args.format == "json":
         payload = {"D": args.D, "rmax": args.rmax, "coeffs": coeffs}
@@ -219,7 +248,7 @@ def _default_coprime_pairs():
 
 
 def _check_hecke_budget(D: int, p: int, alpha: int) -> None:
-    """UsageError when the largest scan, the norm p^alpha shell, passes MAX_HECKE_ROWS.
+    """UsageError when the scans of the norm p^1..p^alpha shells pass MAX_HECKE_ROWS.
 
     p^alpha is bounded by bit lengths before it is formed: argv integers
     run to 128 KiB. Inputs hecke_verify rejects before any scan (alpha < 2,
@@ -228,17 +257,18 @@ def _check_hecke_budget(D: int, p: int, alpha: int) -> None:
     if alpha < 2 or not 2 <= p < MR_BOUND:
         return
     a = -ring_data(D).disc
-    # p^alpha >= 2^bits and a < 2^8, so the scan has more than 2^((bits-6)//2) rows
+    # p^alpha >= 2^bits and a < 2^8, so its scan alone has more than
+    # 2^((bits-6)//2) rows
     bits = alpha * (p.bit_length() - 1)
     if bits > 2 * MAX_HECKE_ROWS.bit_length() + 6:
         rows = f"more than 2^{(bits - 6) // 2}"
     else:
-        count = math.isqrt(4 * p**alpha // a) + 1
+        count = sum(math.isqrt(4 * p**k // a) + 1 for k in range(1, alpha + 1))
         if count <= MAX_HECKE_ROWS:
             return
         rows = str(count)
     raise UsageError(
-        f"hecke would scan {rows} rows for the norm p^alpha shell at "
+        f"hecke would scan {rows} rows for the norm p^1..p^alpha shells at "
         f"--p {p}; the limit is 10^8 rows"
     )
 

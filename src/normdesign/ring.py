@@ -6,8 +6,8 @@ admissible D that are 3 mod 4. The norm form is x^2 + t*x*y + n*y^2, the
 discriminant t^2 - 4n. ``ring_data`` holds these constants, one frozen
 record per D, and every other module reads them from it. An element
 a + b*w is the integer pair (a, b) in the integral basis {1, w}. ``mul`` is
-the one product (``powers`` repeats it), and ``parts`` is the one place that
-applies rho and sigma to read an element's real and imaginary parts. Every
+the one product (``powers`` and ``power`` repeat it), and ``parts`` is the
+one place that reads an element's real and imaginary parts. Every
 operation is exact over Python integers, and exact on Fraction pairs
 (elements of Q(w)) too.
 """
@@ -23,13 +23,16 @@ from fractions import Fraction
 ADMISSIBLE_D = (1, 2, 3, 7, 11, 19, 43, 67, 163)
 
 
-RingData = namedtuple("RingData", "t n disc unit_count units rho sigma re_w im_w")
+RingData = namedtuple(
+    "RingData", "t n disc unit_count units rho sigma sigma2 re_w im_w"
+)
 RingData.__doc__ = """The constants of O_D = Z[w], w^2 = t*w - n.
 
 ``units`` are the unit pairs (a, b) in sorted order: {+-1, +-i} for
 D = 1, the six sixth roots of unity for D = 3, {+-1} otherwise. w has real
-part rho and imaginary part sigma*sqrt(D), with rho, sigma rational;
-``re_w`` and ``im_w`` are the same two parts as floats.
+part rho = t/2 and imaginary part sigma*sqrt(D), with sigma rational and
+``sigma2`` = 2*sigma = sqrt(|disc|/D) an int; ``re_w`` and ``im_w`` are the
+same two parts as floats.
 """
 
 
@@ -47,7 +50,8 @@ def _ring_data(D: int) -> RingData:
         if x * x + t * x * y + n * y * y == 1
     )
     # Im w = sqrt(|disc|)/2 = sigma*sqrt(D), and |disc|/D is 4 or 1
-    sigma = Fraction(math.isqrt(-disc // D), 2)
+    sigma2 = math.isqrt(-disc // D)
+    sigma = Fraction(sigma2, 2)
     return RingData(
         t=t,
         n=n,
@@ -56,6 +60,7 @@ def _ring_data(D: int) -> RingData:
         units=units,
         rho=Fraction(t, 2),
         sigma=sigma,
+        sigma2=sigma2,
         re_w=t / 2,
         im_w=float(sigma) * math.sqrt(D),
     )
@@ -121,6 +126,25 @@ def powers(D: int, u: tuple[int, int], e: int) -> list[tuple[int, int]]:
     return out
 
 
+def power(D: int, u: tuple[int, int], e: int) -> tuple[int, int]:
+    """u^e by left-to-right square-and-multiply, one ``mul`` per step.
+
+    A squaring for each bit of e after the leading one, and a product by u
+    for each set bit among them: at most 2*log2(e) products, where
+    ``powers(D, u, e)[e]`` takes e.
+    """
+    if e < 0:
+        raise ValueError(f"exponent must be >= 0, got {e}")
+    if e == 0:
+        return (1, 0)
+    out = u
+    for bit in bin(e)[3:]:
+        out = mul(D, out, out)
+        if bit == "1":
+            out = mul(D, out, u)
+    return out
+
+
 def conj(D: int, u: tuple[int, int]) -> tuple[int, int]:
     """Complex conjugate of u = a + b*w: (a + t*b, -b), since w + conj(w) = t."""
     a, b = u
@@ -131,9 +155,12 @@ _ZERO_PARTS = (Fraction(0), Fraction(0))  # most degrees of a design vanish
 
 
 def parts(D: int, u: tuple[int, int]) -> tuple[Fraction, Fraction]:
-    """(Re u, Im u / sqrt(D)) of u = a + b*w: (a + b*rho, b*sigma), both rational."""
+    """(Re u, Im u / sqrt(D)) of u = a + b*w: (a + b*rho, b*sigma), both rational.
+
+    Each part is one Fraction over 2: (2a + t*b)/2 and sigma2*b/2.
+    """
     a, b = u
     if not a and not b:
         return _ZERO_PARTS
     R = ring_data(D)
-    return a + b * R.rho, b * R.sigma
+    return Fraction(2 * a + R.t * b, 2), Fraction(R.sigma2 * b, 2)

@@ -21,7 +21,7 @@ from math import isqrt
 
 from .arith import is_prime, kronecker, splitting_type
 from .harmonic import BivarPoly
-from .ring import SplitType, mul, parts, powers, ring_data
+from .ring import SplitType, mul, parts, power, powers, ring_data
 from .shells import Shell, enumerate_shell
 
 
@@ -118,13 +118,19 @@ def a_norm(D: int, j: int, r: int) -> Fraction:
     """Normalized theta coefficient: the R_{D,j} shell sum divided by u_D.
 
     Integer-valued whenever j is a multiple of u_D, where the underlying
-    series is a Hecke eigenform with a(1) = 1.
+    series is a Hecke eigenform with a(1) = 1. The sum of z^j over the
+    shell stays an integer pair (sa, sb), one ``power`` per point; its real
+    part sa + sb*t/2 divided by u_D is the one Fraction built.
     """
     R = ring_data(D)
     if j < 1:
         raise ValueError(f"basis degree must be >= 1, got {j}")
-    r_sum = parts(D, power_sums(enumerate_shell(D, r), j)[j - 1])[0]
-    return r_sum / R.unit_count
+    sa = sb = 0
+    for z in enumerate_shell(D, r).points:
+        a, b = power(D, z, j)
+        sa += a
+        sb += b
+    return Fraction(2 * sa + R.t * sb, 2 * R.unit_count)
 
 
 def a_prime_closed_form(D: int, j: int, p: int) -> Fraction:
@@ -160,6 +166,7 @@ def hecke_verify(
     either side is built from independently computed shell sums, and every
     side of every check is an integer: a(r) is integral for j a multiple of
     u_D, and ArithmeticError is raised if a_norm ever returns a non-integer.
+    Each distinct r is scanned and summed once per call.
     """
     R = ring_data(D)
     u = R.unit_count
@@ -170,12 +177,15 @@ def hecke_verify(
     if alpha_max < 2:
         raise ValueError(f"alpha_max must be >= 2, got {alpha_max}")
     checks: list[HeckeCheck] = []
+    known: dict[int, int] = {}
 
     def a(r: int) -> int:
-        value = a_norm(D, j, r)
-        if value.denominator != 1:
-            raise ArithmeticError(f"a({D},{j},{r}) = {value} is not an integer")
-        return value.numerator
+        if r not in known:
+            value = a_norm(D, j, r)
+            if value.denominator != 1:
+                raise ArithmeticError(f"a({D},{j},{r}) = {value} is not an integer")
+            known[r] = value.numerator
+        return known[r]
 
     for r1, r2 in coprime_pairs:
         if math.gcd(r1, r2) != 1:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -204,8 +205,10 @@ def _no_scan(monkeypatch):
 @pytest.mark.parametrize(
     "D,p,alpha,rows",
     [
-        (1, "1000003", "3", "1000004501"),
-        (7, "2", "54", "101459066"),
+        (1, "1000003", "3", "1001005506"),
+        # the p^51 scan alone has 35 871 197 rows; the p^1..p^50 scans
+        # below it bring the total past the budget
+        (7, "2", "51", "122471952"),
         (1, "1009", "7", "more than 2^28"),
         (163, "1000000000000000009", "3", "more than 2^85"),
         (1, "1009", "1" + "0" * 5000, "more than 2^44999"),
@@ -222,9 +225,20 @@ def test_hecke_scan_budget_is_checked_before_any_scan(
     assert "the limit is 10^8 rows" in captured.err
 
 
+def test_hecke_scan_budget_counts_every_alpha_scan():
+    # every norm p^k shell for k = 1..alpha is scanned, not only the top one
+    def rows(D, p, alpha):
+        a = -cli.ring_data(D).disc
+        return sum(isqrt(4 * p**k // a) + 1 for k in range(1, alpha + 1))
+
+    assert rows(7, 2, 50) <= cli.MAX_HECKE_ROWS < rows(7, 2, 51)
+    assert rows(7, 2, 51) == 122471952
+    assert rows(1, 1000003, 3) == 1001005506
+
+
 @pytest.mark.parametrize(
     "D,p,alpha",
-    [(7, "2", "53"), (1, "1009", "5"), (3, "1999", "3"), (1, "1000003", "1")],
+    [(7, "2", "50"), (1, "1009", "5"), (3, "1999", "3"), (1, "1000003", "1")],
 )
 def test_hecke_within_the_scan_budget_is_accepted(capsys, monkeypatch, D, p, alpha):
     _no_scan(monkeypatch)
@@ -291,9 +305,58 @@ def test_degree_at_the_budget_is_accepted(capsys, monkeypatch, command, reached)
 
 
 def test_poly_degree_is_not_budgeted(capsys):
-    # the degree budget covers --j only; a --poly of any degree is summed
+    # the --j degree cap does not cover --poly; x^2000 at --rmax 1 is far
+    # inside the theta work budget
     assert run(["theta", "1", "--poly", "x^2000", "--rmax", "1"]) == 0
     assert capsys.readouterr().out.endswith("  r=1: 2/1\n")
+
+
+@pytest.mark.parametrize(
+    "argv,shown",
+    [
+        (["--j", "1000", "--rmax", "1000000"], "degree 1000 and --rmax 1000000"),
+        (["--j", "1000", "--rmax", "2348"], "degree 1000 and --rmax 2348"),
+        (["--j", "19", "--rmax", "1000000"], "degree 19 and --rmax 1000000"),
+        (["--poly", "x^19", "--rmax", "1000000"], "degree 19 and --rmax 1000000"),
+        (["--poly", "x^1000000", "--rmax", "4"], "degree 1000000 and --rmax 4"),
+        (["--poly", "x^2*y^22327", "--rmax", "5"], "degree 22329 and --rmax 5"),
+        (
+            ["--poly", "x^1" + "0" * 30, "--rmax", "1"],
+            "degree more than 2^99 and --rmax 1",
+        ),
+    ],
+)
+def test_theta_work_budget_is_checked_before_any_work(capsys, monkeypatch, argv, shown):
+    _no_degree_work(monkeypatch)
+    assert run(["theta", "1"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: theta at {shown} is past the work budget: "
+        "(degree + 32)^2 * rmax must be at most 2.5*10^9\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv,reached",
+    [
+        (["--j", "1000", "--rmax", "2347"], "basis_poly"),
+        (["--j", "18", "--rmax", "1000000"], "basis_poly"),
+        (["--j", "4", "--rmax", "1000000"], "basis_poly"),
+        (["--poly", "x^18", "--rmax", "1000000"], "theta_series"),
+        (["--poly", "x^20000", "--rmax", "5"], "theta_series"),
+        (["--poly", "x^2*y^22326", "--rmax", "5"], "theta_series"),
+    ],
+)
+def test_theta_within_the_work_budget_is_accepted(capsys, monkeypatch, argv, reached):
+    def stop(*args):
+        raise ValueError(f"{reached} reached")
+
+    monkeypatch.setattr(harmonic, "basis_poly", stop)
+    monkeypatch.setattr(cli, "theta_series", stop)
+    assert cli.MAX_THETA_WORK == 25 * 10**8
+    assert run(["theta", "1"] + argv) == 2
+    assert f"{reached} reached" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normdesign import arith, design, harmonic, theta
 from normdesign.harmonic import BivarPoly
@@ -14,6 +16,7 @@ from normdesign.ring import (
     mul,
     norm_form,
     parts,
+    power,
     powers,
     ring_data,
     unit_count,
@@ -158,6 +161,43 @@ def test_powers_repeat_mul_and_parts_match_the_embedding(D):
         scale = max(1.0, abs(a) + abs(b))
         assert abs(float(re) - (a + b * R.re_w)) <= 1e-12 * scale
         assert abs(float(im_over_root) - b * R.im_w / math.sqrt(D)) <= 1e-12 * scale
+
+
+admissible = st.sampled_from(ADMISSIBLE_D)
+small_ints = st.integers(-10**6, 10**6)
+small_fractions = st.fractions(-100, 100, max_denominator=50)
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(
+    admissible,
+    st.one_of(
+        st.tuples(small_ints, small_ints), st.tuples(small_fractions, small_fractions)
+    ),
+    st.integers(0, 70),
+)
+def test_power_matches_repeated_mul(D, u, e):
+    assert power(D, u, e) == powers(D, u, e)[e]
+
+
+def test_power_rejects_a_negative_exponent():
+    with pytest.raises(ValueError):
+        power(1, (1, 1), -1)
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(
+    admissible,
+    st.one_of(
+        st.tuples(small_ints, small_ints), st.tuples(small_fractions, small_fractions)
+    ),
+)
+def test_parts_is_a_plus_b_rho_and_b_sigma(D, u):
+    R = ring_data(D)
+    a, b = u
+    got = parts(D, u)
+    assert got == (a + b * R.rho, b * R.sigma)
+    assert type(got[0]) is Fraction and type(got[1]) is Fraction
 
 
 def test_discriminant_examples():

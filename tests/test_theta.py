@@ -7,17 +7,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normdesign import theta
-from normdesign.cli import run
-from normdesign.arith import is_prime, splitting_type
+from normdesign.cli import _default_coprime_pairs, run
+from normdesign.arith import is_prime, kronecker, splitting_type
 from normdesign.harmonic import BasisKind, BivarPoly, basis_poly, parse_poly
-from normdesign.ring import ADMISSIBLE_D, SplitType, norm_form, unit_count
+from normdesign.ring import (
+    ADMISSIBLE_D,
+    SplitType,
+    discriminant,
+    norm_form,
+    parts,
+    unit_count,
+)
 from normdesign.shells import enumerate_shell
 from normdesign.theta import (
+    HeckeCheck,
+    HeckeReport,
     a_norm,
     a_prime_closed_form,
     basis_shell_sums_upto,
     format_rational,
     hecke_verify,
+    power_sums,
     shell_sum,
     theta_series,
 )
@@ -158,6 +168,27 @@ def test_a_norm_at_zero_and_validation():
         a_norm(1, 0, 5)
     with pytest.raises(ValueError):
         a_norm(1, 2, -1)
+
+
+a_norm_case = st.tuples(
+    st.sampled_from(ADMISSIBLE_D),
+    st.integers(1, 30),
+    st.one_of(
+        st.integers(0, 3000),
+        # norms of lattice points, so most shells are nonempty
+        st.tuples(st.integers(-60, 60), st.integers(-60, 60)),
+    ),
+)
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(a_norm_case)
+def test_a_norm_matches_the_power_sums_route(case):
+    D, j, r = case
+    if isinstance(r, tuple):
+        r = norm_form(D, *r)
+    old = parts(D, power_sums(enumerate_shell(D, r), j)[j - 1])[0] / unit_count(D)
+    assert a_norm(D, j, r) == old
 
 
 def test_cuspidality_of_basis_sums_at_zero():
@@ -318,6 +349,53 @@ def test_hecke_verify_rejects_a_non_integer_coefficient(monkeypatch):
     monkeypatch.setattr(theta, "a_norm", lambda D, j, r: Fraction(1, 2))
     with pytest.raises(ArithmeticError):
         hecke_verify(1, 4, 5, 3, [(2, 11)])
+
+
+def hecke_reference(D, j, p, alpha_max, pairs):
+    """hecke_verify's report with a fresh a_norm call for every quantity."""
+
+    def a(r):
+        value = a_norm(D, j, r)
+        assert value.denominator == 1
+        return value.numerator
+
+    checks = []
+    for r1, r2 in pairs:
+        left, right = a(r1 * r2), a(r1) * a(r2)
+        checks.append(
+            HeckeCheck("multiplicativity", (r1, r2), left, right, left == right)
+        )
+    chi = kronecker(discriminant(D), p)
+    for alpha in range(2, alpha_max + 1):
+        left = a(p**alpha)
+        right = a(p) * a(p ** (alpha - 1)) - chi * p**j * a(p ** (alpha - 2))
+        checks.append(
+            HeckeCheck("prime-power-recursion", (p, alpha), left, right, left == right)
+        )
+    for alpha in range(1, alpha_max + 1):
+        left, right = a(p**alpha) % p, pow(a(p), alpha, p)
+        checks.append(
+            HeckeCheck("prime-power-congruence", (p, alpha), left, right, left == right)
+        )
+    return HeckeReport(D=D, j=j, checks=tuple(checks))
+
+
+@pytest.mark.parametrize("D,p", [(1, 5), (3, 7), (7, 2), (163, 41)])
+def test_hecke_verify_scans_each_r_once(monkeypatch, D, p):
+    pairs = _default_coprime_pairs()
+    j, alpha_max = 2 * unit_count(D), 4
+    calls = []
+
+    def counted(D, j, r):
+        calls.append(r)
+        return a_norm(D, j, r)
+
+    monkeypatch.setattr(theta, "a_norm", counted)
+    report = hecke_verify(D, j, p, alpha_max, pairs)
+    expected = {p**alpha for alpha in range(alpha_max + 1)}
+    expected |= {r for r1, r2 in pairs for r in (r1, r2, r1 * r2)}
+    assert sorted(calls) == sorted(expected)
+    assert report == hecke_reference(D, j, p, alpha_max, pairs)
 
 
 def test_hecke_verify_validation():
