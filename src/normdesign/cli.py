@@ -33,27 +33,27 @@ EXAMPLE_Q_SUM = -4818834696
 
 #: Largest ``theta --rmax``: theta_series holds one coefficient per norm
 #: and walks one point of each +-z pair up to it; D = 1 at --j 4 takes
-#: 13-14 s at the cap and peaks at 111 MB RSS with --format json, 200 MB
+#: 2-3 s at the cap and peaks at 110 MB RSS with --format json, 200 MB
 #: with the table (Python 3.11).
 MAX_THETA_RMAX = 10**6
 
 #: Largest basis degree ``theta --j`` and ``hecke --j`` accept. The degree-j
 #: basis polynomial that theta expands has up to j + 1 terms whose
 #: coefficients grow exponentially in j: in the library, theta_series at
-#: --rmax 20 takes 0.09 s at the cap and 2.6 s at j = 4000. hecke takes one
-#: power of each shell point, so hecke_verify at --p 5 --alpha 2 takes under
-#: 0.01 s at the cap and 0.3 s at j = 40000 (Python 3.11).
+#: --rmax 20 takes 0.01-0.02 s at the cap and 0.1-0.2 s at j = 4000. hecke
+#: takes one power of each shell point, so hecke_verify at --p 5 --alpha 2
+#: takes under 0.01 s at the cap and under 0.1 s at j = 40000 (Python 3.11).
 MAX_DEGREE = 1000
 
 #: Largest ``theta`` work, (degree + 32)^2 * rmax, for --j and --poly alike.
-#: A walk point costs about a + b*degree + c*degree^2: the walk step, one
-#: product per term, and the powers of x and y, whose sizes grow with the
-#: degree. For the basis polynomials on D = 1, the densest ball, (degree +
-#: 32)^2 tracks the time per unit of rmax within about 40% from --j 4 to
-#: --j 1000. At the cap, --j 18 at --rmax 10^6 takes 25 s and 108 MB, and
-#: --j 1000 at --rmax 2347 takes 22 s. A single-term --poly is far cheaper:
-#: x^20000 at --rmax 5 takes 0.2 s and 41 MB, but x^(10^6) would hold 10^6
-#: powers of up to 10^6 bits each (Python 3.11).
+#: A walk point costs the walk step and one Horner step per power of x, on
+#: ints whose sizes grow with the degree. The terms fold into each lattice
+#: row's polynomial in x once per row, so the term count does not enter.
+#: On D = 1, the densest ball, the cap takes 4-5 s for --j 18 at --rmax
+#: 10^6 (98 MB), 3.6 s for --j 100 and 1.5 s for --j 1000 at --rmax 2347;
+#: a dense degree-40 --poly (all 861 terms) at --rmax 482253 takes 4-5 s.
+#: x^20000 at --rmax 5 takes 0.2 s, but x^(10^6) would take 10^6 Horner
+#: steps on ints of up to 10^6 bits at every point (Python 3.11).
 MAX_THETA_WORK = 25 * 10**8
 
 #: Largest total of reference scan rows ``hecke`` may start: the norm p^k

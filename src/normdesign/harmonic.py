@@ -144,7 +144,7 @@ class BivarPoly:
 
     # -- evaluation ----------------------------------------------------------
 
-    def _integer_form(self) -> tuple[int, int, int, tuple[tuple[int, int, int], ...]]:
+    def integer_form(self) -> tuple[int, int, int, tuple[tuple[int, int, int], ...]]:
         """(den, dx, dy, ((t, i, k), ...)) with t = c * den integral.
 
         den is the LCM of the coefficient denominators, dx and dy the top
@@ -178,7 +178,7 @@ class BivarPoly:
                 "point coordinates must be int or Fraction, got "
                 f"{type(x).__name__} and {type(y).__name__}"
             )
-        den, dx, dy, terms = self._integer_form()
+        den, dx, dy, terms = self.integer_form()
         xs = _powers(x, dx)
         ys = _powers(y, dy)
         return Fraction(sum(t * xs[i] * ys[k] for t, i, k in terms), den)
@@ -404,7 +404,7 @@ def decompose(
     # with wbar = t - w and delta = w - wbar = (-t, 2): delta*x = -wbar*z + w*zbar
     # and delta*y = z - zbar, so den*delta^j*P is a polynomial in z, zbar over
     # Z[w], with den clearing P's denominators; only layers k <= j/2 are read
-    den, _, _, terms = P._integer_form()
+    den, _, _, terms = P.integer_form()
     coeffs = [(0, 0)] * (half + 1)
     for c, i, m in terms:
         y_terms = _linear_power(D, (1, 0), (-1, 0), m)

@@ -3,10 +3,13 @@
 The coefficient of q^r in the theta series of a polynomial P over O_D is
 the exact sum of P over the norm r shell. The norm is even in z and every
 shell is closed under z -> -z, while P(z) + P(-z) is twice the even-degree
-part of P; so theta_series walks one point of each +-z pair and evaluates
-that doubled even part there, and adds P(0, 0) at r = 0. shell_sum
-evaluates P at every shell point and stays the reference the tests check
-theta_series against. Basis-polynomial sums are also available through a
+part of P; so theta_series walks one point of each +-z pair and sums that
+doubled even part there, and adds P(0, 0) at r = 0. It works on P's cleared
+integer terms: on each lattice row they fold into one polynomial in x,
+evaluated by Horner at the row's points, and the values add into one int
+per norm, so only a nonzero sum becomes a Fraction. shell_sum evaluates P
+at every shell point and stays the reference the tests check theta_series
+against. Basis-polynomial sums are also available through a
 faster route: summing (x + w*y)^j in the integral basis and reading off
 real and imaginary parts, which the tests pin against the generic
 polynomial evaluation.
@@ -99,18 +102,35 @@ def theta_series(D: int, P: BivarPoly, r_max: int) -> tuple[Fraction, ...]:
     so the walk visits one point of each +-z pair and adds E(z) = P(z) +
     P(-z), twice the terms of P with even total degree; entry 0 is P(0, 0).
     When P has only odd-degree terms every entry is 0 and nothing is walked.
+
+    The walk stays in ints: E's terms are P's cleared integer terms, and on
+    each lattice row y they fold into one polynomial in x with coefficients
+    sum_k t_ik * y^k, so a point costs one Horner step per power of x
+    whatever the term count. The values add into one int per norm, and
+    each nonzero sum becomes one Fraction over P's denominator.
     """
     ring_data(D)
     if r_max < 1:
         raise ValueError(f"r_max must be >= 1, got {r_max}")
-    coeffs = [Fraction(0)] * (r_max + 1)
-    coeffs[0] = P.evaluate(0, 0)
-    even = BivarPoly(
-        ((i, k), 2 * c) for (i, k), c in P.terms.items() if (i + k) % 2 == 0
-    )
-    if not even.is_zero:
+    den, _, _, terms = P.integer_form()
+    even = [(2 * t, i, k) for t, i, k in terms if (i + k) % 2 == 0]
+    sums = [0] * (r_max + 1)
+    if even:
+        dx = max(i for _, i, _ in even)
+        row_y = None
         for x, y, n in _half_lattice_norms_upto(D, r_max):
-            coeffs[n] += even.evaluate(x, y)
+            if y != row_y:
+                row_y = y
+                row = [0] * (dx + 1)
+                for t, i, k in even:
+                    row[dx - i] += t * y**k
+            value = 0
+            for c in row:
+                value = value * x + c
+            sums[n] += value
+    zero = Fraction(0)
+    coeffs = [Fraction(s, den) if s else zero for s in sums]
+    coeffs[0] = P.evaluate(0, 0)
     return tuple(coeffs)
 
 

@@ -149,6 +149,48 @@ def test_half_walk_takes_one_point_of_each_pair(D, bound):
     assert half | {(-x, -y) for x, y in half} == ball
 
 
+WIDE_ROW_CASES = {
+    "basis12": lambda D: basis_poly(D, 12, BasisKind.REAL_PART).poly,
+    "dense20": lambda D: BivarPoly(
+        ((i, d - i), Fraction((3 * i + 7 * d) % 13 - 6, 1 + (i + 2 * d) % 9))
+        for d in range(21)
+        for i in range(d + 1)
+    ),
+    "y_only": lambda D: parse_poly("3/4*y^6-y^4+5/2*y^2+y-1/3"),
+    "x_only": lambda D: parse_poly("-2/5*x^8+x^5+7*x^2-3/7"),
+    # odd terms over 7 and 11, even over 3 and 5: the even part's own
+    # denominator, 15, is not P's, 1155
+    "mixed_dens": lambda D: parse_poly(
+        "1/7*x^3-5/11*x*y^2+2/3*x^2*y^2-4/5*y^4+1/3*x^2+1/5"
+    ),
+}
+
+
+@pytest.mark.parametrize("D", ADMISSIBLE_D)
+@pytest.mark.parametrize("case", sorted(WIDE_ROW_CASES))
+def test_theta_series_matches_shell_sums_on_wide_rows(case, D):
+    """Every r <= 400, so the walk folds rows of up to about 40 points."""
+    P = WIDE_ROW_CASES[case](D)
+    series = theta_series(D, P, 400)
+    for r in range(401):
+        assert series[r] == shell_sum(D, P, r), (case, D, r)
+
+
+def test_theta_series_evaluates_only_at_the_origin(monkeypatch):
+    points = []
+    evaluate = BivarPoly.evaluate
+
+    def counting(self, x, y):
+        points.append((x, y))
+        return evaluate(self, x, y)
+
+    monkeypatch.setattr(BivarPoly, "evaluate", counting)
+    for D, P in [(1, parse_poly(Q6)), (163, parse_poly(ODD_ONLY + "-7/3"))]:
+        points.clear()
+        theta_series(D, P, 300)
+        assert points == [(0, 0)], D
+
+
 def test_theta_series_rejects_bad_rmax():
     with pytest.raises(ValueError):
         theta_series(1, parse_poly("x"), 0)
