@@ -2,7 +2,10 @@
 
 Exit codes: 0 when the command and every check it ran succeeded, 1 when a
 verification failed, 2 on usage errors (bad flags, unparseable input,
-inadmissible D, empty shell where a nonempty one is required).
+inadmissible D, empty shell where a nonempty one is required, a budget
+exceeded, ``sweep --parallel`` below 1), 3 on an internal error: an
+ArithmeticError or AssertionError that escapes a command, reported as one
+line on stderr.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .design import (
     strength_profile,
 )
 from .harmonic import BivarPoly, PolyParseError, format_poly, parse_poly
-from .ring import ADMISSIBLE_D, ring_data, unit_count
+from .ring import ADMISSIBLE_D, ring_data
 from .shells import Shell, enumerate_shell, norm_shell
 from .theta import HeckeReport, format_rational, hecke_verify, shell_sum, theta_series
 
@@ -31,41 +34,33 @@ EXAMPLE_P = "2*x^2+3462*x*y+1729*y^2"
 EXAMPLE_Q = "2*x^6+6*x^5*y-15*x^4*y^2-40*x^3*y^3-15*x^2*y^4+6*x*y^5+2*y^6"
 EXAMPLE_Q_SUM = -4818834696
 
+# Each budget below is checked before any work starts; the README's CLI
+# section gives the measured cost at each cap.
+
 #: Largest ``theta --rmax``: theta_series holds one coefficient per norm
-#: and walks one point of each +-z pair up to it; D = 1 at --j 4 takes
-#: 2-3 s at the cap and peaks at 110 MB RSS with --format json, 200 MB
-#: with the table (Python 3.11).
+#: and walks one point of each +-z pair up to it.
 MAX_THETA_RMAX = 10**6
 
 #: Largest basis degree ``theta --j`` and ``hecke --j`` accept. The degree-j
 #: basis polynomial that theta expands has up to j + 1 terms whose
-#: coefficients grow exponentially in j: in the library, theta_series at
-#: --rmax 20 takes 0.01-0.02 s at the cap and 0.1-0.2 s at j = 4000. hecke
-#: takes one power of each shell point, so hecke_verify at --p 5 --alpha 2
-#: takes under 0.01 s at the cap and under 0.1 s at j = 40000 (Python 3.11).
+#: coefficients grow exponentially in j; hecke takes one power of each
+#: shell point.
 MAX_DEGREE = 1000
 
 #: Largest ``theta`` work, (degree + 32)^2 * rmax, for --j and --poly alike.
 #: A walk point costs the walk step and one Horner step per power of x, on
 #: ints whose sizes grow with the degree. The terms fold into each lattice
 #: row's polynomial in x once per row, so the term count does not enter.
-#: On D = 1, the densest ball, the cap takes 4-5 s for --j 18 at --rmax
-#: 10^6 (98 MB), 3.6 s for --j 100 and 1.5 s for --j 1000 at --rmax 2347;
-#: a dense degree-40 --poly (all 861 terms) at --rmax 482253 takes 4-5 s.
-#: x^20000 at --rmax 5 takes 0.2 s, but x^(10^6) would take 10^6 Horner
-#: steps on ints of up to 10^6 bits at every point (Python 3.11).
+#: x^(10^6) at --rmax 4 would take 10^6 Horner steps on ints of up to 10^6
+#: bits at every point.
 MAX_THETA_WORK = 25 * 10**8
 
 #: Largest total of reference scan rows ``hecke`` may start: the norm p^k
 #: shell takes isqrt(4*p^k // |disc|) + 1 rows, and hecke scans k = 1..alpha.
-#: The wheel scans 10^8 rows in 0.6-1.7 s for D = 1, 2, 3 and in up to 4.4 s
-#: for D = 67 and 163 (54 random p^3 shells, p up to 4*10^5, Python 3.11).
 MAX_HECKE_ROWS = 10**8
 
 #: Largest ``sweep --rmax``: cost and memory grow about linearly in rmax
-#: (one report per representable norm, all held until the JSON is written);
-#: at the cap --jmax 13 takes about 5 s and peaks at 72 MB, --jmax 40
-#: takes 13 s and 198 MB (Python 3.11).
+#: (one report per representable norm, all held until the JSON is written).
 MAX_SWEEP_RMAX = 10**4
 
 
@@ -142,7 +137,7 @@ def _shell_table(shell: Shell) -> str:
 
 def _cmd_verify(args) -> int:
     if args.t is None and args.jmax is None:
-        args.jmax = min(2 * unit_count(args.D) + 1, 13)
+        args.jmax = min(2 * ring_data(args.D).unit_count + 1, 13)
     # an empty shell raises ValueError in strength_profile: exit 2
     if args.t is not None:
         report = strength_profile(args.D, args.r, args.t)
@@ -193,7 +188,8 @@ def _verify_table(report, t: int | None, passed: bool) -> str:
     else:
         verdict = "matches" if passed else "does NOT match"
         lines.append(
-            f"  failing set {verdict} the multiples of u_D={unit_count(report.D)}"
+            f"  failing set {verdict} the multiples of "
+            f"u_D={ring_data(report.D).unit_count}"
         )
     return "\n".join(lines)
 
@@ -349,6 +345,8 @@ def _cmd_sweep(args) -> int:
         raise UsageError(
             f"--jmax must be in [1, {MAX_PROFILE_DEGREE}], got {args.jmax}"
         )
+    if args.parallel < 1:
+        raise UsageError(f"--parallel must be at least 1, got {args.parallel}")
     tasks = [
         (D, r, args.jmax)
         for D in ADMISSIBLE_D
@@ -504,6 +502,10 @@ def run(argv: list[str] | None = None) -> int:
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (ArithmeticError, AssertionError) as exc:
+        # a library invariant broke: neither a usage error nor a failed check
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

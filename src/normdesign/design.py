@@ -13,12 +13,12 @@ import math
 from collections import namedtuple
 
 from .harmonic import BivarPoly
-from .ring import norm_form, ring_data, unit_count
-from .shells import Shell, norm_shell
+from .ring import norm_form, ring_data
+from .shells import norm_shell
 from .theta import basis_shell_sums_upto
 
 MAX_PROFILE_DEGREE = 40  # shell sums grow like r^(j/2); keep scans at desk scale
-MAX_NODES = 2**20  # about 2 us per node (Python 3.11): seconds at the cap
+MAX_NODES = 2**20  # one float evaluation of P per node; README gives the timing
 
 
 FailingDegree = namedtuple("FailingDegree", "j witness")
@@ -29,20 +29,6 @@ DesignReport = namedtuple(
 DesignReport.__doc__ = "Exact classification of every degree j <= j_max for one shell."
 
 
-def _require_nonempty(D: int, r: int) -> Shell:
-    """The norm r shell, by the cheaper route; ValueError when it is empty."""
-    ring_data(D)
-    if r < 1:
-        raise ValueError(f"design checks require r >= 1, got {r}")
-    shell = norm_shell(D, r)
-    if shell.is_empty():
-        raise ValueError(
-            f"the norm {r} shell is empty for D={D}: some inert prime divides "
-            f"{r} to an odd power"
-        )
-    return shell
-
-
 def strength_profile(D: int, r: int, j_max: int) -> DesignReport:
     """Classify every degree j <= j_max as vanishing or failing, with witnesses.
 
@@ -51,8 +37,15 @@ def strength_profile(D: int, r: int, j_max: int) -> DesignReport:
     """
     if j_max < 1 or j_max > MAX_PROFILE_DEGREE:
         raise ValueError(f"j_max must be in [1, {MAX_PROFILE_DEGREE}], got {j_max}")
-    shell = _require_nonempty(D, r)
-    u = unit_count(D)
+    R = ring_data(D)
+    if r < 1:
+        raise ValueError(f"design checks require r >= 1, got {r}")
+    shell = norm_shell(D, r)
+    if not shell.points:
+        raise ValueError(
+            f"the norm {r} shell is empty for D={D}: some inert prime divides "
+            f"{r} to an odd power"
+        )
     vanishing: list[int] = []
     failing: list[FailingDegree] = []
     for j, (r_sum, i_sum) in enumerate(basis_shell_sums_upto(shell, j_max), start=1):
@@ -60,7 +53,7 @@ def strength_profile(D: int, r: int, j_max: int) -> DesignReport:
             vanishing.append(j)
         else:
             failing.append(FailingDegree(j, r_sum if r_sum != 0 else i_sum))
-    expected = {j for j in range(1, j_max + 1) if j % u == 0}
+    expected = {j for j in range(1, j_max + 1) if j % R.unit_count == 0}
     ok = {f.j for f in failing} == expected
     return DesignReport(
         D=D,

@@ -50,20 +50,6 @@ class BivarPoly:
         object.__setattr__(self, "_terms", {m: c for m, c in acc.items() if c})
         object.__setattr__(self, "_int_form", None)
 
-    # -- constructors -----------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> BivarPoly:
-        return cls()
-
-    @classmethod
-    def constant(cls, c: RationalLike) -> BivarPoly:
-        return cls({(0, 0): c})
-
-    @classmethod
-    def monomial(cls, i: int, k: int, c: RationalLike = 1) -> BivarPoly:
-        return cls({(i, k): c})
-
     # -- structure ---------------------------------------------------------
 
     @property
@@ -88,51 +74,6 @@ class BivarPoly:
 
     def coefficient(self, i: int, k: int) -> Fraction:
         return self._terms.get((i, k), Fraction(0))
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def __add__(self, other: BivarPoly) -> BivarPoly:
-        if not isinstance(other, BivarPoly):
-            return NotImplemented
-        out = dict(self._terms)
-        for m, c in other._terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return BivarPoly(out)
-
-    def __sub__(self, other: BivarPoly) -> BivarPoly:
-        if not isinstance(other, BivarPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> BivarPoly:
-        return BivarPoly({m: -c for m, c in self._terms.items()})
-
-    def __mul__(self, other: BivarPoly | RationalLike) -> BivarPoly:
-        if isinstance(other, (int, Fraction)):
-            return BivarPoly({m: c * other for m, c in self._terms.items()})
-        if not isinstance(other, BivarPoly):
-            return NotImplemented
-        out: dict[_Monomial, Fraction] = {}
-        for (i1, k1), c1 in self._terms.items():
-            for (i2, k2), c2 in other._terms.items():
-                m = (i1 + i2, k1 + k2)
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
-        return BivarPoly(out)
-
-    def __rmul__(self, other: RationalLike) -> BivarPoly:
-        return self * other
-
-    def __pow__(self, n: int) -> BivarPoly:
-        if n < 0:
-            raise ValueError("negative polynomial powers are not defined")
-        result = BivarPoly.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BivarPoly):

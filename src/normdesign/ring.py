@@ -23,16 +23,14 @@ from fractions import Fraction
 ADMISSIBLE_D = (1, 2, 3, 7, 11, 19, 43, 67, 163)
 
 
-RingData = namedtuple(
-    "RingData", "t n disc unit_count units rho sigma sigma2 re_w im_w"
-)
+RingData = namedtuple("RingData", "t n disc unit_count units sigma2 im_w")
 RingData.__doc__ = """The constants of O_D = Z[w], w^2 = t*w - n.
 
 ``units`` are the unit pairs (a, b) in sorted order: {+-1, +-i} for
-D = 1, the six sixth roots of unity for D = 3, {+-1} otherwise. w has real
-part rho = t/2 and imaginary part sigma*sqrt(D), with sigma rational and
-``sigma2`` = 2*sigma = sqrt(|disc|/D) an int; ``re_w`` and ``im_w`` are the
-same two parts as floats.
+D = 1, the six sixth roots of unity for D = 3, {+-1} otherwise;
+``unit_count`` is their number. w has real part t/2 and imaginary part
+(sigma2/2)*sqrt(D), with ``sigma2`` = sqrt(|disc|/D) an int; ``im_w`` is
+that imaginary part as a float.
 """
 
 
@@ -49,20 +47,16 @@ def _ring_data(D: int) -> RingData:
         for y in (-1, 0, 1)
         if x * x + t * x * y + n * y * y == 1
     )
-    # Im w = sqrt(|disc|)/2 = sigma*sqrt(D), and |disc|/D is 4 or 1
+    # Im w = sqrt(|disc|)/2 = (sigma2/2)*sqrt(D), and |disc|/D is 4 or 1
     sigma2 = math.isqrt(-disc // D)
-    sigma = Fraction(sigma2, 2)
     return RingData(
         t=t,
         n=n,
         disc=disc,
         unit_count=len(units),
         units=units,
-        rho=Fraction(t, 2),
-        sigma=sigma,
         sigma2=sigma2,
-        re_w=t / 2,
-        im_w=float(sigma) * math.sqrt(D),
+        im_w=sigma2 / 2 * math.sqrt(D),
     )
 
 
@@ -98,11 +92,6 @@ def norm_form(D: int, x: int, y: int) -> int:
 def discriminant(D: int) -> int:
     """Field discriminant t^2 - 4n: -4D for D = 1, 2 and -D for D = 3 mod 4."""
     return ring_data(D).disc
-
-
-def unit_count(D: int) -> int:
-    """Order of the unit group: 4 for D=1, 6 for D=3, 2 otherwise."""
-    return ring_data(D).unit_count
 
 
 def mul(D: int, u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
@@ -155,7 +144,7 @@ _ZERO_PARTS = (Fraction(0), Fraction(0))  # most degrees of a design vanish
 
 
 def parts(D: int, u: tuple[int, int]) -> tuple[Fraction, Fraction]:
-    """(Re u, Im u / sqrt(D)) of u = a + b*w: (a + b*rho, b*sigma), both rational.
+    """(Re u, Im u / sqrt(D)) of u = a + b*w, both rational.
 
     Each part is one Fraction over 2: (2a + t*b)/2 and sigma2*b/2.
     """

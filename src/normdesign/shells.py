@@ -52,9 +52,6 @@ class Shell(namedtuple("Shell", "D r points")):
     def __len__(self) -> int:
         return len(self.points)
 
-    def is_empty(self) -> bool:
-        return not self.points
-
 
 def enumerate_shell(D: int, r: int) -> Shell:
     """Complete exact enumeration of the norm r shell: the reference route.

@@ -24,7 +24,7 @@ from math import isqrt
 
 from .arith import is_prime, kronecker, splitting_type
 from .harmonic import BivarPoly
-from .ring import SplitType, mul, parts, power, powers, ring_data
+from .ring import SplitType, mul, parts, power, ring_data
 from .shells import Shell, enumerate_shell
 
 
@@ -167,7 +167,7 @@ def a_prime_closed_form(D: int, j: int, p: int) -> Fraction:
     split = splitting_type(D, p)
     if split is SplitType.INERT:
         raise ValueError(f"the norm {p} shell is empty for D={D}")
-    value = parts(D, powers(D, enumerate_shell(D, p).points[0], j)[j])[0]
+    value = parts(D, power(D, enumerate_shell(D, p).points[0], j))[0]
     return value if split is SplitType.RAMIFIED else 2 * value
 
 

@@ -19,7 +19,7 @@ from normdesign.arith import is_prime, is_representable, splitting_type
 from normdesign.cli import _default_coprime_pairs, run
 from normdesign.design import quadrature_average
 from normdesign.harmonic import BasisKind, BivarPoly, basis_poly, parse_poly
-from normdesign.ring import ADMISSIBLE_D, SplitType, unit_count
+from normdesign.ring import ADMISSIBLE_D, SplitType, ring_data
 from normdesign.shells import enumerate_shell
 from normdesign.theta import a_norm, basis_shell_sums_upto, hecke_verify, shell_sum
 
@@ -93,7 +93,7 @@ def test_criterion_4_vanishing_sweep(vanishing_sweep):
     sums, elapsed = vanishing_sweep
     with criterion("4 (vanishing sweep r <= 300, j <= 13)"):
         for (D, r), per_degree in sums.items():
-            u = unit_count(D)
+            u = ring_data(D).unit_count
             for j, (r_sum, i_sum) in enumerate(per_degree, start=1):
                 assert i_sum == 0, (D, r, j)
                 if j % u != 0:
@@ -105,7 +105,7 @@ def test_criterion_5_strength_sweep(vanishing_sweep):
     sums, _ = vanishing_sweep
     with criterion("5 (strength sweep: nonvanishing at u_D, 2u_D)"):
         for (D, r), per_degree in sums.items():
-            u = unit_count(D)
+            u = ring_data(D).unit_count
             for j in (u, 2 * u):
                 r_sum, _ = per_degree[j - 1]
                 assert r_sum != 0, (D, r, j)
@@ -117,7 +117,7 @@ def test_criterion_6_hecke_identities():
         assert len(pairs) == 20
         assert all(r1 * r2 <= 300 for r1, r2 in pairs)
         for D in ADMISSIBLE_D:
-            j = unit_count(D)
+            j = ring_data(D).unit_count
             for index, p in enumerate(primes_up_to(47)):
                 report = hecke_verify(
                     D, j, p, 3, pairs if index == 0 else []
@@ -135,7 +135,7 @@ def test_criterion_7_nonzero_mod_p_and_oddness_at_two():
             assert value.denominator == 1 and value.numerator % 2 == 1, j
         odd_primes = primes_up_to(100)[1:]
         for D in ADMISSIBLE_D:
-            u = unit_count(D)
+            u = ring_data(D).unit_count
             split, ramified = set(), set()
             for p in odd_primes:
                 if not is_representable(D, p):
@@ -160,7 +160,7 @@ def test_criterion_7_nonzero_mod_p_and_oddness_at_two():
 def test_criterion_8_inert_prime_squares():
     with criterion("8 (inert prime squares)"):
         for D in ADMISSIBLE_D:
-            j = unit_count(D)
+            j = ring_data(D).unit_count
             for p in primes_up_to(20):
                 if splitting_type(D, p) is SplitType.INERT:
                     assert a_norm(D, j, p * p) == Fraction(p) ** j, (D, p)
@@ -169,7 +169,7 @@ def test_criterion_8_inert_prime_squares():
 def test_criterion_9_quadrature_normalization():
     with criterion("9 (quadrature normalization)"):
         start = time.perf_counter()
-        one = BivarPoly.constant(1)
+        one = BivarPoly({(0, 0): 1})
         for D in ADMISSIBLE_D:
             for r in (1, 4):
                 assert abs(quadrature_average(D, r, one, 256) - 1.0) < 1e-10, (D, r)

@@ -14,7 +14,7 @@ from normdesign.arith import (
     splitting_type,
     sqrt_mod,
 )
-from normdesign.ring import ADMISSIBLE_D, SplitType, discriminant, unit_count
+from normdesign.ring import ADMISSIBLE_D, SplitType, discriminant, ring_data
 from normdesign.shells import enumerate_shell
 
 
@@ -238,7 +238,7 @@ def test_split_two_iff_minus_d_is_one_mod_eight(D):
 
 @pytest.mark.parametrize("D", ADMISSIBLE_D)
 def test_prime_shell_sizes_match_splitting(D):
-    u = unit_count(D)
+    u = ring_data(D).unit_count
     for p in primes_up_to(200):
         count = len(enumerate_shell(D, p).points)
         split = splitting_type(D, p)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from math import isqrt
 from pathlib import Path
 
@@ -243,7 +244,7 @@ def test_hecke_scan_budget_counts_every_alpha_scan():
 def test_hecke_within_the_scan_budget_is_accepted(capsys, monkeypatch, D, p, alpha):
     _no_scan(monkeypatch)
     assert cli.MAX_HECKE_ROWS == 10**8
-    j = str(cli.unit_count(D))
+    j = str(cli.ring_data(D).unit_count)
     assert run(["hecke", str(D), "--j", j, "--p", p, "--alpha", alpha]) == 2
     err = capsys.readouterr().err
     # alpha < 2 is hecke_verify's own usage error; the rest reach a scan
@@ -392,6 +393,50 @@ def test_sweep_within_the_budget_is_accepted(capsys, monkeypatch, argv):
     assert cli.MAX_SWEEP_RMAX == 10**4
     assert run(["sweep"] + argv) == 2
     assert "task list reached" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("parallel", ["0", "-3", "-" + "9" * 30])
+def test_sweep_parallel_below_one_is_a_usage_error(capsys, monkeypatch, parallel):
+    def no_task(task):
+        raise ValueError("a sweep task ran")
+
+    def no_pool(*args, **kwargs):
+        raise ValueError("a pool was started")
+
+    monkeypatch.setattr(cli, "_sweep_task", no_task)
+    monkeypatch.setattr("multiprocessing.Pool", no_pool)
+    assert run(["sweep", "--rmax", "10", "--parallel", parallel]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --parallel must be at least 1, got {parallel}\n"
+
+
+def test_internal_error_is_neither_usage_nor_failed_verification(
+    capsys, monkeypatch
+):
+    # a non-integer a(r) breaks an invariant of the library, not the input
+    monkeypatch.setattr(theta, "a_norm", lambda D, j, r: Fraction(1, 2))
+    assert run(["hecke", "1", "--j", "4", "--p", "5", "--alpha", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "internal error: a(1,4,6) = 1/2 is not an integer"
+    ]
+
+
+@pytest.mark.parametrize("exc", [AssertionError("broken"), ZeroDivisionError("broken")])
+def test_internal_errors_exit_3_and_value_errors_exit_2(capsys, monkeypatch, exc):
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_shell", fail)
+    monkeypatch.setattr(cli, "_PARSER", None)  # rebuild with the patched command
+    assert run(["shell", "1", "1"]) == 3
+    assert capsys.readouterr().err == "internal error: broken\n"
+    monkeypatch.setattr(cli, "_cmd_shell", lambda args: int("x"))
+    monkeypatch.setattr(cli, "_PARSER", None)
+    assert run(["shell", "1", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: invalid literal")
 
 
 def test_cli_import_leaves_out_dataclasses_and_multiprocessing():

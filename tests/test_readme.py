@@ -21,6 +21,9 @@ DELETED = (
     "to_json_dict",
     "require_admissible",
     "basis_shell_sums",
+    "re_w",
+    "is_empty",
+    "_require_nonempty",
 )
 
 

@@ -30,7 +30,7 @@ def test_records_are_read_only_values():
         assert enumerate_shell(D, r) == shell_from_factorization(D, r)
     assert enumerate_shell(1, 5) != enumerate_shell(1, 10)
     assert len(enumerate_shell(1, 65)) == 16
-    assert len(enumerate_shell(1, 3)) == 0 and enumerate_shell(1, 3).is_empty()
+    assert len(enumerate_shell(1, 3)) == 0 and not enumerate_shell(1, 3).points
 
     ok = HeckeCheck(identity="i", inputs=(1, 2), left=1, right=1, passed=True)
     bad = HeckeCheck("i", (1, 2), 1, 2, False)

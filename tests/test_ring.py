@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normdesign import arith, design, harmonic, theta
+from normdesign import arith, design, harmonic, ring, theta
 from normdesign.harmonic import BivarPoly
 from normdesign.ring import (
     ADMISSIBLE_D,
+    RingData,
     conj,
     discriminant,
     mul,
@@ -19,8 +20,13 @@ from normdesign.ring import (
     power,
     powers,
     ring_data,
-    unit_count,
 )
+
+
+def rho_sigma(D):
+    """w = rho + sigma*sqrt(-D): rho = t/2 and sigma = sigma2/2, both rational."""
+    R = ring_data(D)
+    return Fraction(R.t, 2), Fraction(R.sigma2, 2)
 
 
 def brute_force_units(D):
@@ -57,12 +63,12 @@ D_FIRST = {
     "is_representable": lambda: arith.is_representable(5, 0),
     "strength_profile": lambda: design.strength_profile(5, 0, 3),
     "quadrature_average": lambda: design.quadrature_average(
-        5, 0, BivarPoly.constant(1), 3
+        5, 0, BivarPoly({(0, 0): 1}), 3
     ),
     "basis_poly": lambda: harmonic.basis_poly(5, 0, harmonic.BasisKind.REAL_PART),
     "in_span": lambda: harmonic.in_span(5, 0, BivarPoly()),
     "decompose": lambda: harmonic.decompose(5, BivarPoly({(1, 0): 1, (0, 0): 1})),
-    "theta_series": lambda: theta.theta_series(5, BivarPoly.constant(1), 0),
+    "theta_series": lambda: theta.theta_series(5, BivarPoly({(0, 0): 1}), 0),
     "a_norm": lambda: theta.a_norm(5, 0, -1),
     "a_prime_closed_form": lambda: theta.a_prime_closed_form(5, 0, 4),
     "hecke_verify": lambda: theta.hecke_verify(5, 0, 4, 0),
@@ -95,7 +101,7 @@ def test_unit_group_examples():
 @pytest.mark.parametrize("D", ADMISSIBLE_D)
 def test_unit_group_matches_brute_force(D):
     units = ring_data(D).units
-    assert len(units) == unit_count(D)
+    assert len(units) == ring_data(D).unit_count
     assert set(units) == brute_force_units(D)
     # closed under negation and multiplication
     for u in units:
@@ -134,12 +140,12 @@ def test_conj_gives_the_norm(D):
 
 @pytest.mark.parametrize("D", ADMISSIBLE_D)
 def test_parts_reads_rho_and_sigma(D):
-    R = ring_data(D)
+    rho, sigma = rho_sigma(D)
     assert parts(D, (0, 0)) == (0, 0)
     assert parts(D, (5, 0)) == (5, 0)
     # w itself: a zero integer part does not make the element zero
-    assert parts(D, (0, 1)) == (R.rho, R.sigma)
-    assert parts(D, (3, -2)) == (3 - 2 * R.rho, -2 * R.sigma)
+    assert parts(D, (0, 1)) == (rho, sigma)
+    assert parts(D, (3, -2)) == (3 - 2 * rho, -2 * sigma)
 
 
 @pytest.mark.parametrize("D", ADMISSIBLE_D)
@@ -159,7 +165,7 @@ def test_powers_repeat_mul_and_parts_match_the_embedding(D):
         a, b = got[e]
         re, im_over_root = parts(D, (a, b))
         scale = max(1.0, abs(a) + abs(b))
-        assert abs(float(re) - (a + b * R.re_w)) <= 1e-12 * scale
+        assert abs(float(re) - (a + b * R.t / 2)) <= 1e-12 * scale
         assert abs(float(im_over_root) - b * R.im_w / math.sqrt(D)) <= 1e-12 * scale
 
 
@@ -193,10 +199,10 @@ def test_power_rejects_a_negative_exponent():
     ),
 )
 def test_parts_is_a_plus_b_rho_and_b_sigma(D, u):
-    R = ring_data(D)
+    rho, sigma = rho_sigma(D)
     a, b = u
     got = parts(D, u)
-    assert got == (a + b * R.rho, b * R.sigma)
+    assert got == (a + b * rho, b * sigma)
     assert type(got[0]) is Fraction and type(got[1]) is Fraction
 
 
@@ -220,12 +226,12 @@ def test_ring_data_matches_w(D):
     else:
         t, n = 1, (1 + D) // 4
         rho, sigma, w = Fraction(1, 2), Fraction(1, 2), (1 + cmath.sqrt(-D)) / 2
-    assert (R.t, R.n, R.rho, R.sigma) == (t, n, rho, sigma)
+    assert (R.t, R.n, *rho_sigma(D)) == (t, n, rho, sigma)
     assert R.disc == t * t - 4 * n
     assert w * w == pytest.approx(t * w - n, abs=1e-12)
     assert mul(D, (0, 1), (0, 1)) == (-n, t)
-    assert (R.re_w, R.im_w) == pytest.approx((w.real, w.imag), abs=1e-12)
-    assert R.unit_count == len(R.units) == unit_count(D)
+    assert (R.t / 2, R.im_w) == pytest.approx((w.real, w.imag), abs=1e-12)
+    assert R.unit_count == len(R.units)
     assert R.units == tuple(sorted(brute_force_units(D)))
 
 
@@ -235,7 +241,7 @@ def test_embed_squared_length_matches_norm(D):
     R = ring_data(D)
 
     def embed(a, b):
-        return a + b * R.re_w, b * R.im_w
+        return a + b * R.t / 2, b * R.im_w
 
     for a in range(-100, 101):
         for b in range(-100, 101):
@@ -261,7 +267,16 @@ def test_unit_power_sums(D, j):
         for _ in range(j):  # repeated mul on purpose
             power = mul(D, power, alpha)
         total = (total[0] + power[0], total[1] + power[1])
-    if j % unit_count(D) == 0:
-        assert total == (unit_count(D), 0)
+    u = ring_data(D).unit_count
+    if j % u == 0:
+        assert total == (u, 0)
     else:
         assert total == (0, 0)
+
+
+def test_ring_data_holds_only_what_the_library_reads():
+    """w's parts are derived from t and sigma2; u_D is read from the record."""
+    assert RingData._fields == (
+        "t", "n", "disc", "unit_count", "units", "sigma2", "im_w"
+    )
+    assert not hasattr(ring, "unit_count")

@@ -12,7 +12,6 @@ from normdesign.ring import (
     norm_form,
     SplitType,
     ring_data,
-    unit_count,
 )
 from normdesign.shells import (
     SCAN_MAX_ROWS,
@@ -65,7 +64,7 @@ def representation_count(D, r):
     multiplicative, so it is a product over the prime powers of r.
     """
     disc = discriminant(D)
-    count = unit_count(D)
+    count = ring_data(D).unit_count
     for p, alpha in factorize(r):
         count *= sum(kronecker(disc, p**k) for k in range(alpha + 1))
     return count
@@ -135,7 +134,7 @@ def test_shell_invariants(D):
             for u in units:
                 assert mul(D, u, (x, y)) in pts
         if pts:
-            assert len(pts) % unit_count(D) == 0
+            assert len(pts) % ring_data(D).unit_count == 0
 
 
 @settings(deadline=None, derandomize=True, max_examples=200)
@@ -145,7 +144,7 @@ def test_shell_against_representation_count_and_invariants(case):
     shell = enumerate_shell(D, r)
     assert len(shell) == representation_count(D, r)
     assert all(norm_form(D, x, y) == r for x, y in shell.points)
-    u = unit_count(D)
+    u = ring_data(D).unit_count
     for j, (r_sum, i_sum) in enumerate(basis_shell_sums_upto(shell, 13), start=1):
         assert i_sum == 0, (j, i_sum)
         if j % u:
@@ -181,7 +180,7 @@ def test_orbits_partition_the_shell(D):
         assert sorted(flattened) == list(shell.points)
         assert len(flattened) == len(set(flattened))
         for orbit in orbits:
-            assert len(orbit) == unit_count(D)
+            assert len(orbit) == ring_data(D).unit_count
             rep = min(orbit)
             regenerated = {mul(D, u, rep) for u in units}
             assert regenerated == set(orbit)

@@ -16,7 +16,7 @@ from normdesign.ring import (
     discriminant,
     norm_form,
     parts,
-    unit_count,
+    ring_data,
 )
 from normdesign.shells import enumerate_shell
 from normdesign.theta import (
@@ -229,7 +229,7 @@ def test_a_norm_matches_the_power_sums_route(case):
     D, j, r = case
     if isinstance(r, tuple):
         r = norm_form(D, *r)
-    old = parts(D, power_sums(enumerate_shell(D, r), j)[j - 1])[0] / unit_count(D)
+    old = parts(D, power_sums(enumerate_shell(D, r), j)[j - 1])[0] / ring_data(D).unit_count
     assert a_norm(D, j, r) == old
 
 
@@ -249,7 +249,7 @@ def test_imag_sums_vanish_for_even_degrees(D):
 
 @pytest.mark.parametrize("D", ADMISSIBLE_D)
 def test_real_sums_vanish_off_unit_multiples(D):
-    u = unit_count(D)
+    u = ring_data(D).unit_count
     for j in range(1, 14):
         if j % u == 0:
             continue
@@ -267,7 +267,7 @@ def test_both_sums_vanish_for_odd_degrees(D):
 
 @pytest.mark.parametrize("D", ADMISSIBLE_D)
 def test_integrality_on_unit_multiples(D):
-    u = unit_count(D)
+    u = ring_data(D).unit_count
     multiples = [j for j in range(1, 13) if j % u == 0]
     for r in range(1, 301):
         shell = enumerate_shell(D, r)
@@ -296,7 +296,7 @@ def test_a_prime_closed_form_validation():
 
 @pytest.mark.parametrize("D", ADMISSIBLE_D)
 def test_a_prime_closed_form_matches_shell_sums(D):
-    u = unit_count(D)
+    u = ring_data(D).unit_count
     for j in (u, 2 * u):
         for p in primes_up_to(60):
             if splitting_type(D, p) is SplitType.INERT:
@@ -322,7 +322,7 @@ def test_oddness_of_d7_coefficients_at_two():
 
 @pytest.mark.parametrize("D", ADMISSIBLE_D)
 def test_nonvanishing_mod_p_at_odd_split_primes(D):
-    u = unit_count(D)
+    u = ring_data(D).unit_count
     for j in (u, 2 * u):
         for p in primes_up_to(100):
             if p == 2 or splitting_type(D, p) is not SplitType.SPLIT:
@@ -336,7 +336,7 @@ def test_nonvanishing_mod_p_at_odd_split_primes(D):
 def test_odd_ramified_primes_vanish_mod_p_but_not_over_z(D):
     # at an odd ramified prime the shell is the unit orbit of sqrt(-D),
     # so the coefficient is (-D)^(j/2): nonzero, yet divisible by p = D
-    u = unit_count(D)
+    u = ring_data(D).unit_count
     for p in primes_up_to(200):
         if p == 2 or splitting_type(D, p) is not SplitType.RAMIFIED:
             continue
@@ -349,7 +349,7 @@ def test_odd_ramified_primes_vanish_mod_p_but_not_over_z(D):
 
 @pytest.mark.parametrize("D", ADMISSIBLE_D)
 def test_inert_prime_squares(D):
-    u = unit_count(D)
+    u = ring_data(D).unit_count
     for j in (u, 2 * u):
         for p in primes_up_to(20):
             if splitting_type(D, p) is not SplitType.INERT:
@@ -425,7 +425,7 @@ def hecke_reference(D, j, p, alpha_max, pairs):
 @pytest.mark.parametrize("D,p", [(1, 5), (3, 7), (7, 2), (163, 41)])
 def test_hecke_verify_scans_each_r_once(monkeypatch, D, p):
     pairs = _default_coprime_pairs()
-    j, alpha_max = 2 * unit_count(D), 4
+    j, alpha_max = 2 * ring_data(D).unit_count, 4
     calls = []
 
     def counted(D, j, r):
@@ -453,7 +453,7 @@ def test_hecke_verify_validation():
 
 @pytest.mark.parametrize("D", ADMISSIBLE_D)
 def test_hecke_identities_small_grid(D):
-    u = unit_count(D)
+    u = ring_data(D).unit_count
     pairs = [(2, 3), (3, 4), (2, 9), (4, 9), (5, 6)]
     for p in (2, 3, 5, 7):
         report = hecke_verify(D, u, p, 3, pairs)
