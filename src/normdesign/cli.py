@@ -25,7 +25,7 @@ from .design import (
 )
 from .harmonic import BivarPoly, PolyParseError, format_poly, parse_poly
 from .ring import ADMISSIBLE_D, ring_data
-from .shells import Shell, enumerate_shell, norm_shell
+from .shells import Shell, enumerate_shell, norm_shell, scan_rows
 from .theta import HeckeReport, format_rational, hecke_verify, shell_sum, theta_series
 
 EXAMPLE_D = 3
@@ -56,7 +56,7 @@ MAX_DEGREE = 1000
 MAX_THETA_WORK = 25 * 10**8
 
 #: Largest total of reference scan rows ``hecke`` may start: the norm p^k
-#: shell takes isqrt(4*p^k // |disc|) + 1 rows, and hecke scans k = 1..alpha.
+#: shell takes shells.scan_rows(D, p^k) rows, and hecke scans k = 1..alpha.
 MAX_HECKE_ROWS = 10**8
 
 #: Largest ``sweep --rmax``: cost and memory grow about linearly in rmax
@@ -252,14 +252,14 @@ def _check_hecke_budget(D: int, p: int, alpha: int) -> None:
     """
     if alpha < 2 or not 2 <= p < MR_BOUND:
         return
-    a = -ring_data(D).disc
-    # p^alpha >= 2^bits and a < 2^8, so its scan alone has more than
+    ring_data(D)  # an inadmissible D is named before any budget
+    # p^alpha >= 2^bits and |disc| < 2^8, so its scan alone has more than
     # 2^((bits-6)//2) rows
     bits = alpha * (p.bit_length() - 1)
     if bits > 2 * MAX_HECKE_ROWS.bit_length() + 6:
         rows = f"more than 2^{(bits - 6) // 2}"
     else:
-        count = sum(math.isqrt(4 * p**k // a) + 1 for k in range(1, alpha + 1))
+        count = sum(scan_rows(D, p**k) for k in range(1, alpha + 1))
         if count <= MAX_HECKE_ROWS:
             return
         rows = str(count)

@@ -136,8 +136,6 @@ class BivarPoly:
 
 def _powers(v: RationalLike, n: int) -> list[RationalLike]:
     """[v^0, v^1, ..., v^n]."""
-    if v == 1:
-        return [1] * (n + 1)
     out = [1]
     for _ in range(n):
         out.append(out[-1] * v)
@@ -284,8 +282,9 @@ def _linear_power(
 def basis_poly(D: int, j: int, kind: BasisKind) -> HarmonicBasisElement:
     """Exact binomial expansion of the real or imaginary part of (x + w*y)^j.
 
-    Powers of w are computed in the integral basis, so coefficients stay
-    rational with denominators dividing 2^j.
+    The coefficient of x^(j-m)*y^m is C(j, m)*w^m, with the powers of w in
+    the integral basis, so coefficients stay rational with denominators
+    dividing 2^j.
     """
     ring_data(D)
     if j < 1:
@@ -293,8 +292,8 @@ def basis_poly(D: int, j: int, kind: BasisKind) -> HarmonicBasisElement:
     part = 0 if kind is BasisKind.REAL_PART else 1
     return HarmonicBasisElement(
         poly=BivarPoly(
-            ((j - m, m), parts(D, c)[part])
-            for m, c in enumerate(_linear_power(D, (1, 0), (0, 1), j))
+            ((j - m, m), math.comb(j, m) * parts(D, w_m)[part])
+            for m, w_m in enumerate(powers(D, (0, 1), j))
         ),
         radical=kind is BasisKind.IMAG_PART,
     )
@@ -344,16 +343,16 @@ def decompose(
     half = j // 2
     # with wbar = t - w and delta = w - wbar = (-t, 2): delta*x = -wbar*z + w*zbar
     # and delta*y = z - zbar, so den*delta^j*P is a polynomial in z, zbar over
-    # Z[w], with den clearing P's denominators; only layers k <= j/2 are read
+    # Z[w], with den clearing P's denominators; only layers k <= j/2 are read.
+    # (z - zbar)^m has the integer coefficients (-1)^l * C(m, l).
     den, _, _, terms = P.integer_form()
     coeffs = [(0, 0)] * (half + 1)
     for c, i, m in terms:
-        y_terms = _linear_power(D, (1, 0), (-1, 0), m)
-        for s, x_term in enumerate(_linear_power(D, (-R.t, 1), (0, 1), i)[: half + 1]):
-            for l, y_term in enumerate(y_terms[: half + 1 - s]):
-                u, v = mul(D, x_term, y_term)
+        for s, (u, v) in enumerate(_linear_power(D, (-R.t, 1), (0, 1), i)[: half + 1]):
+            for l in range(min(m, half - s) + 1):
+                cl = (-1) ** l * math.comb(m, l) * c
                 cu, cv = coeffs[s + l]
-                coeffs[s + l] = (cu + c * u, cv + c * v)
+                coeffs[s + l] = (cu + cl * u, cv + cl * v)
     # delta^2 = disc, so 1/delta^j = delta^(j mod 2)/disc^ceil(j/2)
     delta = (-R.t, 2) if j % 2 else (1, 0)
     scale = den * R.disc ** ((j + 1) // 2)

@@ -5,7 +5,8 @@ is the reference; ``shell_from_factorization`` builds the shell from the
 prime elements dividing r and is far cheaper once r is large.
 ``norm_shell`` picks the cheaper of the two for r. Shells come
 back with a canonical lexicographic point order so that orbit tables and
-every CLI output are reproducible byte for byte.
+every CLI output are reproducible byte for byte. ``half_ball_rows`` walks
+the lattice ball in whole rows; ``scan_rows`` is the scan's row count.
 
 The scan tests a row y by whether 4r - |disc|*y^2 is a perfect square. On
 long scans an exclusion wheel (the sieve of Fermat's factoring method,
@@ -25,10 +26,10 @@ from math import isqrt
 from .arith import factorize, splitting_type, sqrt_mod
 from .ring import SplitType, conj, mul, powers, ring_data
 
-#: Scan rows above which ``norm_shell`` builds the shell from the
-#: factorization of r: with the wheel, the two routes cost the same
-#: between 400 and 500 rows for D = 1, 3, 7 and 163 (Python 3.11, best of 7
-#: over 60 representable norms per size; 300 before the wheel).
+#: ``norm_shell`` scans while isqrt(4r // |disc|) <= SCAN_MAX_ROWS (up to
+#: 451 rows) and factors r past that: with the wheel, the two routes cost
+#: the same between 400 and 500 rows for D = 1, 3, 7 and 163 (Python 3.11,
+#: best of 7 over 60 representable norms per size; 300 before the wheel).
 SCAN_MAX_ROWS = 450
 
 #: Scan rows from which ``enumerate_shell`` walks the exclusion wheel
@@ -51,6 +52,25 @@ class Shell(namedtuple("Shell", "D r points")):
 
     def __len__(self) -> int:
         return len(self.points)
+
+
+def scan_rows(D: int, r: int) -> int:
+    """Rows of the reference scan of the norm r shell: y = 0..isqrt(4r // |disc|)."""
+    return isqrt(4 * r // -ring_data(D).disc) + 1
+
+
+def half_ball_rows(D: int, bound: int) -> Iterator[tuple[int, range]]:
+    """Yield (y, xs): one point of each +-z pair with 0 < norm <= bound, by rows.
+
+    The row y = 0 gives xs = 1..isqrt(bound); each row y >= 1 is whole, with
+    the completed square of enumerate_shell: |2x + t*y| <= isqrt(4*bound -
+    |disc|*y^2). These points and their negatives make up the ball without 0.
+    """
+    R = ring_data(D)
+    yield 0, range(1, isqrt(bound) + 1)
+    for y in range(1, scan_rows(D, bound)):
+        s, ty = isqrt(4 * bound + R.disc * y * y), R.t * y
+        yield y, range(-((s + ty) // 2), (s - ty) // 2 + 1)
 
 
 def enumerate_shell(D: int, r: int) -> Shell:
@@ -185,10 +205,10 @@ def shell_from_factorization(D: int, r: int) -> Shell:
 def norm_shell(D: int, r: int) -> Shell:
     """The norm r shell by the cheaper route.
 
-    The scan costs isqrt(4r // |disc|) + 1 rows; above SCAN_MAX_ROWS rows,
+    The scan costs scan_rows(D, r) rows; past SCAN_MAX_ROWS + 1 rows,
     factoring r and multiplying prime elements is cheaper.
     """
-    if r > 0 and isqrt(4 * r // -ring_data(D).disc) > SCAN_MAX_ROWS:
+    if r > 0 and scan_rows(D, r) > SCAN_MAX_ROWS + 1:
         return shell_from_factorization(D, r)
     return enumerate_shell(D, r)
 

@@ -20,12 +20,11 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from math import isqrt
 
 from .arith import is_prime, kronecker, splitting_type
 from .harmonic import BivarPoly
 from .ring import SplitType, mul, parts, power, ring_data
-from .shells import Shell, enumerate_shell
+from .shells import Shell, enumerate_shell, half_ball_rows
 
 
 HeckeCheck = namedtuple("HeckeCheck", "identity inputs left right passed")
@@ -75,32 +74,13 @@ def basis_shell_sums_upto(shell: Shell, j_max: int) -> list[tuple[Fraction, Frac
     return [parts(shell.D, s) for s in power_sums(shell, j_max)]
 
 
-def _half_lattice_norms_upto(D: int, bound: int):
-    """Yield (x, y, norm) over one point of each +-z pair with 0 < norm <= bound.
-
-    The row y = 0 gives x = 1..isqrt(bound); the rows y >= 1 are whole, with
-    the completed square of enumerate_shell: |2x + t*y| <= isqrt(4*bound -
-    |disc|*y^2). These points and their negatives make up the ball without 0.
-    """
-    R = ring_data(D)
-    t, n, a = R.t, R.n, -R.disc
-    for x in range(1, isqrt(bound) + 1):
-        yield x, 0, x * x
-    b4 = 4 * bound
-    for y in range(1, isqrt(b4 // a) + 1):
-        s = isqrt(b4 - a * y * y)
-        ty = t * y
-        ny2 = n * y * y
-        for x in range(-((s + ty) // 2), (s - ty) // 2 + 1):
-            yield x, y, x * x + ty * x + ny2
-
-
 def theta_series(D: int, P: BivarPoly, r_max: int) -> tuple[Fraction, ...]:
     """Theta coefficients of P for r = 0..r_max, in one lattice sweep.
 
     Entry r is the sum of P over the norm r shell. The norm is even in z,
-    so the walk visits one point of each +-z pair and adds E(z) = P(z) +
-    P(-z), twice the terms of P with even total degree; entry 0 is P(0, 0).
+    so the walk (shells.half_ball_rows) visits one point of each +-z pair
+    and adds E(z) = P(z) + P(-z), twice the terms of P with even total
+    degree; entry 0 is P(0, 0).
     When P has only odd-degree terms every entry is 0 and nothing is walked.
 
     The walk stays in ints: E's terms are P's cleared integer terms, and on
@@ -109,7 +89,7 @@ def theta_series(D: int, P: BivarPoly, r_max: int) -> tuple[Fraction, ...]:
     whatever the term count. The values add into one int per norm, and
     each nonzero sum becomes one Fraction over P's denominator.
     """
-    ring_data(D)
+    R = ring_data(D)
     if r_max < 1:
         raise ValueError(f"r_max must be >= 1, got {r_max}")
     den, _, _, terms = P.integer_form()
@@ -117,17 +97,16 @@ def theta_series(D: int, P: BivarPoly, r_max: int) -> tuple[Fraction, ...]:
     sums = [0] * (r_max + 1)
     if even:
         dx = max(i for _, i, _ in even)
-        row_y = None
-        for x, y, n in _half_lattice_norms_upto(D, r_max):
-            if y != row_y:
-                row_y = y
-                row = [0] * (dx + 1)
-                for t, i, k in even:
-                    row[dx - i] += t * y**k
-            value = 0
-            for c in row:
-                value = value * x + c
-            sums[n] += value
+        for y, xs in half_ball_rows(D, r_max):
+            row = [0] * (dx + 1)
+            for t, i, k in even:
+                row[dx - i] += t * y**k
+            ty, ny2 = R.t * y, R.n * y * y
+            for x in xs:
+                value = 0
+                for c in row:
+                    value = value * x + c
+                sums[x * (x + ty) + ny2] += value
     zero = Fraction(0)
     coeffs = [Fraction(s, den) if s else zero for s in sums]
     coeffs[0] = P.evaluate(0, 0)
@@ -139,8 +118,8 @@ def a_norm(D: int, j: int, r: int) -> Fraction:
 
     Integer-valued whenever j is a multiple of u_D, where the underlying
     series is a Hecke eigenform with a(1) = 1. The sum of z^j over the
-    shell stays an integer pair (sa, sb), one ``power`` per point; its real
-    part sa + sb*t/2 divided by u_D is the one Fraction built.
+    shell stays an integer pair (sa, sb), one ``power`` per point, and
+    ``parts`` reads its real part.
     """
     R = ring_data(D)
     if j < 1:
@@ -150,7 +129,7 @@ def a_norm(D: int, j: int, r: int) -> Fraction:
         a, b = power(D, z, j)
         sa += a
         sb += b
-    return Fraction(2 * sa + R.t * sb, 2 * R.unit_count)
+    return parts(D, (sa, sb))[0] / R.unit_count
 
 
 def a_prime_closed_form(D: int, j: int, p: int) -> Fraction:

@@ -24,6 +24,7 @@ DELETED = (
     "re_w",
     "is_empty",
     "_require_nonempty",
+    "_half_lattice_norms_upto",
 )
 
 

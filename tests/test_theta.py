@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from normdesign import theta
 from normdesign.cli import _default_coprime_pairs, run
-from normdesign.arith import is_prime, kronecker, splitting_type
+from normdesign.arith import factorize, is_prime, kronecker, splitting_type
 from normdesign.harmonic import BasisKind, BivarPoly, basis_poly, parse_poly
 from normdesign.ring import (
     ADMISSIBLE_D,
@@ -18,7 +18,7 @@ from normdesign.ring import (
     parts,
     ring_data,
 )
-from normdesign.shells import enumerate_shell
+from normdesign.shells import enumerate_shell, half_ball_rows
 from normdesign.theta import (
     HeckeCheck,
     HeckeReport,
@@ -118,7 +118,8 @@ def test_theta_series_of_odd_only_poly_is_zero_without_a_walk(D, monkeypatch):
     def no_walk(D, bound):
         raise AssertionError("the lattice was walked")
 
-    monkeypatch.setattr(theta, "_half_lattice_norms_upto", no_walk)
+    # theta_series reads the walker through its own binding
+    monkeypatch.setattr(theta, "half_ball_rows", no_walk)
     assert theta_series(D, parse_poly(ODD_ONLY), 40) == (0,) * 41
 
 
@@ -133,10 +134,11 @@ def test_theta_series_of_constant_plus_odd_terms_counts_points(D):
 @pytest.mark.parametrize("D", ADMISSIBLE_D)
 @pytest.mark.parametrize("bound", [1, 2, 3, 50, 257])
 def test_half_walk_takes_one_point_of_each_pair(D, bound):
-    walked = list(theta._half_lattice_norms_upto(D, bound))
-    for x, y, n in walked:
-        assert n == norm_form(D, x, y), (x, y, n)
-    half = {(x, y) for x, y, _ in walked}
+    rows = list(half_ball_rows(D, bound))
+    walked = [(x, y) for y, xs in rows for x in xs]
+    for x, y in walked:
+        assert 0 < norm_form(D, x, y) <= bound, (x, y)
+    half = set(walked)
     assert len(half) == len(walked)
     assert not half & {(-x, -y) for x, y in half}
     box = 2 + isqrt(4 * bound)
@@ -147,6 +149,11 @@ def test_half_walk_takes_one_point_of_each_pair(D, bound):
         if 0 < norm_form(D, x, y) <= bound
     }
     assert half | {(-x, -y) for x, y in half} == ball
+    # rows come in order y = 0, 1, ..., and each row y >= 1 is whole
+    assert [y for y, _ in rows] == list(range(max(y for _, y in ball) + 1))
+    for y, xs in rows[1:]:
+        assert type(xs) is range and xs.step == 1
+        assert set(xs) == {x for x, yy in ball if yy == y}, (D, bound, y)
 
 
 WIDE_ROW_CASES = {
@@ -358,6 +365,57 @@ def test_inert_prime_squares(D):
                 assert a_norm(D, j, p**alpha) == Fraction(p) ** (
                     j * alpha // 2
                 ), (D, j, p, alpha)
+
+
+def multiplicative_a(D, j, r):
+    """Oracle for a(r): the product of a(p^alpha) over the factorization of r.
+
+    Each a(p^alpha) comes from the Hecke recursion a(p^(k+1)) =
+    a(p)*a(p^k) - chi(p)*p^j*a(p^(k-1)) with a(1) = 1, seeded with the closed
+    form at split and ramified p and with a(p) = 0 at inert p. No shell of
+    norm r is scanned.
+    """
+    disc = ring_data(D).disc
+    value = 1
+    for p, alpha in factorize(r):
+        if splitting_type(D, p) is SplitType.INERT:
+            a_p = 0
+        else:
+            a_p = a_prime_closed_form(D, j, p)
+        chi = kronecker(disc, p)
+        prev, cur = 1, a_p
+        for _ in range(alpha - 1):
+            prev, cur = cur, a_p * cur - chi * p**j * prev
+        value *= cur
+    return value
+
+
+@pytest.mark.parametrize("D", ADMISSIBLE_D)
+def test_a_norm_matches_the_multiplicative_oracle(D):
+    u = ring_data(D).unit_count
+    for j in (u, 2 * u, 3 * u):
+        for r in range(1, 2001):
+            assert a_norm(D, j, r) == multiplicative_a(D, j, r), (D, j, r)
+
+
+@st.composite
+def norms_near_1e9(draw):
+    """(D, r) with r near 10^9: any r, or a lattice point's norm, so that
+    about half the shells are nonempty."""
+    D = draw(st.sampled_from(ADMISSIBLE_D))
+    if draw(st.booleans()):
+        return D, draw(st.integers(10**9, 2 * 10**9))
+    x = draw(st.integers(isqrt(10**9) // 2, isqrt(10**9)))
+    y = draw(st.integers(0, isqrt(10**9 // ring_data(D).n)))
+    return D, norm_form(D, x, y)
+
+
+@settings(deadline=None, derandomize=True, max_examples=100)
+@given(norms_near_1e9(), st.integers(1, 3))
+def test_a_norm_matches_the_multiplicative_oracle_near_1e9(case, m):
+    D, r = case
+    j = m * ring_data(D).unit_count
+    assert a_norm(D, j, r) == multiplicative_a(D, j, r), (D, j, r)
 
 
 def test_hecke_verify_examples():
