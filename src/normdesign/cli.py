@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -58,6 +57,14 @@ MAX_THETA_WORK = 25 * 10**8
 #: Largest total of reference scan rows ``hecke`` may start: the norm p^k
 #: shell takes shells.scan_rows(D, p^k) rows, and hecke scans k = 1..alpha.
 MAX_HECKE_ROWS = 10**8
+
+#: The coprime pairs (r1, r2) whose multiplicativity ``hecke`` checks: the
+#: first 20 with 1 < r1 < r2, by increasing r1*r2 <= 300 (then r1).
+COPRIME_PAIRS = (
+    (2, 3), (2, 5), (3, 4), (2, 7), (3, 5), (2, 9), (4, 5), (3, 7), (2, 11),
+    (3, 8), (2, 13), (4, 7), (2, 15), (3, 10), (5, 6), (3, 11), (2, 17),
+    (5, 7), (4, 9), (2, 19),
+)
 
 #: Largest ``sweep --rmax``: cost and memory grow about linearly in rmax
 #: (one report per representable norm, all held until the JSON is written).
@@ -227,22 +234,6 @@ def _cmd_theta(args) -> int:
     return 0
 
 
-def _default_coprime_pairs():
-    """The first 20 coprime pairs (r1, r2), 1 < r1 < r2, by increasing r1*r2 <= 300."""
-    pairs = []
-    for product in range(6, 301):
-        for r1 in range(2, product):
-            if r1 * r1 >= product:
-                break
-            if product % r1 == 0:
-                r2 = product // r1
-                if math.gcd(r1, r2) == 1:
-                    pairs.append((r1, r2))
-        if len(pairs) >= 20:
-            break
-    return pairs[:20]
-
-
 def _check_hecke_budget(D: int, p: int, alpha: int) -> None:
     """UsageError when the scans of the norm p^1..p^alpha shells pass MAX_HECKE_ROWS.
 
@@ -272,9 +263,7 @@ def _check_hecke_budget(D: int, p: int, alpha: int) -> None:
 def _cmd_hecke(args) -> int:
     _check_degree(args.j)
     _check_hecke_budget(args.D, args.p, args.alpha)
-    report = hecke_verify(
-        args.D, args.j, args.p, args.alpha, _default_coprime_pairs()
-    )
+    report = hecke_verify(args.D, args.j, args.p, args.alpha, COPRIME_PAIRS)
     if args.format == "json":
         _emit(_dumps(_hecke_json(report)), args.output)
     else:

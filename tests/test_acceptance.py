@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 
 from normdesign.arith import is_prime, is_representable, splitting_type
-from normdesign.cli import _default_coprime_pairs, run
+from normdesign.cli import COPRIME_PAIRS, run
 from normdesign.design import quadrature_average
 from normdesign.harmonic import BasisKind, BivarPoly, basis_poly, parse_poly
 from normdesign.ring import ADMISSIBLE_D, SplitType, ring_data
@@ -113,7 +113,7 @@ def test_criterion_5_strength_sweep(vanishing_sweep):
 
 def test_criterion_6_hecke_identities():
     with criterion("6 (Hecke identities)"):
-        pairs = _default_coprime_pairs()
+        pairs = COPRIME_PAIRS
         assert len(pairs) == 20
         assert all(r1 * r2 <= 300 for r1, r2 in pairs)
         for D in ADMISSIBLE_D:

@@ -3,7 +3,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from pathlib import Path
 
 import pytest
@@ -133,6 +133,20 @@ def test_hecke_command(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["all_passed"] is True
     assert any(c["identity"] == "multiplicativity" for c in payload["checks"])
+
+
+def test_coprime_pairs_follow_their_rule():
+    """The first 20 coprime pairs 1 < r1 < r2 by increasing r1*r2 <= 300, then r1."""
+    pairs = sorted(
+        (
+            (r1, r2)
+            for r1 in range(2, 300)
+            for r2 in range(r1 + 1, 300 // r1 + 1)
+            if gcd(r1, r2) == 1
+        ),
+        key=lambda pair: (pair[0] * pair[1], pair[0]),
+    )
+    assert cli.COPRIME_PAIRS == tuple(pairs[:20])
 
 
 def test_hecke_usage_errors(capsys):

@@ -25,6 +25,7 @@ DELETED = (
     "is_empty",
     "_require_nonempty",
     "_half_lattice_norms_upto",
+    "_default_coprime_pairs",
 )
 
 

@@ -16,6 +16,7 @@ from normdesign.ring import (
 from normdesign.shells import (
     SCAN_MAX_ROWS,
     WHEEL_MIN_ROWS,
+    _wheel_rows,
     enumerate_shell,
     shell_from_factorization,
     shell_orbits,
@@ -191,6 +192,9 @@ def test_orbits_partition_the_shell(D):
 # -- the exclusion wheel against the plain scan ----------------------------------
 
 WHEEL_MODULUS = 3 * 5 * 7 * 11 * 13 * 17
+# r4 = 0 mod each of these primes, so its classes are the c with
+# -|disc|*c^2 a square: all of y mod q or only c = 0
+PRIMORIAL_23 = WHEEL_MODULUS * 19 * 23
 
 
 def near_wheel_threshold(D):
@@ -201,16 +205,40 @@ def near_wheel_threshold(D):
     return st.integers(max(lo, 1), hi).map(lambda r: (D, r))
 
 
-def split_prime_powers(D):
-    """p^2 and p^3 for the split primes 1000 <= p < 2000, as Hecke checks scan."""
-    primes = [
+def split_primes(D):
+    """The primes 1000 <= p < 2000 that split in O_D, as Hecke checks draw."""
+    return [
         p for p in range(1000, 2000)
         if is_prime(p) and splitting_type(D, p) is SplitType.SPLIT
     ]
-    return st.tuples(st.sampled_from(primes), st.sampled_from((2, 3))).map(
-        lambda pe: (D, pe[0] ** pe[1])
-    )
 
+
+def split_prime_powers(D):
+    """p^2 and p^3 for the split primes 1000 <= p < 2000, as Hecke checks scan."""
+    return st.tuples(
+        st.sampled_from(split_primes(D)), st.sampled_from((2, 3))
+    ).map(lambda pe: (D, pe[0] ** pe[1]))
+
+
+def point_at_rows(D, rows, y):
+    """(D, r) with a point on row y (y mod rows) and a scan of at most rows rows."""
+    R = ring_data(D)
+    a = -R.disc
+    y %= rows
+    s = isqrt(a * ((rows - 1) ** 2 - y * y))
+    s -= (s - R.t * y) % 2  # 2x + t*y = s needs s = t*y (mod 2)
+    return D, norm_form(D, (s - R.t * y) // 2, y)
+
+
+def norm_at_rows(D, rows, fraction):
+    """(D, r) with a scan of about rows rows, any r between rows - 1 and rows."""
+    a = -discriminant(D)
+    lo, hi = (rows - 1) ** 2 * a // 4, rows**2 * a // 4
+    return D, lo + (hi - lo) * fraction // 1000
+
+
+# 10^3 to 2*10^5 scan rows: outer moduli 105 to 15 015, up to two inner primes
+inner_level_rows = st.integers(1000, 200000)
 
 wheel_case = st.one_of(
     st.sampled_from(ADMISSIBLE_D).flatmap(near_wheel_threshold),
@@ -225,6 +253,22 @@ wheel_case = st.one_of(
         st.integers(1, 40000).map(lambda k: k * WHEEL_MODULUS),
     ),
     st.sampled_from(ADMISSIBLE_D).flatmap(split_prime_powers),
+    st.builds(
+        point_at_rows,
+        st.sampled_from(ADMISSIBLE_D),
+        inner_level_rows,
+        st.integers(0, 200000),
+    ),
+    st.builds(
+        norm_at_rows,
+        st.sampled_from(ADMISSIBLE_D),
+        inner_level_rows,
+        st.integers(0, 1000),
+    ),
+    st.tuples(
+        st.sampled_from(ADMISSIBLE_D),
+        st.integers(1, 400).map(lambda k: k * PRIMORIAL_23),
+    ),
 )
 
 
@@ -237,12 +281,82 @@ def test_wheel_scan_matches_plain_scan(case):
 
 @pytest.mark.parametrize("D", ADMISSIBLE_D)
 def test_wheel_with_all_six_primes_matches_plain_scan(D):
-    """y >= 255 254 rows, so the wheel runs mod 3*5*7*11*13*17 with a tail."""
+    """y >= 255 254 rows, so the outer level runs mod 3*5*7*11*13*17 with a
+    tail, and the inner level on the next primes."""
     r = norm_form(D, 123457, 255300)
     assert isqrt(4 * r // -discriminant(D)) + 1 >= WHEEL_MODULUS
     shell = enumerate_shell(D, r)
     assert (123457, 255300) in shell.points
     assert shell.points == plain_scan(D, r)
+
+
+# 19 divides |disc| for D = 19 and is an inner prime from 15 015 rows on;
+# 43 is past the wheel's primes, so D = 43 runs the same cases without one
+@pytest.mark.parametrize("D", (19, 43))
+@pytest.mark.parametrize("rows", (1200, 16000, 60000, 200000))
+def test_wheel_where_a_prime_divides_the_discriminant(D, rows):
+    a = -discriminant(D)
+    for case in (
+        point_at_rows(D, rows, rows // 3),
+        point_at_rows(D, rows, a * (rows // (3 * a))),  # y = 0 mod |disc|
+        (D, a * point_at_rows(D, rows // a, 7)[1]),  # r = 0 mod |disc|
+        (D, PRIMORIAL_23 * (rows * rows * a // 4 // PRIMORIAL_23 + 1)),
+    ):
+        assert enumerate_shell(*case).points == plain_scan(*case), case
+
+
+@settings(deadline=None, derandomize=True, max_examples=100)
+@given(st.one_of(
+    st.builds(
+        point_at_rows,
+        st.sampled_from(ADMISSIBLE_D),
+        st.integers(WHEEL_MIN_ROWS, 200000),
+        st.integers(0, 200000),
+    ),
+    st.builds(
+        norm_at_rows,
+        st.sampled_from(ADMISSIBLE_D),
+        st.integers(WHEEL_MIN_ROWS, 200000),
+        st.integers(0, 1000),
+    ),
+))
+def test_wheel_rows_are_distinct_in_range_and_keep_every_point_row(case):
+    D, r = case
+    a, r4 = -discriminant(D), 4 * r
+    ymax = isqrt(r4 // a)
+    rows = list(_wheel_rows(a, r4, ymax))
+    assert len(rows) == len(set(rows))
+    assert all(0 <= y <= ymax for y in rows)
+    assert {abs(y) for _, y in plain_scan(D, r)} <= set(rows)
+
+
+@pytest.mark.parametrize("D", ADMISSIBLE_D)
+def test_wheel_past_the_outer_modulus_bound(D):
+    """Over 5*10^6 rows the outer level stops at 3*5*...*17 and the inner one
+    takes 19 on; the factorization route gives the shell."""
+    r = norm_form(D, 1234567, 5000000)
+    a, r4 = -discriminant(D), 4 * r
+    ymax = isqrt(r4 // a)
+    assert ymax + 1 > WHEEL_MODULUS * 19
+    shell = shell_from_factorization(D, r)
+    rows = list(_wheel_rows(a, r4, ymax))
+    assert len(rows) == len(set(rows))
+    assert all(0 <= y <= ymax for y in rows)
+    assert {abs(y) for _, y in shell.points} <= set(rows)
+    assert enumerate_shell(D, r) == shell
+
+
+def test_wheel_tests_few_rows_of_p_cubed_shells():
+    """At most 5% of the scan rows of norm p^3 shells, p in [1000, 2000)."""
+    tested = total = 0
+    for D in ADMISSIBLE_D:
+        primes = split_primes(D)
+        for p in primes[:: len(primes) // 5]:
+            a, r4 = -discriminant(D), 4 * p**3
+            ymax = isqrt(r4 // a)
+            total += ymax + 1
+            tested += sum(1 for _ in _wheel_rows(a, r4, ymax))
+    assert tested <= total // 20, (tested, total)
 
 
 # -- the factorization route against the scan -----------------------------------

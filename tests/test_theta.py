@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normdesign import theta
-from normdesign.cli import _default_coprime_pairs, run
+from normdesign.cli import COPRIME_PAIRS, run
 from normdesign.arith import factorize, is_prime, kronecker, splitting_type
 from normdesign.harmonic import BasisKind, BivarPoly, basis_poly, parse_poly
 from normdesign.ring import (
@@ -482,7 +482,7 @@ def hecke_reference(D, j, p, alpha_max, pairs):
 
 @pytest.mark.parametrize("D,p", [(1, 5), (3, 7), (7, 2), (163, 41)])
 def test_hecke_verify_scans_each_r_once(monkeypatch, D, p):
-    pairs = _default_coprime_pairs()
+    pairs = COPRIME_PAIRS
     j, alpha_max = 2 * ring_data(D).unit_count, 4
     calls = []
 
