@@ -143,6 +143,9 @@ def _shell_table(shell: Shell) -> str:
 
 
 def _cmd_verify(args) -> int:
+    for flag, j in (("--t", args.t), ("--jmax", args.jmax)):
+        if j is not None and not 1 <= j <= MAX_PROFILE_DEGREE:
+            raise UsageError(f"{flag} must be in [1, {MAX_PROFILE_DEGREE}], got {j}")
     if args.t is None and args.jmax is None:
         args.jmax = min(2 * ring_data(args.D).unit_count + 1, 13)
     # an empty shell raises ValueError in strength_profile: exit 2
@@ -202,6 +205,8 @@ def _verify_table(report, t: int | None, passed: bool) -> str:
 
 
 def _cmd_theta(args) -> int:
+    if args.rmax < 1:
+        raise UsageError(f"--rmax must be at least 1, got {args.rmax}")
     if args.rmax > MAX_THETA_RMAX:
         raise UsageError(f"--rmax must be at most 10^6, got {args.rmax}")
     if args.j is not None:

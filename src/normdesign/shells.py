@@ -9,13 +9,13 @@ every CLI output are reproducible byte for byte. ``half_ball_rows`` walks
 the lattice ball in whole rows; ``scan_rows`` is the scan's row count.
 
 The scan tests a row y by whether 4r - |disc|*y^2 is a perfect square. On
-long scans an exclusion wheel (the sieve of Fermat's factoring method,
+long scans a sieve (the exclusion sieve of Fermat's factoring method,
 Knuth, TAOCP Vol. 2, 4.5.4) first drops every row where that number is not
-a square modulo one of the primes 3, 5, 7, ...; its second level adds the
-next primes without walking the rows they drop. On the norm p^3 shells
-with 1000 <= p < 2000 the exact isqrt test then runs on 1-10% of the rows,
-3% at the median. The wheel reads nothing but 4r and |disc|, so the scan
-stays independent of the factorization of r.
+a square modulo one of the primes 3, 5, ..., 47, with one bit mask per
+block of rows. On the norm p^3 shells with 1000 <= p < 2000 the exact
+isqrt test then runs on 0.01-0.08% of the rows, 0.035% at the median. The
+sieve reads nothing but 4r and |disc|, so the scan stays independent of
+the factorization of r.
 """
 
 from __future__ import annotations
@@ -28,33 +28,29 @@ from .arith import factorize, splitting_type, sqrt_mod
 from .ring import SplitType, conj, mul, powers, ring_data
 
 #: ``norm_shell`` scans while isqrt(4r // |disc|) <= SCAN_MAX_ROWS (up to
-#: 451 rows) and factors r past that: with the wheel, the two routes cost
-#: the same between 400 and 500 rows for D = 1, 3, 7 and 163 (Python 3.11,
-#: best of 7 over 60 representable norms per size; 300 before the wheel).
-SCAN_MAX_ROWS = 450
+#: 1001 rows) and factors r past that: with the sieve, the two routes cost
+#: the same between 1000 and 1500 rows for D = 1, 3, 7 and 163 (Python 3.11,
+#: best of 25 over 60 representable norms per size).
+SCAN_MAX_ROWS = 1000
 
-#: Scan rows from which ``enumerate_shell`` walks the exclusion wheel
-#: instead of every row: building it costs more than it saves on short
-#: scans. Summed over D = 1, 3, 7 and 163 (same method as SCAN_MAX_ROWS),
-#: the two walks cost the same near 200 rows on representable norms, the
-#: ones that hold points (near 120 rows on arbitrary norms).
+#: Scan rows from which ``enumerate_shell`` runs the sieve of
+#: ``_wheel_rows`` instead of testing every row: building its masks costs
+#: more than it saves on short scans. Summed over D = 1, 3, 7 and 163 (same
+#: method as SCAN_MAX_ROWS), the two walks cost the same between 160 and
+#: 200 rows on representable norms, the ones that hold points (near 150
+#: rows on arbitrary norms).
 WHEEL_MIN_ROWS = 200
 
-#: Largest modulus of the wheel's outer level, 3*5*...*17: it bounds the
-#: residue list however long the scan (about 10^4 entries on most norms).
-#: Past it the next primes join the inner level; an outer level mod
-#: 3*5*...*19 would take about a sixth less time at 6*10^7 rows but hold
-#: 10 MB more.
-_OUTER_MAX_MODULUS = 3 * 5 * 7 * 11 * 13 * 17
+#: Rows per block of the sieve in ``_wheel_rows``: each block is one int
+#: of that many bits (8 KB) and one string of as many characters.
+_SIEVE_BLOCK = 1 << 16
 
-#: The wheel's primes q, each with the set of squares mod q. The outer
-#: level takes them from 3 on and the inner level the next ones, each
-#: level while its modulus fits (see ``_wheel_rows``). The inner modulus
-#: stays <= the number of residues <= _OUTER_MAX_MODULUS < 19*23*29*31,
-#: so no level reaches a prime past 29.
-_WHEEL_PRIMES = tuple(
+#: The sieve's primes q, each with the set of squares mod q. A scan of
+#: ymax + 1 rows takes the q <= isqrt(ymax), so every prime's pattern
+#: repeats at least q times in the scan.
+_SIEVE_PRIMES = tuple(
     (q, frozenset(c * c % q for c in range(q)))
-    for q in (3, 5, 7, 11, 13, 17, 19, 23, 29)
+    for q in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 )
 
 
@@ -95,7 +91,8 @@ def enumerate_shell(D: int, r: int) -> Shell:
     together with their negatives (-x, -y), since the norm is even in z.
     Perfect squares are detected with isqrt and a re-square, never floats.
     From WHEEL_MIN_ROWS rows on, only the rows ``_wheel_rows`` keeps are
-    tested; it drops rows where s^2 would be a non-square mod a small prime.
+    tested; its sieve drops rows where s^2 would be a non-square mod a
+    small prime.
     """
     R = ring_data(D)
     if r < 0:
@@ -123,60 +120,38 @@ def enumerate_shell(D: int, r: int) -> Shell:
 
 
 def _wheel_rows(a: int, r4: int, ymax: int) -> Iterator[int]:
-    """The y in 0..ymax with r4 - a*y^2 a square mod each wheel prime q.
+    """The y in 0..ymax with r4 - a*y^2 a square mod each prime q <= isqrt(ymax).
 
     Mod each prime q a row can hold a point only in the classes c with
-    r4 - a*c^2 a square mod q; the wheel joins these in two levels. The
-    outer level takes primes while their product M stays <= ymax + 1 and
-    <= _OUTER_MAX_MODULUS, and joins their classes by the Chinese remainder
-    theorem into the residues w mod M. The inner level takes the next
-    primes while their product Q stays <= the number of residues, joins
-    their classes into the allowed classes mod Q, and buckets the residues
-    by w mod Q. Each block base + w (base a multiple of M) then joins the
-    buckets whose class makes base + w an allowed class, one list join per
-    bucket. Rows come in no fixed order. A perfect square is a square mod
-    every q, so no row with a point is dropped. Where q divides a, the
-    classes are all of y mod q or none.
+    r4 - a*c^2 a square mod q; bit c of q's pattern is set for these, and
+    the pattern is repeated by doubling shifts to a block's length plus q.
+    Each block of _SIEVE_BLOCK rows from base ANDs every pattern shifted
+    by base mod q into one mask, whose set bits are the rows it yields, in
+    increasing order. A perfect square is a square mod every q, so no row
+    with a point is dropped. Where q divides a, the classes are all of y
+    mod q or none.
     """
-    M, residues = 1, [0]
-    Q, allowed = 1, [0]
-    outer_max = min(ymax + 1, _OUTER_MAX_MODULUS)
-    # the primes increase, so a level that one prime does not fit stays closed
-    for q, squares in _WHEEL_PRIMES:
-        if M * q <= outer_max:
-            residues = _crt_join(residues, M, a, r4, q, squares)
-            M *= q
-        elif Q * q <= len(residues):
-            allowed = _crt_join(allowed, Q, a, r4, q, squares)
-            Q *= q
-        else:
+    block = min(ymax + 1, _SIEVE_BLOCK)
+    patterns: list[tuple[int, int]] = []
+    for q, squares in _SIEVE_PRIMES:
+        if q * q > ymax:
             break
-    buckets: list[list[int]] = [[] for _ in range(Q)]
-    for w in residues:
-        buckets[w % Q].append(w)
-    for base in range(0, ymax + 1, M):
-        shift = base % Q
-        ws: list[int] = []
-        for c in allowed:
-            ws += buckets[(c - shift) % Q]
-        top = ymax - base
-        for w in ws:
-            if w <= top:
-                yield base + w
-
-
-def _crt_join(
-    residues: list[int], M: int, a: int, r4: int, q: int, squares: frozenset[int]
-) -> list[int]:
-    """The y mod M*q with y mod M in residues and r4 - a*y^2 a square mod q.
-
-    Joins each residue w mod M with each such class c mod q by the Chinese
-    remainder theorem.
-    """
-    classes = [c for c in range(q) if (r4 - a * c * c) % q in squares]
-    # w + M*k = c (mod q) at k = (c - w) / M (mod q)
-    inv = pow(M, -1, q)
-    return [w + M * ((c - w) * inv % q) for w in residues for c in classes]
+        bits = sum(1 << c for c in range(q) if (r4 - a * c * c) % q in squares)
+        n = q
+        while n < block + q:
+            bits |= bits << n
+            n *= 2
+        patterns.append((q, bits))
+    for base in range(0, ymax + 1, _SIEVE_BLOCK):
+        mask = (1 << min(_SIEVE_BLOCK, ymax + 1 - base)) - 1
+        for q, bits in patterns:
+            mask &= bits >> base % q
+        # bit i of mask is character i of the reversed binary digits
+        digits = bin(mask)[:1:-1]
+        i = digits.find("1")
+        while i >= 0:
+            yield base + i
+            i = digits.find("1", i + 1)
 
 
 def _prime_element(D: int, p: int) -> tuple[int, int]:

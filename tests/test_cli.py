@@ -209,6 +209,43 @@ def test_theta_rmax_at_the_bound_is_accepted(capsys, monkeypatch):
     assert "theta_series reached at r_max=1000000" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0", "-3", "41"])
+@pytest.mark.parametrize("flag", ["--t", "--jmax"])
+def test_verify_degree_out_of_range_is_a_usage_error(capsys, monkeypatch, flag, value):
+    def no_profile(*args):
+        raise AssertionError("strength_profile was called")
+
+    monkeypatch.setattr(cli, "strength_profile", no_profile)
+    assert run(["verify", "1", "5", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} must be in [1, 40], got {value}\n"
+
+
+@pytest.mark.parametrize("value", ["1", "40"])
+@pytest.mark.parametrize("flag", ["--t", "--jmax"])
+def test_verify_degree_in_range_is_accepted(capsys, monkeypatch, flag, value):
+    def reached(D, r, j_max):
+        raise ValueError(f"strength_profile reached at j_max={j_max}")
+
+    monkeypatch.setattr(cli, "strength_profile", reached)
+    assert run(["verify", "1", "5", flag, value]) == 2
+    assert f"reached at j_max={value}\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rmax", ["0", "-3", "-" + "9" * 30])
+@pytest.mark.parametrize("source", [["--j", "4"], ["--poly", "x^2"]])
+def test_theta_rmax_below_one_is_a_usage_error(capsys, monkeypatch, source, rmax):
+    def no_series(*args):
+        raise AssertionError("theta_series was called")
+
+    monkeypatch.setattr(cli, "theta_series", no_series)
+    assert run(["theta", "1"] + source + ["--rmax", rmax]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --rmax must be at least 1, got {rmax}\n"
+
+
 def _no_scan(monkeypatch):
     def scan(D, r):
         raise ValueError(f"scan reached at r={r}")

@@ -26,6 +26,8 @@ DELETED = (
     "_require_nonempty",
     "_half_lattice_norms_upto",
     "_default_coprime_pairs",
+    "_crt_join",
+    "_OUTER_MAX_MODULUS",
 )
 
 

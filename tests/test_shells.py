@@ -16,6 +16,7 @@ from normdesign.ring import (
 from normdesign.shells import (
     SCAN_MAX_ROWS,
     WHEEL_MIN_ROWS,
+    _SIEVE_BLOCK,
     _wheel_rows,
     enumerate_shell,
     shell_from_factorization,
@@ -40,7 +41,7 @@ def naive_shell(D, r):
 
 
 def plain_scan(D, r):
-    """The reference scan without the exclusion wheel: isqrt on every row."""
+    """The reference scan without the sieve: isqrt on every row."""
     R = ring_data(D)
     if r == 0:
         return ((0, 0),)
@@ -189,12 +190,13 @@ def test_orbits_partition_the_shell(D):
         assert reps == sorted(reps)
 
 
-# -- the exclusion wheel against the plain scan ----------------------------------
+# -- the sieve against the plain scan --------------------------------------------
 
-WHEEL_MODULUS = 3 * 5 * 7 * 11 * 13 * 17
 # r4 = 0 mod each of these primes, so its classes are the c with
 # -|disc|*c^2 a square: all of y mod q or only c = 0
-PRIMORIAL_23 = WHEEL_MODULUS * 19 * 23
+PRIMORIAL_17 = 3 * 5 * 7 * 11 * 13 * 17
+PRIMORIAL_23 = PRIMORIAL_17 * 19 * 23
+SIEVE_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 def near_wheel_threshold(D):
@@ -237,8 +239,9 @@ def norm_at_rows(D, rows, fraction):
     return D, lo + (hi - lo) * fraction // 1000
 
 
-# 10^3 to 2*10^5 scan rows: outer moduli 105 to 15 015, up to two inner primes
-inner_level_rows = st.integers(1000, 200000)
+# 10^3 to 2*10^5 scan rows: the sieve primes 3..31 up to all of 3..47, and
+# one to four blocks
+long_scan_rows = st.integers(1000, 200000)
 
 wheel_case = st.one_of(
     st.sampled_from(ADMISSIBLE_D).flatmap(near_wheel_threshold),
@@ -250,19 +253,19 @@ wheel_case = st.one_of(
     ).filter(lambda case: case[1] >= 1),
     st.tuples(
         st.sampled_from(ADMISSIBLE_D),
-        st.integers(1, 40000).map(lambda k: k * WHEEL_MODULUS),
+        st.integers(1, 40000).map(lambda k: k * PRIMORIAL_17),
     ),
     st.sampled_from(ADMISSIBLE_D).flatmap(split_prime_powers),
     st.builds(
         point_at_rows,
         st.sampled_from(ADMISSIBLE_D),
-        inner_level_rows,
+        long_scan_rows,
         st.integers(0, 200000),
     ),
     st.builds(
         norm_at_rows,
         st.sampled_from(ADMISSIBLE_D),
-        inner_level_rows,
+        long_scan_rows,
         st.integers(0, 1000),
     ),
     st.tuples(
@@ -281,17 +284,16 @@ def test_wheel_scan_matches_plain_scan(case):
 
 @pytest.mark.parametrize("D", ADMISSIBLE_D)
 def test_wheel_with_all_six_primes_matches_plain_scan(D):
-    """y >= 255 254 rows, so the outer level runs mod 3*5*7*11*13*17 with a
-    tail, and the inner level on the next primes."""
+    """More than three blocks of rows, each sieved by every prime 3..47."""
     r = norm_form(D, 123457, 255300)
-    assert isqrt(4 * r // -discriminant(D)) + 1 >= WHEEL_MODULUS
+    assert isqrt(4 * r // -discriminant(D)) + 1 > 3 * _SIEVE_BLOCK
     shell = enumerate_shell(D, r)
     assert (123457, 255300) in shell.points
     assert shell.points == plain_scan(D, r)
 
 
-# 19 divides |disc| for D = 19 and is an inner prime from 15 015 rows on;
-# 43 is past the wheel's primes, so D = 43 runs the same cases without one
+# q = D divides |disc| and is a sieve prime from q^2 + 1 rows on: 19 at every
+# size here, 43 from 16 000 rows (1 200 rows stop at 31)
 @pytest.mark.parametrize("D", (19, 43))
 @pytest.mark.parametrize("rows", (1200, 16000, 60000, 200000))
 def test_wheel_where_a_prime_divides_the_discriminant(D, rows):
@@ -332,12 +334,12 @@ def test_wheel_rows_are_distinct_in_range_and_keep_every_point_row(case):
 
 @pytest.mark.parametrize("D", ADMISSIBLE_D)
 def test_wheel_past_the_outer_modulus_bound(D):
-    """Over 5*10^6 rows the outer level stops at 3*5*...*17 and the inner one
-    takes 19 on; the factorization route gives the shell."""
+    """Over 5*10^6 rows, more than 76 blocks of the sieve; the factorization
+    route gives the shell."""
     r = norm_form(D, 1234567, 5000000)
     a, r4 = -discriminant(D), 4 * r
     ymax = isqrt(r4 // a)
-    assert ymax + 1 > WHEEL_MODULUS * 19
+    assert ymax + 1 > 76 * _SIEVE_BLOCK
     shell = shell_from_factorization(D, r)
     rows = list(_wheel_rows(a, r4, ymax))
     assert len(rows) == len(set(rows))
@@ -347,7 +349,7 @@ def test_wheel_past_the_outer_modulus_bound(D):
 
 
 def test_wheel_tests_few_rows_of_p_cubed_shells():
-    """At most 5% of the scan rows of norm p^3 shells, p in [1000, 2000)."""
+    """At most 0.2% of the scan rows of norm p^3 shells, p in [1000, 2000)."""
     tested = total = 0
     for D in ADMISSIBLE_D:
         primes = split_primes(D)
@@ -356,7 +358,38 @@ def test_wheel_tests_few_rows_of_p_cubed_shells():
             ymax = isqrt(r4 // a)
             total += ymax + 1
             tested += sum(1 for _ in _wheel_rows(a, r4, ymax))
-    assert tested <= total // 20, (tested, total)
+    assert tested <= total // 500, (tested, total)
+
+
+def sieve_oracle(a, r4, ymax):
+    """The y in 0..ymax with r4 - a*y^2 a square mod every q in SIEVE_PRIMES
+    with q^2 <= ymax, by brute force one prime at a time."""
+    ys = range(ymax + 1)
+    for q in SIEVE_PRIMES:
+        if q * q <= ymax:
+            squares = {c * c % q for c in range(q)}
+            ys = [y for y in ys if (r4 - a * y * y) % q in squares]
+    return list(ys)
+
+
+@pytest.mark.parametrize("D", ADMISSIBLE_D)
+@pytest.mark.parametrize(
+    "ymax",
+    [k * _SIEVE_BLOCK + d for k in (1, 2) for d in (-1, 0, 1)] + [199, 2208, 2209],
+)
+def test_wheel_rows_match_the_sieve_oracle(D, ymax):
+    """Block edges (a last block of one row, and a block from a base that is
+    no multiple of q) and the sizes where 47 joins; for D = 19 and 43 a
+    sieve prime divides |disc|."""
+    a = -discriminant(D)
+    r_low = -(-a * ymax * ymax // 4)
+    r_high = (a * (ymax + 1) ** 2 - 1) // 4
+    for r in (r_low, r_low + 7, r_high):
+        r4 = 4 * r
+        assert isqrt(r4 // a) == ymax
+        rows = list(_wheel_rows(a, r4, ymax))
+        assert all(y < z for y, z in zip(rows, rows[1:]))
+        assert rows == sieve_oracle(a, r4, ymax), (D, r)
 
 
 # -- the factorization route against the scan -----------------------------------
