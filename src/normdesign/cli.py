@@ -3,7 +3,7 @@
 Exit codes: 0 when the command and every check it ran succeeded, 1 when a
 verification failed, 2 on usage errors (bad flags, unparseable input,
 inadmissible D, empty shell where a nonempty one is required, a budget
-exceeded, ``sweep --parallel`` below 1), 3 on an internal error: an
+exceeded, ``sweep --parallel`` or ``--rmax`` below 1), 3 on an internal error: an
 ArithmeticError or AssertionError that escapes a command, reported as one
 line on stderr.
 """
@@ -22,7 +22,9 @@ from .design import (
     quadrature_average,
     strength_profile,
 )
-from .harmonic import BivarPoly, PolyParseError, format_poly, parse_poly
+from .harmonic import (
+    BasisKind, BivarPoly, PolyParseError, basis_poly, format_poly, parse_poly
+)
 from .ring import ADMISSIBLE_D, ring_data
 from .shells import Shell, enumerate_shell, norm_shell, scan_rows
 from .theta import HeckeReport, format_rational, hecke_verify, shell_sum, theta_series
@@ -96,14 +98,17 @@ class UsageError(Exception):
 
 
 def _shown(value: int) -> str:
-    """value itself, or its size when it runs past 64 bits."""
+    """value itself, or a power of 2 it passes when it runs past 64 bits."""
     if value.bit_length() <= 64:
         return str(value)
-    return f"more than 2^{value.bit_length() - 1}"
+    bound = f"2^{(abs(value) - 1).bit_length() - 1}"
+    return f"more than {bound}" if value > 0 else f"less than -{bound}"
 
 
 def _check_degree(j: int) -> None:
-    """UsageError when --j passes MAX_DEGREE; a huge value is named by size."""
+    """UsageError when --j is outside [1, MAX_DEGREE]; huge values are named by size."""
+    if j < 1:
+        raise UsageError(f"--j must be at least 1, got {_shown(j)}")
     if j > MAX_DEGREE:
         raise UsageError(f"--j must be at most {MAX_DEGREE}, got {_shown(j)}")
 
@@ -212,8 +217,6 @@ def _cmd_theta(args) -> int:
     if args.j is not None:
         _check_degree(args.j)
         _check_theta_budget(args.j, args.rmax)
-        from .harmonic import BasisKind, basis_poly
-
         poly = basis_poly(args.D, args.j, BasisKind.REAL_PART).poly
     else:
         poly = _parse_poly_arg(args.poly)
@@ -333,6 +336,8 @@ def _sweep_task(task: tuple[int, int, int]) -> dict:
 
 
 def _cmd_sweep(args) -> int:
+    if args.rmax < 1:
+        raise UsageError(f"--rmax must be at least 1, got {args.rmax}")
     if args.rmax > MAX_SWEEP_RMAX:
         raise UsageError(f"--rmax must be at most 10^4, got {args.rmax}")
     if not 1 <= args.jmax <= MAX_PROFILE_DEGREE:

@@ -28,11 +28,16 @@ _Monomial = tuple[int, int]
 
 
 class BivarPoly:
-    """Immutable polynomial in x, y with exact rational coefficients."""
+    """Immutable polynomial in x, y with exact rational coefficients.
 
-    # _int_form caches the denominator-cleared terms for evaluate; it is
-    # derived from _terms and takes no part in equality or hashing.
-    __slots__ = ("_terms", "_int_form")
+    The coefficients are held as integers over one denominator: den is the
+    LCM of their denominators in lowest terms (1 for the zero polynomial),
+    and numerators maps each monomial (i, k) with a nonzero coefficient c
+    to the int c * den. Both are canonical, so equality and hashing read
+    them, and a Fraction is built only when a coefficient is asked for.
+    """
+
+    __slots__ = ("den", "numerators")
 
     def __init__(
         self,
@@ -46,71 +51,50 @@ class BivarPoly:
                 raise ValueError(f"negative exponent in monomial x^{i}*y^{k}")
             c = Fraction(c)
             if c:
-                acc[(i, k)] = acc.get((i, k), Fraction(0)) + c
-        object.__setattr__(self, "_terms", {m: c for m, c in acc.items() if c})
-        object.__setattr__(self, "_int_form", None)
+                acc[(i, k)] = acc.get((i, k), 0) + c
+        coeffs = {m: c for m, c in acc.items() if c}
+        self.den = den = math.lcm(*(c.denominator for c in coeffs.values()))
+        self.numerators = {
+            m: c.numerator * (den // c.denominator) for m, c in coeffs.items()
+        }
 
     # -- structure ---------------------------------------------------------
 
     @property
     def terms(self) -> dict[_Monomial, Fraction]:
-        return dict(self._terms)
+        return {m: Fraction(t, self.den) for m, t in self.numerators.items()}
 
     @property
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(i + k for i, k in self._terms)
+        return max((i + k for i, k in self.numerators), default=-1)
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self.numerators
 
     @property
     def is_homogeneous(self) -> bool:
-        degrees = {i + k for i, k in self._terms}
+        degrees = {i + k for i, k in self.numerators}
         return len(degrees) <= 1
 
     def coefficient(self, i: int, k: int) -> Fraction:
-        return self._terms.get((i, k), Fraction(0))
+        return Fraction(self.numerators.get((i, k), 0), self.den)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BivarPoly):
             return NotImplemented
-        return self._terms == other._terms
+        return self.den == other.den and self.numerators == other.numerators
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash((self.den, frozenset(self.numerators.items())))
 
     # -- evaluation ----------------------------------------------------------
-
-    def integer_form(self) -> tuple[int, int, int, tuple[tuple[int, int, int], ...]]:
-        """(den, dx, dy, ((t, i, k), ...)) with t = c * den integral.
-
-        den is the LCM of the coefficient denominators, dx and dy the top
-        exponents of x and y. Built on first use and kept.
-        """
-        form = self._int_form
-        if form is None:
-            den = 1
-            for c in self._terms.values():
-                den = math.lcm(den, c.denominator)
-            dx = max((i for i, _ in self._terms), default=0)
-            dy = max((k for _, k in self._terms), default=0)
-            terms = tuple(
-                (c.numerator * (den // c.denominator), i, k)
-                for (i, k), c in self._terms.items()
-            )
-            form = (den, dx, dy, terms)
-            object.__setattr__(self, "_int_form", form)
-        return form
 
     def evaluate(self, x: RationalLike, y: RationalLike) -> Fraction:
         """Exact value at a point with int or Fraction coordinates.
 
-        The coefficients are cleared to integers t = c * den once per
-        polynomial, so on an integer point the sum of t * x^i * y^k stays in
+        On an integer point the sum of the numerators t * x^i * y^k stays in
         ints and only the final division by den builds a Fraction. Any
         other coordinate type raises TypeError before any product.
         """
@@ -119,13 +103,15 @@ class BivarPoly:
                 "point coordinates must be int or Fraction, got "
                 f"{type(x).__name__} and {type(y).__name__}"
             )
-        den, dx, dy, terms = self.integer_form()
-        xs = _powers(x, dx)
-        ys = _powers(y, dy)
-        return Fraction(sum(t * xs[i] * ys[k] for t, i, k in terms), den)
+        terms = self.numerators
+        xs = _powers(x, max((i for i, _ in terms), default=0))
+        ys = _powers(y, max((k for _, k in terms), default=0))
+        return Fraction(sum(t * xs[i] * ys[k] for (i, k), t in terms.items()), self.den)
 
     def evaluate_float(self, x: float, y: float) -> float:
-        return sum(float(c) * x**i * y**k for (i, k), c in self._terms.items())
+        # t / den is float(c): int true division is correctly rounded
+        den = self.den
+        return sum(t / den * x**i * y**k for (i, k), t in self.numerators.items())
 
     def __repr__(self) -> str:
         return f"BivarPoly({format_poly(self)!r})"
@@ -226,9 +212,9 @@ def format_poly(P: BivarPoly) -> str:
     if P.is_zero:
         return "0"
     pieces: list[str] = []
-    ordering = sorted(P.terms, key=lambda m: (m[0] + m[1], -m[0]))
-    for i, k in ordering:
-        c = P.coefficient(i, k)
+    terms = P.terms
+    for i, k in sorted(terms, key=lambda m: (m[0] + m[1], -m[0])):
+        c = terms[i, k]
         mag = -c if c < 0 else c
         factors: list[str] = []
         if mag != 1 or (i == 0 and k == 0):
@@ -342,12 +328,11 @@ def decompose(
     j = P.degree
     half = j // 2
     # with wbar = t - w and delta = w - wbar = (-t, 2): delta*x = -wbar*z + w*zbar
-    # and delta*y = z - zbar, so den*delta^j*P is a polynomial in z, zbar over
-    # Z[w], with den clearing P's denominators; only layers k <= j/2 are read.
+    # and delta*y = z - zbar, so P.den*delta^j*P, read off P's numerators, is a
+    # polynomial in z, zbar over Z[w]; only layers k <= j/2 are read.
     # (z - zbar)^m has the integer coefficients (-1)^l * C(m, l).
-    den, _, _, terms = P.integer_form()
     coeffs = [(0, 0)] * (half + 1)
-    for c, i, m in terms:
+    for (i, m), c in P.numerators.items():
         for s, (u, v) in enumerate(_linear_power(D, (-R.t, 1), (0, 1), i)[: half + 1]):
             for l in range(min(m, half - s) + 1):
                 cl = (-1) ** l * math.comb(m, l) * c
@@ -355,7 +340,7 @@ def decompose(
                 coeffs[s + l] = (cu + cl * u, cv + cl * v)
     # delta^2 = disc, so 1/delta^j = delta^(j mod 2)/disc^ceil(j/2)
     delta = (-R.t, 2) if j % 2 else (1, 0)
-    scale = den * R.disc ** ((j + 1) // 2)
+    scale = P.den * R.disc ** ((j + 1) // 2)
     out: list[tuple[int, Fraction, Fraction]] = []
     for k, c in enumerate(coeffs):
         re, im = parts(D, mul(D, c, delta))

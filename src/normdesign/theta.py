@@ -4,8 +4,8 @@ The coefficient of q^r in the theta series of a polynomial P over O_D is
 the exact sum of P over the norm r shell. The norm is even in z and every
 shell is closed under z -> -z, while P(z) + P(-z) is twice the even-degree
 part of P; so theta_series walks one point of each +-z pair and sums that
-doubled even part there, and adds P(0, 0) at r = 0. It works on P's cleared
-integer terms: on each lattice row they fold into one polynomial in x,
+doubled even part there, and adds P(0, 0) at r = 0. It works on P's integer
+numerators: on each lattice row they fold into one polynomial in x,
 evaluated by Horner at the row's points, and the values add into one int
 per norm, so only a nonzero sum becomes a Fraction. shell_sum evaluates P
 at every shell point and stays the reference the tests check theta_series
@@ -83,7 +83,7 @@ def theta_series(D: int, P: BivarPoly, r_max: int) -> tuple[Fraction, ...]:
     degree; entry 0 is P(0, 0).
     When P has only odd-degree terms every entry is 0 and nothing is walked.
 
-    The walk stays in ints: E's terms are P's cleared integer terms, and on
+    The walk stays in ints: E's terms are P's numerators over P.den, and on
     each lattice row y they fold into one polynomial in x with coefficients
     sum_k t_ik * y^k, so a point costs one Horner step per power of x
     whatever the term count. The values add into one int per norm, and
@@ -92,8 +92,7 @@ def theta_series(D: int, P: BivarPoly, r_max: int) -> tuple[Fraction, ...]:
     R = ring_data(D)
     if r_max < 1:
         raise ValueError(f"r_max must be >= 1, got {r_max}")
-    den, _, _, terms = P.integer_form()
-    even = [(2 * t, i, k) for t, i, k in terms if (i + k) % 2 == 0]
+    even = [(2 * t, i, k) for (i, k), t in P.numerators.items() if (i + k) % 2 == 0]
     sums = [0] * (r_max + 1)
     if even:
         dx = max(i for _, i, _ in even)
@@ -108,7 +107,7 @@ def theta_series(D: int, P: BivarPoly, r_max: int) -> tuple[Fraction, ...]:
                     value = value * x + c
                 sums[x * (x + ty) + ny2] += value
     zero = Fraction(0)
-    coeffs = [Fraction(s, den) if s else zero for s in sums]
+    coeffs = [Fraction(s, P.den) if s else zero for s in sums]
     coeffs[0] = P.evaluate(0, 0)
     return tuple(coeffs)
 

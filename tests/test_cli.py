@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import normdesign
-from normdesign import arith, cli, harmonic, shells, theta
+from normdesign import arith, cli, shells, theta
 from normdesign.cli import run
 from normdesign.harmonic import BivarPoly
 from normdesign.ring import norm_form
@@ -306,7 +306,7 @@ def _no_degree_work(monkeypatch):
     def work(*args):
         raise AssertionError("degree work was started")
 
-    monkeypatch.setattr(harmonic, "basis_poly", work)
+    monkeypatch.setattr(cli, "basis_poly", work)
     monkeypatch.setattr(cli, "theta_series", work)
     monkeypatch.setattr(cli, "hecke_verify", work)
     _no_scan(monkeypatch)
@@ -322,6 +322,11 @@ ARGV_LENGTH_J = "9" * 100_000
         ("100000", "got 100000"),
         ("1" + "0" * 30, "got more than 2^99"),
         pytest.param(ARGV_LENGTH_J, "got more than 2^332192", id="argv-length"),
+        ("0", "got 0"),
+        ("-3", "got -3"),
+        ("-" + "9" * 40, "got less than -2^132"),
+        (str(2**64), "got more than 2^63"),
+        (str(-(2**64)), "got less than -2^63"),
     ],
 )
 @pytest.mark.parametrize(
@@ -335,7 +340,8 @@ def test_degree_budget_is_checked_before_any_work(
     assert run(command + ["--j", j]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"error: --j must be at most 1000, {shown}\n" == captured.err
+    bound = "at least 1" if int(j) < 1 else "at most 1000"
+    assert f"error: --j must be {bound}, {shown}\n" == captured.err
 
 
 @pytest.mark.parametrize(
@@ -349,7 +355,7 @@ def test_degree_at_the_budget_is_accepted(capsys, monkeypatch, command, reached)
     def stop(*args):
         raise ValueError(f"{reached} reached")
 
-    monkeypatch.setattr(harmonic, "basis_poly", stop)
+    monkeypatch.setattr(cli, "basis_poly", stop)
     monkeypatch.setattr(cli, "hecke_verify", stop)
     assert cli.MAX_DEGREE == 1000
     assert run(command + ["--j", "1000"]) == 2
@@ -404,7 +410,7 @@ def test_theta_within_the_work_budget_is_accepted(capsys, monkeypatch, argv, rea
     def stop(*args):
         raise ValueError(f"{reached} reached")
 
-    monkeypatch.setattr(harmonic, "basis_poly", stop)
+    monkeypatch.setattr(cli, "basis_poly", stop)
     monkeypatch.setattr(cli, "theta_series", stop)
     assert cli.MAX_THETA_WORK == 25 * 10**8
     assert run(["theta", "1"] + argv) == 2
@@ -419,6 +425,9 @@ def test_theta_within_the_work_budget_is_accepted(capsys, monkeypatch, argv, rea
         (["--jmax", "0"], "--jmax must be in [1, 40], got 0"),
         (["--jmax", "41"], "--jmax must be in [1, 40], got 41"),
         (["--rmax", "10", "--jmax", "-5"], "--jmax must be in [1, 40], got -5"),
+        (["--rmax", "0"], "--rmax must be at least 1, got 0\n"),
+        (["--rmax", "-5"], "--rmax must be at least 1, got -5\n"),
+        (["--rmax", "-" + "9" * 30], f"--rmax must be at least 1, got -{'9' * 30}\n"),
     ],
 )
 def test_sweep_budget_is_checked_before_any_task(capsys, monkeypatch, argv, message):
@@ -660,13 +669,32 @@ def test_one_parser_serves_interleaved_commands(capsys, monkeypatch):
     assert "failing set matches the multiples of u_D=6" in fresh[-1][1]
 
 
-def test_verify_past_the_scan_reach():
+def _scan_within_reach(monkeypatch):
+    """Let the reference scan run only within norm_shell's reach, 1001 rows.
+
+    The reach is a literal, not shells.SCAN_MAX_ROWS, so a crossover moved
+    past a norm's rows fails here instead of scanning them. Smaller scans
+    still run: _prime_element reads the norm 2 shell.
+    """
+    original = shells.enumerate_shell
+
+    def scan(D, r):
+        if shells.scan_rows(D, r) > 1001:
+            raise AssertionError(f"the reference scan was started at r={r}")
+        return original(D, r)
+
+    monkeypatch.setattr(shells, "enumerate_shell", scan)
+
+
+def test_verify_past_the_scan_reach(monkeypatch):
     # 10^18 + 9 is a prime = 1 mod 4: a scan would need 10^9 rows
+    _scan_within_reach(monkeypatch)
     assert run(["verify", "1", "1000000000000000009", "--jmax", "8"]) == 0
 
 
-def test_shell_past_the_scan_reach(capsys):
+def test_shell_past_the_scan_reach(capsys, monkeypatch):
     # 10^18 + 9 is a prime = 1 mod 4: u_D * 2 = 8 points, built by factoring
+    _scan_within_reach(monkeypatch)
     r = 1000000000000000009
     assert run(["shell", "1", str(r), "--format", "json"]) == 0
     points = json.loads(capsys.readouterr().out)["points"]

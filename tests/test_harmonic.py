@@ -107,6 +107,27 @@ def test_terms_normalized():
     assert BivarPoly().degree == -1
 
 
+def test_coefficients_are_integers_over_one_denominator():
+    p = BivarPoly({(1, 0): Fraction(2, 4), (0, 1): Fraction(1, 3)})
+    assert p.den == 6
+    assert p.numerators == {(1, 0): 3, (0, 1): 2}
+    assert BivarPoly.__slots__ == ("den", "numerators")
+    assert not hasattr(p, "integer_form")
+    zero = BivarPoly({(2, 1): 0, (0, 0): Fraction(0, 5)})
+    assert zero.den == 1 and zero.numerators == {}
+    # split, rescaled and cancelling inputs of one polynomial give one state
+    same = [
+        p,
+        BivarPoly({(1, 0): Fraction(1, 2), (0, 1): Fraction(2, 6)}),
+        BivarPoly([((0, 1), Fraction(1, 6)), ((1, 0), 1), ((0, 1), Fraction(1, 6)),
+                   ((1, 0), Fraction(-1, 2)), ((3, 3), 7), ((3, 3), -7)]),
+    ]
+    for q in same:
+        assert (q.den, q.numerators, hash(q)) == (6, p.numerators, hash(p))
+        assert q == p
+    assert BivarPoly({(1, 0): 3, (0, 1): 2}) != p  # the numerators alone
+
+
 DELETED_ALGEBRA = (
     "zero", "constant", "monomial",
     "__add__", "__sub__", "__neg__", "__mul__", "__rmul__", "__pow__",
@@ -160,6 +181,15 @@ def test_evaluate_matches_horner_at_mixed_points(P, x, y):
     assert P.evaluate(y, x) == horner_reference(P, y, x)
 
 
+@PROPERTY
+@given(polys, st.floats(-100, 100), st.floats(-100, 100))
+def test_evaluate_float_matches_float_coefficients(P, x, y):
+    expected = sum(float(c) * x**i * y**k for (i, k), c in P.terms.items())
+    got = P.evaluate_float(x, y)
+    # bit for bit: repr tells -0.0 from 0.0, and the zero polynomial sums to 0
+    assert (type(got), repr(got)) == (type(expected), repr(expected))
+
+
 def test_evaluate_rejects_inexact_points():
     p = poly("1/2*x^3-2/3*x*y")
     for point in ((0.5, 2), (2, Decimal("0.5")), ("1/2", "3")):
@@ -179,7 +209,7 @@ def test_evaluate_rejects_a_str_point_before_any_product():
 def test_evaluate_cache_is_invisible_to_equality():
     p = poly("1/2*x^3-2/3*y")
     q = poly("1/2*x^3-2/3*y")
-    p.evaluate(Fraction(1, 3), 2)  # builds p's integer form, not q's
+    p.evaluate(Fraction(1, 3), 2)  # leaves no state behind in p
     assert p == q and hash(p) == hash(q)
     assert p.evaluate(5, Fraction(-7, 4)) == horner_reference(p, 5, Fraction(-7, 4))
 

@@ -28,6 +28,8 @@ DELETED = (
     "_default_coprime_pairs",
     "_crt_join",
     "_OUTER_MAX_MODULUS",
+    "integer_form",
+    "_int_form",
 )
 
 

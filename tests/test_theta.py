@@ -398,6 +398,33 @@ def test_a_norm_matches_the_multiplicative_oracle(D):
             assert a_norm(D, j, r) == multiplicative_a(D, j, r), (D, j, r)
 
 
+@pytest.mark.parametrize("D", ADMISSIBLE_D)
+def test_nonvanishing_through_prime_powers(D):
+    """a(p^alpha) != 0 at every representable p^alpha with p < 200, alpha <= 8.
+
+    a(r) is multiplicative, so a(r) != 0 on every representable r whose
+    prime powers are covered. Modulo p the recursion's p^j term drops, so
+    a(p^alpha) = a(p)^alpha mod p, which is nonzero at split p (criterion 7).
+    At ramified p, chi = 0 and a(p^alpha) = a(p)^alpha exactly; an inert
+    p^alpha is representable only for even alpha.
+    """
+    u = ring_data(D).unit_count
+    for j in (u, 2 * u):
+        for p in primes_up_to(199):
+            kind = splitting_type(D, p)
+            a_p = Fraction(multiplicative_a(D, j, p))
+            for alpha in range(1, 9):
+                if kind is SplitType.INERT and alpha % 2:
+                    continue
+                value = Fraction(multiplicative_a(D, j, p**alpha))
+                assert value.denominator == 1 and value != 0, (D, j, p, alpha)
+                if kind is SplitType.SPLIT:
+                    residue = pow(a_p.numerator, alpha, p)
+                    assert value.numerator % p == residue != 0, (D, j, p, alpha)
+                elif kind is SplitType.RAMIFIED:
+                    assert value == a_p**alpha, (D, j, p, alpha)
+
+
 @st.composite
 def norms_near_1e9(draw):
     """(D, r) with r near 10^9: any r, or a lattice point's norm, so that
