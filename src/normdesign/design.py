@@ -49,10 +49,10 @@ def strength_profile(D: int, r: int, j_max: int) -> DesignReport:
     vanishing: list[int] = []
     failing: list[FailingDegree] = []
     for j, (r_sum, i_sum) in enumerate(basis_shell_sums_upto(shell, j_max), start=1):
-        if r_sum == 0 and i_sum == 0:
-            vanishing.append(j)
+        if r_sum or i_sum:
+            failing.append(FailingDegree(j, r_sum or i_sum))
         else:
-            failing.append(FailingDegree(j, r_sum if r_sum != 0 else i_sum))
+            vanishing.append(j)
     expected = {j for j in range(1, j_max + 1) if j % R.unit_count == 0}
     ok = {f.j for f in failing} == expected
     return DesignReport(

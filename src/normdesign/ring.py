@@ -61,6 +61,9 @@ def _ring_data(D: int) -> RingData:
 
 
 _RINGS = {D: _ring_data(D) for D in ADMISSIBLE_D}
+# (n, t) per D for mul, the innermost step of every power sum: one dict
+# read in place of ring_data's call and two field reads
+_MUL_NT = {D: (R.n, R.t) for D, R in _RINGS.items()}
 
 
 class SplitType(Enum):
@@ -98,13 +101,18 @@ def mul(D: int, u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
     """Product of u = a + b*w and v = c + d*w in O_D, as a pair (a, b).
 
     The one place that applies w^2 = t*w - n. Exact on int or Fraction
-    pairs; Fraction pairs multiply in Q(w).
+    pairs; Fraction pairs multiply in Q(w). ValueError, as from
+    ``ring_data``, unless D is admissible.
     """
-    R = ring_data(D)
+    try:
+        n, t = _MUL_NT[D]
+    except KeyError:
+        ring_data(D)  # raises the ValueError that names the admissible D
+        raise
     a, b = u
     c, d = v
     bd = b * d
-    return (a * c - R.n * bd, a * d + b * c + R.t * bd)
+    return (a * c - n * bd, a * d + b * c + t * bd)
 
 
 def powers(D: int, u: tuple[int, int], e: int) -> list[tuple[int, int]]:
@@ -140,16 +148,19 @@ def conj(D: int, u: tuple[int, int]) -> tuple[int, int]:
     return a + ring_data(D).t * b, -b
 
 
-_ZERO_PARTS = (Fraction(0), Fraction(0))  # most degrees of a design vanish
+_ZERO = Fraction(0)
+_ZERO_PARTS = (_ZERO, _ZERO)  # most degrees of a design vanish
 
 
 def parts(D: int, u: tuple[int, int]) -> tuple[Fraction, Fraction]:
     """(Re u, Im u / sqrt(D)) of u = a + b*w, both rational.
 
-    Each part is one Fraction over 2: (2a + t*b)/2 and sigma2*b/2.
+    Each part is one Fraction over 2: (2a + t*b)/2 and sigma2*b/2. A zero
+    part is the one shared Fraction(0), built once: the imaginary part of
+    every shell sum is zero, and so are both parts of a vanishing degree.
     """
     a, b = u
     if not a and not b:
         return _ZERO_PARTS
     R = ring_data(D)
-    return Fraction(2 * a + R.t * b, 2), Fraction(R.sigma2 * b, 2)
+    return Fraction(2 * a + R.t * b, 2), (Fraction(R.sigma2 * b, 2) if b else _ZERO)

@@ -55,18 +55,24 @@ def power_sums(shell: Shell, j_max: int) -> list[tuple[int, int]]:
     """Integral-basis coordinates of sum z^j over the shell, j = 1..j_max.
 
     Entry j-1 holds (sum of a, sum of b) where z^j = a + b*w for the shell
-    point z = x + w*y.
+    point z = x + w*y. Each point adds z itself to the two running lists of
+    a and b sums, then one ``mul`` by z per further degree: j_max - 1
+    products per point, none past degree j_max.
     """
+    if j_max < 1:
+        return []
     D = shell.D
-    sums = [[0, 0] for _ in range(j_max)]
+    sa = [0] * j_max
+    sb = [0] * j_max
     for z in shell.points:
-        a, b = z
-        for j in range(j_max):
-            sums[j][0] += a
-            sums[j][1] += b
-            if j + 1 < j_max:
-                a, b = mul(D, (a, b), z)
-    return [(sa, sb) for sa, sb in sums]
+        sa[0] += z[0]
+        sb[0] += z[1]
+        p = z
+        for j in range(1, j_max):
+            p = mul(D, p, z)
+            sa[j] += p[0]
+            sb[j] += p[1]
+    return list(zip(sa, sb))
 
 
 def basis_shell_sums_upto(shell: Shell, j_max: int) -> list[tuple[Fraction, Fraction]]:

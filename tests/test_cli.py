@@ -196,7 +196,9 @@ def test_theta_rmax_bound_is_checked_before_any_work(capsys, monkeypatch, rmax):
     assert run(["theta", "1", "--j", "4", "--rmax", str(rmax)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"at most 10^6, got {rmax}" in captured.err
+    # 10^20 is past 64 bits, so the message names it by size
+    shown = {10**9: "1000000000", 10**20: "more than 2^66"}[rmax]
+    assert f"at most 10^6, got {shown}\n" in captured.err
 
 
 def test_theta_rmax_at_the_bound_is_accepted(capsys, monkeypatch):
@@ -233,6 +235,10 @@ def test_verify_degree_in_range_is_accepted(capsys, monkeypatch, flag, value):
     assert f"reached at j_max={value}\n" in capsys.readouterr().err
 
 
+# a value past 64 bits is named by the power of 2 it passes (cli._shown)
+BY_SIZE = {"-" + "9" * 30: "less than -2^99"}
+
+
 @pytest.mark.parametrize("rmax", ["0", "-3", "-" + "9" * 30])
 @pytest.mark.parametrize("source", [["--j", "4"], ["--poly", "x^2"]])
 def test_theta_rmax_below_one_is_a_usage_error(capsys, monkeypatch, source, rmax):
@@ -243,7 +249,8 @@ def test_theta_rmax_below_one_is_a_usage_error(capsys, monkeypatch, source, rmax
     assert run(["theta", "1"] + source + ["--rmax", rmax]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: --rmax must be at least 1, got {rmax}\n"
+    shown = BY_SIZE.get(rmax, rmax)
+    assert captured.err == f"error: --rmax must be at least 1, got {shown}\n"
 
 
 def _no_scan(monkeypatch):
@@ -263,7 +270,8 @@ def _no_scan(monkeypatch):
         (7, "2", "51", "122471952"),
         (1, "1009", "7", "more than 2^28"),
         (163, "1000000000000000009", "3", "more than 2^85"),
-        (1, "1009", "1" + "0" * 5000, "more than 2^44999"),
+        # the exponent itself is past 64 bits, so it is named by size too
+        (1, "1009", "1" + "0" * 5000, "more than 2^(more than 2^16611) rows"),
     ],
 )
 def test_hecke_scan_budget_is_checked_before_any_scan(
@@ -312,7 +320,7 @@ def _no_degree_work(monkeypatch):
     _no_scan(monkeypatch)
 
 
-ARGV_LENGTH_J = "9" * 100_000
+ARGV_LENGTH = "9" * 100_000
 
 
 @pytest.mark.parametrize(
@@ -321,7 +329,7 @@ ARGV_LENGTH_J = "9" * 100_000
         ("1001", "got 1001"),
         ("100000", "got 100000"),
         ("1" + "0" * 30, "got more than 2^99"),
-        pytest.param(ARGV_LENGTH_J, "got more than 2^332192", id="argv-length"),
+        pytest.param(ARGV_LENGTH, "got more than 2^332192", id="argv-length"),
         ("0", "got 0"),
         ("-3", "got -3"),
         ("-" + "9" * 40, "got less than -2^132"),
@@ -427,7 +435,10 @@ def test_theta_within_the_work_budget_is_accepted(capsys, monkeypatch, argv, rea
         (["--rmax", "10", "--jmax", "-5"], "--jmax must be in [1, 40], got -5"),
         (["--rmax", "0"], "--rmax must be at least 1, got 0\n"),
         (["--rmax", "-5"], "--rmax must be at least 1, got -5\n"),
-        (["--rmax", "-" + "9" * 30], f"--rmax must be at least 1, got -{'9' * 30}\n"),
+        (
+            ["--rmax", "-" + "9" * 30],
+            "--rmax must be at least 1, got less than -2^99\n",
+        ),
     ],
 )
 def test_sweep_budget_is_checked_before_any_task(capsys, monkeypatch, argv, message):
@@ -468,7 +479,56 @@ def test_sweep_parallel_below_one_is_a_usage_error(capsys, monkeypatch, parallel
     assert run(["sweep", "--rmax", "10", "--parallel", parallel]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: --parallel must be at least 1, got {parallel}\n"
+    shown = BY_SIZE.get(parallel, parallel)
+    assert captured.err == f"error: --parallel must be at least 1, got {shown}\n"
+
+
+NEG = "-" + ARGV_LENGTH
+MORE = "got more than 2^332192"
+LESS = "got less than -2^332192"
+
+
+@pytest.mark.parametrize(
+    "argv,shown",
+    [
+        pytest.param(["sweep", "--rmax", ARGV_LENGTH], MORE, id="sweep-rmax"),
+        pytest.param(["sweep", "--rmax", NEG], LESS, id="sweep-rmax-neg"),
+        pytest.param(["sweep", "--jmax", ARGV_LENGTH], MORE, id="sweep-jmax"),
+        pytest.param(["sweep", "--jmax", NEG], LESS, id="sweep-jmax-neg"),
+        pytest.param(["sweep", "--parallel", NEG], LESS, id="sweep-parallel-neg"),
+        pytest.param(
+            ["theta", "1", "--j", "4", "--rmax", ARGV_LENGTH], MORE, id="theta-rmax"
+        ),
+        pytest.param(
+            ["theta", "1", "--poly", "x^2", "--rmax", NEG], LESS, id="theta-rmax-neg"
+        ),
+        pytest.param(["verify", "1", "5", "--t", ARGV_LENGTH], MORE, id="verify-t"),
+        pytest.param(["verify", "1", "5", "--t", NEG], LESS, id="verify-t-neg"),
+        pytest.param(
+            ["verify", "1", "5", "--jmax", ARGV_LENGTH], MORE, id="verify-jmax"
+        ),
+        pytest.param(["verify", "1", "5", "--jmax", NEG], LESS, id="verify-jmax-neg"),
+        pytest.param(
+            ["hecke", "1", "--j", "4", "--p", "1009", "--alpha", ARGV_LENGTH],
+            "scan more than 2^(more than 2^332194) rows",
+            id="hecke-alpha",
+        ),
+    ],
+)
+def test_argv_length_values_are_named_by_size(capsys, monkeypatch, argv, shown):
+    # echoed in full, a 100 000-digit value would put about 100 kB on stderr
+    def no_work(*args):
+        raise AssertionError("work was started")
+
+    _no_degree_work(monkeypatch)
+    monkeypatch.setattr(cli, "strength_profile", no_work)
+    monkeypatch.setattr(cli, "is_representable", no_work)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert shown in captured.err
+    assert len(captured.err.encode()) < 200
 
 
 def test_internal_error_is_neither_usage_nor_failed_verification(

@@ -50,11 +50,13 @@ def test_inadmissible_d_rejected(bad):
     with pytest.raises(ValueError):
         norm_form(bad, 1, 0)
     with pytest.raises(ValueError):
-        mul(bad, (1, 0), (1, 0))
-    with pytest.raises(ValueError):
         discriminant(bad)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as expected:
         ring_data(bad)
+    # mul reads its own per-D table, and falls back to ring_data's error
+    with pytest.raises(ValueError) as got:
+        mul(bad, (1, 0), (1, 0))
+    assert str(got.value) == str(expected.value)
 
 
 # Each call is also wrong in its next argument: D must be the one reported.

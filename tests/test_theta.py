@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 
 from normdesign import theta
 from normdesign.cli import COPRIME_PAIRS, run
-from normdesign.arith import factorize, is_prime, kronecker, splitting_type
+from normdesign.arith import (
+    factorize,
+    is_prime,
+    is_representable,
+    kronecker,
+    splitting_type,
+)
 from normdesign.harmonic import BasisKind, BivarPoly, basis_poly, parse_poly
 from normdesign.ring import (
     ADMISSIBLE_D,
@@ -16,9 +22,17 @@ from normdesign.ring import (
     discriminant,
     norm_form,
     parts,
+    power,
     ring_data,
 )
-from normdesign.shells import enumerate_shell, half_ball_rows
+from normdesign.shells import (
+    SCAN_MAX_ROWS,
+    Shell,
+    enumerate_shell,
+    half_ball_rows,
+    norm_shell,
+    scan_rows,
+)
 from normdesign.theta import (
     HeckeCheck,
     HeckeReport,
@@ -238,6 +252,42 @@ def test_a_norm_matches_the_power_sums_route(case):
         r = norm_form(D, *r)
     old = parts(D, power_sums(enumerate_shell(D, r), j)[j - 1])[0] / ring_data(D).unit_count
     assert a_norm(D, j, r) == old
+
+
+POWER_SUMS_JMAX = (1, 2, 13, 40)
+
+
+def power_oracle(D, points, j):
+    """(sum of a, sum of b) over z^j = a + b*w, one ring.power per point."""
+    sa = sb = 0
+    for z in points:
+        a, b = power(D, z, j)
+        sa += a
+        sb += b
+    return sa, sb
+
+
+@pytest.mark.parametrize("D", ADMISSIBLE_D)
+def test_power_sums_match_the_power_oracle(D):
+    """Each entry of power_sums against the sum of ring.power(D, z, j).
+
+    Every representable r <= 500 (scanned shells) and three norms past the
+    scan's reach (factored shells): two near 10^9 and 10^18 + 9, which is
+    empty for some D. j_max = 1 takes no product at all. Odd degrees vanish
+    over a whole shell (z -> -z), so each shell is also summed over one
+    point of each +-z pair, where they need not.
+    """
+    scanned = [r for r in range(1, 501) if is_representable(D, r)]
+    factored = [norm_form(D, 31622, 17), norm_form(D, 25000, 2000), 10**18 + 9]
+    assert all(scan_rows(D, r) <= SCAN_MAX_ROWS + 1 for r in scanned)
+    assert all(scan_rows(D, r) > SCAN_MAX_ROWS + 1 for r in factored)
+    for r in scanned + factored:
+        whole = norm_shell(D, r)
+        half = Shell(D, r, tuple(z for z in whole.points if z > (0, 0)))
+        for shell in (whole, half):
+            oracle = [power_oracle(D, shell.points, j) for j in range(1, 41)]
+            for j_max in POWER_SUMS_JMAX:
+                assert power_sums(shell, j_max) == oracle[:j_max], (D, r, j_max)
 
 
 def test_cuspidality_of_basis_sums_at_zero():
