@@ -7,6 +7,12 @@ Brent's cycle finding, whose cost grows like the square root of the
 second-largest prime factor of n; ``factorize`` returns the pairs
 ((p, alpha), ...) sorted by p. ``is_prime`` and ``factorize`` reject
 n >= ``MR_BOUND``, where the test would no longer be a proof.
+
+Two small bounded caches serve repeated questions. ``splitting_type`` is
+asked about the same few primes for every norm. ``factorize`` keeps its
+last 16 results: ``sweep`` asks ``is_representable(D, r)`` for the nine D
+back to back, so each r is factored once, and a hit costs about 1/25 of
+factoring an r <= 500 again. Neither cache grows with the input range.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from functools import lru_cache
 from itertools import count
 from math import gcd
 
-from .ring import SplitType, ring_data
+from .ring import SplitType, _shown, ring_data
 
 
 def kronecker(a: int, n: int) -> int:
@@ -67,7 +73,8 @@ MR_BOUND = 3317044064679887385961981
 def _require_below_bound(n: int, what: str) -> None:
     if n >= MR_BOUND:
         raise ValueError(
-            f"{what} requires n < {MR_BOUND}, where primality is proven, got {n}"
+            f"{what} requires n < {MR_BOUND}, where primality is proven, "
+            f"got {_shown(n)}"
         )
 
 
@@ -133,10 +140,15 @@ def _rho_divisor(n: int) -> int:
             return g
 
 
+# bounded: sweep asks about each r nine times in a row, then not again
+@lru_cache(maxsize=16)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Exact factorization as ((p, alpha), ...) pairs, sorted by increasing p.
 
     Trial division to 41, then Pollard rho. Requires 1 <= n < MR_BOUND.
+    The last 16 results are cached, so the nine ``is_representable(D, r)``
+    calls that ``sweep`` makes for one r share one factorization. The
+    result is a tuple of int pairs, immutable and safe to share.
     """
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")

@@ -13,7 +13,7 @@ import math
 from collections import namedtuple
 
 from .harmonic import BivarPoly
-from .ring import norm_form, ring_data
+from .ring import _shown, norm_form, ring_data
 from .shells import norm_shell
 from .theta import basis_shell_sums_upto
 
@@ -39,7 +39,7 @@ def strength_profile(D: int, r: int, j_max: int) -> DesignReport:
         raise ValueError(f"j_max must be in [1, {MAX_PROFILE_DEGREE}], got {j_max}")
     R = ring_data(D)
     if r < 1:
-        raise ValueError(f"design checks require r >= 1, got {r}")
+        raise ValueError(f"design checks require r >= 1, got {_shown(r)}")
     shell = norm_shell(D, r)
     if not shell.points:
         raise ValueError(
@@ -120,14 +120,14 @@ def quadrature_average(D: int, r: int, P: BivarPoly, M: int) -> float:
     """
     ring_data(D)
     if r < 1:
-        raise ValueError(f"quadrature requires r >= 1, got {r}")
+        raise ValueError(f"quadrature requires r >= 1, got {_shown(r)}")
     if M < 16 or M & (M - 1) != 0:
-        raise ValueError(f"node count must be a power of two >= 16, got {M}")
+        raise ValueError(f"node count must be a power of two >= 16, got {_shown(M)}")
     if M > MAX_NODES:
-        raise ValueError(f"node count must be at most 2^20, got {M}")
+        raise ValueError(f"node count must be at most 2^20, got {_shown(M)}")
     if M <= P.degree:
         raise ValueError(
-            f"node count must exceed the polynomial degree {P.degree}, got {M}"
+            f"node count must exceed the polynomial degree {_shown(P.degree)}, got {M}"
         )
     try:
         gamma, gamma_prime, weight, prefactor = _ellipse_parametrization(D, r)

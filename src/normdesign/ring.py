@@ -74,12 +74,25 @@ class SplitType(Enum):
     INERT = "inert"
 
 
+def _shown(value) -> str:
+    """repr(value), or a power of 2 it passes when an int runs past 64 bits.
+
+    Error messages name their arguments through this: an int read from argv
+    can run to 128 KiB of digits, and one line of stderr should not.
+    """
+    if not isinstance(value, int) or value.bit_length() <= 64:
+        return repr(value)
+    bound = f"2^{(abs(value) - 1).bit_length() - 1}"
+    return f"more than {bound}" if value > 0 else f"less than -{bound}"
+
+
 def ring_data(D: int) -> RingData:
     """The constants of O_D; ValueError unless D is admissible."""
     try:
         return _RINGS[D]
     except KeyError:
-        raise ValueError(f"D must be one of {ADMISSIBLE_D}, got {D!r}") from None
+        message = f"D must be one of {ADMISSIBLE_D}, got {_shown(D)}"
+        raise ValueError(message) from None
 
 
 def norm_form(D: int, x: int, y: int) -> int:

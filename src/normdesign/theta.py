@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .arith import is_prime, kronecker, splitting_type
 from .harmonic import BivarPoly
-from .ring import SplitType, mul, parts, power, ring_data
+from .ring import SplitType, _shown, mul, parts, power, ring_data
 from .shells import Shell, enumerate_shell, half_ball_rows
 
 
@@ -177,9 +177,9 @@ def hecke_verify(
     if j < 1 or j % u != 0:
         raise ValueError(f"Hecke identities hold for j a multiple of u_D={u}")
     if not is_prime(p):
-        raise ValueError(f"hecke_verify requires a prime, got {p}")
+        raise ValueError(f"hecke_verify requires a prime, got {_shown(p)}")
     if alpha_max < 2:
-        raise ValueError(f"alpha_max must be >= 2, got {alpha_max}")
+        raise ValueError(f"alpha_max must be >= 2, got {_shown(alpha_max)}")
     checks: list[HeckeCheck] = []
     known: dict[int, int] = {}
 

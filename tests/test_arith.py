@@ -177,6 +177,19 @@ def test_factorize_matches_trial_division(n):
     assert is_prime(n) == (trial_division_factors(n) == ((n, 1),))
 
 
+def test_factorize_cache_is_bounded_and_returns_what_it_computed():
+    # the cache must not grow with the range of n that one sweep asks about
+    assert factorize.cache_info().maxsize is not None
+    ns = list(range(1, 501)) + [10**12 + 39, 1009**5, 10007**2 * 10009]
+    factorize.cache_clear()
+    cold = [factorize(n) for n in ns]
+    # asked nine times in a row, as sweep asks about one r: eight hits each
+    hits = factorize.cache_info().hits
+    warm = [[factorize(n) for _ in range(9)][-1] for n in ns]
+    assert factorize.cache_info().hits - hits >= 8 * len(ns)
+    assert cold == warm == [trial_division_factors(n) for n in ns]
+
+
 def test_primality_and_factoring_reject_the_miller_rabin_bound():
     for f in (is_prime, factorize):
         with pytest.raises(ValueError, match="primality is proven"):

@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import normdesign
-from normdesign import arith, cli, shells, theta
+from normdesign import arith, cli, design, shells, theta
 from normdesign.cli import run
+from normdesign.design import strength_profile
 from normdesign.harmonic import BivarPoly
 from normdesign.ring import norm_form
 from normdesign.shells import enumerate_shell
@@ -513,6 +514,32 @@ LESS = "got less than -2^332192"
             "scan more than 2^(more than 2^332194) rows",
             id="hecke-alpha",
         ),
+        # the rest are rejected by the library function that the command calls
+        pytest.param(["verify", "1", NEG], LESS, id="verify-r-neg"),
+        pytest.param(["shell", "1", NEG], LESS, id="shell-r-neg"),
+        pytest.param(
+            ["hecke", "1", "--j", "4", "--p", "5", "--alpha", NEG],
+            LESS,
+            id="hecke-alpha-neg",
+        ),
+        pytest.param(
+            ["hecke", "1", "--j", "4", "--p", ARGV_LENGTH], MORE, id="hecke-p"
+        ),
+        pytest.param(
+            ["quadrature", "1", NEG, "--poly", "x"], LESS, id="quadrature-r-neg"
+        ),
+        pytest.param(["verify", "5" + "9" * 99_999, "5"], MORE, id="verify-D"),
+        pytest.param(["hecke", "1", "--j", "4", "--p", NEG], LESS, id="hecke-p-neg"),
+        pytest.param(
+            ["quadrature", "1", "1", "--poly", "x", "--nodes", NEG],
+            LESS,
+            id="quadrature-nodes-neg",
+        ),
+        pytest.param(
+            ["quadrature", "1", "1", "--poly", "x^" + ARGV_LENGTH],
+            "degree more than 2^332192, got 256",
+            id="quadrature-degree",
+        ),
     ],
 )
 def test_argv_length_values_are_named_by_size(capsys, monkeypatch, argv, shown):
@@ -520,9 +547,13 @@ def test_argv_length_values_are_named_by_size(capsys, monkeypatch, argv, shown):
     def no_work(*args):
         raise AssertionError("work was started")
 
-    _no_degree_work(monkeypatch)
-    monkeypatch.setattr(cli, "strength_profile", no_work)
+    # the work behind each check: a task, a polynomial, a shell, a node, a sum
     monkeypatch.setattr(cli, "is_representable", no_work)
+    monkeypatch.setattr(cli, "basis_poly", no_work)
+    monkeypatch.setattr(cli, "theta_series", no_work)
+    monkeypatch.setattr(design, "norm_shell", no_work)
+    monkeypatch.setattr(design, "_ellipse_parametrization", no_work)
+    monkeypatch.setattr(theta, "a_norm", no_work)
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -623,6 +654,22 @@ def test_sweep_exit_and_shape(tmp_path):
     seen = [(rep["D"], rep["r"]) for rep in payload["reports"]]
     assert seen == sorted(seen)
     assert all(rep["theorem_main_ok"] for rep in payload["reports"])
+
+
+@pytest.mark.parametrize("jmax", [1, 13, 40])
+def test_sweep_reports_match_strength_profile(capsys, jmax):
+    # sweep finds the representable r with r on the outer loop; its reports
+    # must still be the design check of every nonempty shell, D-major
+    rmax = 300
+    assert run(["sweep", "--rmax", str(rmax), "--jmax", str(jmax)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    expected = [
+        cli._report_json(strength_profile(D, r, jmax))
+        for D in normdesign.ADMISSIBLE_D
+        for r in range(1, rmax + 1)
+        if enumerate_shell(D, r).points
+    ]
+    assert payload["reports"] == expected
 
 
 def test_sweep_parallel_output_is_byte_identical(tmp_path):
