@@ -21,7 +21,7 @@ from functools import lru_cache
 from itertools import count
 from math import gcd
 
-from .ring import SplitType, _shown, ring_data
+from .ring import InputError, SplitType, _shown, ring_data
 
 
 def kronecker(a: int, n: int) -> int:
@@ -72,7 +72,7 @@ MR_BOUND = 3317044064679887385961981
 
 def _require_below_bound(n: int, what: str) -> None:
     if n >= MR_BOUND:
-        raise ValueError(
+        raise InputError(
             f"{what} requires n < {MR_BOUND}, where primality is proven, "
             f"got {_shown(n)}"
         )
@@ -98,7 +98,7 @@ def _is_strong_probable_prime(n: int) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality for n < MR_BOUND; ValueError above."""
+    """Deterministic primality for n < MR_BOUND; InputError above."""
     if n < 2:
         return False
     _require_below_bound(n, "is_prime")
@@ -151,7 +151,7 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     result is a tuple of int pairs, immutable and safe to share.
     """
     if n < 1:
-        raise ValueError(f"factorize requires n >= 1, got {n}")
+        raise InputError(f"factorize requires n >= 1, got {_shown(n)}")
     _require_below_bound(n, "factorize")
     counts: dict[int, int] = {}
     m = n
@@ -206,7 +206,7 @@ def splitting_type(D: int, p: int) -> SplitType:
     """
     delta = ring_data(D).disc
     if not is_prime(p):
-        raise ValueError(f"splitting_type requires a prime, got {p}")
+        raise InputError(f"splitting_type requires a prime, got {_shown(p)}")
     if abs(delta) % p == 0:
         return SplitType.RAMIFIED
     return SplitType.SPLIT if kronecker(delta, p) == 1 else SplitType.INERT
@@ -220,7 +220,7 @@ def is_representable(D: int, r: int) -> bool:
     """
     ring_data(D)
     if r < 1:
-        raise ValueError(f"is_representable requires r >= 1, got {r}")
+        raise InputError(f"is_representable requires r >= 1, got {_shown(r)}")
     for p, alpha in factorize(r):
         if alpha % 2 == 1 and splitting_type(D, p) is SplitType.INERT:
             return False

@@ -1,11 +1,12 @@
 """Command line front end: shells, design reports, theta tables and sweeps.
 
 Exit codes: 0 when the command and every check it ran succeeded, 1 when a
-verification failed, 2 on usage errors (bad flags, unparseable input,
-inadmissible D, empty shell where a nonempty one is required, a budget
-exceeded, ``sweep --parallel`` or ``--rmax`` below 1), 3 on an internal error: an
-ArithmeticError or AssertionError that escapes a command, reported as one
-line on stderr.
+verification failed, 2 on usage errors: a parser error, an ``InputError``
+(an integer flag outside its ``FLAG_RANGES`` row, unparseable input,
+inadmissible D, an empty shell where a nonempty one is required, a budget
+exceeded) or an OSError. 3 on an internal error: a ValueError that is not an
+``InputError``, an ArithmeticError or an AssertionError that escapes a
+command, reported as one line on stderr.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .design import (
 from .harmonic import (
     BasisKind, BivarPoly, PolyParseError, basis_poly, format_poly, parse_poly
 )
-from .ring import ADMISSIBLE_D, _shown, ring_data
+from .ring import ADMISSIBLE_D, InputError, _shown, ring_data
 from .shells import Shell, enumerate_shell, norm_shell, scan_rows
 from .theta import HeckeReport, format_rational, hecke_verify, shell_sum, theta_series
 
@@ -74,6 +75,17 @@ COPRIME_PAIRS = (
 #: 174 MB.
 MAX_SWEEP_RMAX = 10**4
 
+#: (flag, low, high) per command: each integer flag's range, checked in this
+#: order after parsing and before the command runs. high None is no upper
+#: end, and an unset flag (None) is skipped.
+FLAG_RANGES = {
+    "verify": (("t", 1, MAX_PROFILE_DEGREE), ("jmax", 1, MAX_PROFILE_DEGREE)),
+    "theta": (("rmax", 1, MAX_THETA_RMAX), ("j", 1, MAX_DEGREE)),
+    "hecke": (("j", 1, MAX_DEGREE),),
+    "sweep": (("rmax", 1, MAX_SWEEP_RMAX), ("jmax", 1, MAX_PROFILE_DEGREE),
+              ("parallel", 1, None)),
+}
+
 
 def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -91,26 +103,29 @@ def _parse_poly_arg(text: str) -> BivarPoly:
     try:
         return parse_poly(text)
     except PolyParseError as exc:
-        marker = " " * exc.position + "^"
-        raise UsageError(f"cannot parse polynomial:\n  {text}\n  {marker}\n{exc}")
+        # at most 80 characters of the text, around the caret; "..." marks a cut
+        start = max(0, min(exc.position - 40, len(text) - 80))
+        head = "..." if start else ""
+        tail = "..." if start + 80 < len(text) else ""
+        shown = f"{head}{text[start:start + 80]}{tail}"
+        marker = " " * (len(head) + exc.position - start) + "^"
+        raise InputError(f"cannot parse polynomial:\n  {shown}\n  {marker}\n{exc}")
 
 
-class UsageError(Exception):
-    pass
-
-
-def _check_degree(j: int) -> None:
-    """UsageError when --j is outside [1, MAX_DEGREE]; huge values are named by size."""
-    if j < 1:
-        raise UsageError(f"--j must be at least 1, got {_shown(j)}")
-    if j > MAX_DEGREE:
-        raise UsageError(f"--j must be at most {MAX_DEGREE}, got {_shown(j)}")
+def _check_flag_ranges(args) -> None:
+    """InputError naming the first flag of FLAG_RANGES outside its range."""
+    for flag, low, high in FLAG_RANGES.get(args.command, ()):
+        value = getattr(args, flag)
+        if value is None or low <= value and (high is None or value <= high):
+            continue
+        bound = f"at least {low}" if value < low else f"at most {high}"
+        raise InputError(f"--{flag} must be {bound}, got {_shown(value)}")
 
 
 def _check_theta_budget(degree: int, rmax: int) -> None:
-    """UsageError when (degree + 32)^2 * rmax passes MAX_THETA_WORK."""
+    """InputError when (degree + 32)^2 * rmax passes MAX_THETA_WORK."""
     if (degree + 32) ** 2 * rmax > MAX_THETA_WORK:
-        raise UsageError(
+        raise InputError(
             f"theta at degree {_shown(degree)} and --rmax {rmax} is past the "
             "work budget: (degree + 32)^2 * rmax must be at most 2.5*10^9"
         )
@@ -142,14 +157,9 @@ def _shell_table(shell: Shell) -> str:
 
 
 def _cmd_verify(args) -> int:
-    for flag, j in (("--t", args.t), ("--jmax", args.jmax)):
-        if j is not None and not 1 <= j <= MAX_PROFILE_DEGREE:
-            raise UsageError(
-                f"{flag} must be in [1, {MAX_PROFILE_DEGREE}], got {_shown(j)}"
-            )
     if args.t is None and args.jmax is None:
         args.jmax = min(2 * ring_data(args.D).unit_count + 1, 13)
-    # an empty shell raises ValueError in strength_profile: exit 2
+    # an empty shell raises InputError in strength_profile: exit 2
     if args.t is not None:
         report = strength_profile(args.D, args.r, args.t)
         # the report stops at degree t, so a t-design has no failing degree
@@ -206,12 +216,7 @@ def _verify_table(report, t: int | None, passed: bool) -> str:
 
 
 def _cmd_theta(args) -> int:
-    if args.rmax < 1:
-        raise UsageError(f"--rmax must be at least 1, got {_shown(args.rmax)}")
-    if args.rmax > MAX_THETA_RMAX:
-        raise UsageError(f"--rmax must be at most 10^6, got {_shown(args.rmax)}")
     if args.j is not None:
-        _check_degree(args.j)
         _check_theta_budget(args.j, args.rmax)
         poly = basis_poly(args.D, args.j, BasisKind.REAL_PART).poly
     else:
@@ -239,7 +244,7 @@ def _cmd_theta(args) -> int:
 
 
 def _check_hecke_budget(D: int, p: int, alpha: int) -> None:
-    """UsageError when the scans of the norm p^1..p^alpha shells pass MAX_HECKE_ROWS.
+    """InputError when the scans of the norm p^1..p^alpha shells pass MAX_HECKE_ROWS.
 
     p^alpha is bounded by bit lengths before it is formed: argv integers
     run to 128 KiB. Inputs hecke_verify rejects before any scan (alpha < 2,
@@ -261,14 +266,13 @@ def _check_hecke_budget(D: int, p: int, alpha: int) -> None:
         if count <= MAX_HECKE_ROWS:
             return
         rows = str(count)
-    raise UsageError(
+    raise InputError(
         f"hecke would scan {rows} rows for the norm p^1..p^alpha shells at "
         f"--p {p}; the limit is 10^8 rows"
     )
 
 
 def _cmd_hecke(args) -> int:
-    _check_degree(args.j)
     _check_hecke_budget(args.D, args.p, args.alpha)
     report = hecke_verify(args.D, args.j, args.p, args.alpha, COPRIME_PAIRS)
     if args.format == "json":
@@ -335,18 +339,6 @@ def _sweep_task(task: tuple[int, int, int]) -> dict:
 
 
 def _cmd_sweep(args) -> int:
-    if args.rmax < 1:
-        raise UsageError(f"--rmax must be at least 1, got {_shown(args.rmax)}")
-    if args.rmax > MAX_SWEEP_RMAX:
-        raise UsageError(f"--rmax must be at most 10^4, got {_shown(args.rmax)}")
-    if not 1 <= args.jmax <= MAX_PROFILE_DEGREE:
-        raise UsageError(
-            f"--jmax must be in [1, {MAX_PROFILE_DEGREE}], got {_shown(args.jmax)}"
-        )
-    if args.parallel < 1:
-        raise UsageError(
-            f"--parallel must be at least 1, got {_shown(args.parallel)}"
-        )
     # r on the outer loop: the nine is_representable(D, r) calls for one r
     # come back to back and share one factorize(r) from its bounded cache.
     # The tasks stay in D-major order, so the payload does not change.
@@ -417,8 +409,22 @@ def _add_common(sub, formats=("json", "csv", "table")) -> None:
     sub.add_argument("--output", help="write output to this path instead of stdout")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that clips its error messages to one short line.
+
+    argparse quotes a rejected argument in full, and one argv string runs to
+    128 KiB. Subparsers are built from this class too (add_subparsers'
+    default parser_class).
+    """
+
+    def error(self, message: str):
+        if len(message) > 200:
+            message = f"{message[:160]}... ({len(message)} characters)"
+        super().error(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="normdesign",
         description=(
             "Exact norm-form shells, design verification and theta "
@@ -501,11 +507,12 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_flag_ranges(args)
         return args.func(args)
-    except (UsageError, ValueError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ArithmeticError, AssertionError) as exc:
+    except (ValueError, ArithmeticError, AssertionError) as exc:
         # a library invariant broke: neither a usage error nor a failed check
         print(f"internal error: {exc}", file=sys.stderr)
         return 3

@@ -13,7 +13,7 @@ import math
 from collections import namedtuple
 
 from .harmonic import BivarPoly
-from .ring import _shown, norm_form, ring_data
+from .ring import InputError, _shown, norm_form, ring_data
 from .shells import norm_shell
 from .theta import basis_shell_sums_upto
 
@@ -36,13 +36,15 @@ def strength_profile(D: int, r: int, j_max: int) -> DesignReport:
     the real-part sum when nonzero, else the imaginary-part sum.
     """
     if j_max < 1 or j_max > MAX_PROFILE_DEGREE:
-        raise ValueError(f"j_max must be in [1, {MAX_PROFILE_DEGREE}], got {j_max}")
+        raise InputError(
+            f"j_max must be in [1, {MAX_PROFILE_DEGREE}], got {_shown(j_max)}"
+        )
     R = ring_data(D)
     if r < 1:
-        raise ValueError(f"design checks require r >= 1, got {_shown(r)}")
+        raise InputError(f"design checks require r >= 1, got {_shown(r)}")
     shell = norm_shell(D, r)
     if not shell.points:
-        raise ValueError(
+        raise InputError(
             f"the norm {r} shell is empty for D={D}: some inert prime divides "
             f"{r} to an odd power"
         )
@@ -116,17 +118,17 @@ def quadrature_average(D: int, r: int, P: BivarPoly, M: int) -> float:
     curve, so the integrand is a trigonometric polynomial of degree deg P,
     and the rule is exact (up to rounding) only when M > deg P; fewer
     nodes alias high frequencies and are rejected, as are more than
-    MAX_NODES. ValueError when r or the integrand leaves the float range.
+    MAX_NODES. InputError when r or the integrand leaves the float range.
     """
     ring_data(D)
     if r < 1:
-        raise ValueError(f"quadrature requires r >= 1, got {_shown(r)}")
+        raise InputError(f"quadrature requires r >= 1, got {_shown(r)}")
     if M < 16 or M & (M - 1) != 0:
-        raise ValueError(f"node count must be a power of two >= 16, got {_shown(M)}")
+        raise InputError(f"node count must be a power of two >= 16, got {_shown(M)}")
     if M > MAX_NODES:
-        raise ValueError(f"node count must be at most 2^20, got {_shown(M)}")
+        raise InputError(f"node count must be at most 2^20, got {_shown(M)}")
     if M <= P.degree:
-        raise ValueError(
+        raise InputError(
             f"node count must exceed the polynomial degree {_shown(P.degree)}, got {M}"
         )
     try:
@@ -144,7 +146,7 @@ def quadrature_average(D: int, r: int, P: BivarPoly, M: int) -> float:
         value = math.nan
     if math.isfinite(value):
         return value
-    raise ValueError(f"quadrature leaves the float range at r of {r.bit_length()} bits")
+    raise InputError(f"quadrature leaves the float range at r of {r.bit_length()} bits")
 
 
 _CIRCLE_TOL = 1e-9
@@ -165,7 +167,7 @@ def spherical_map(
     out: list[tuple[float, float]] = []
     for x, y in points:
         if abs(x * x + y * y - 1.0) > _CIRCLE_TOL:
-            raise ValueError(f"({x}, {y}) is not on the unit circle")
+            raise InputError(f"({x}, {y}) is not on the unit circle")
         image = (x - R.t * y / sqrt_d, y / R.im_w)
         if abs(norm_form(D, *image) - 1.0) > _CIRCLE_TOL:
             raise ValueError(f"image of ({x}, {y}) left the unit norm ellipse")

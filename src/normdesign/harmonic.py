@@ -20,7 +20,7 @@ from collections.abc import Iterable, Mapping
 from enum import Enum
 from fractions import Fraction
 
-from .ring import mul, parts, powers, ring_data
+from .ring import InputError, _shown, mul, parts, powers, ring_data
 
 RationalLike = int | Fraction
 
@@ -48,7 +48,7 @@ class BivarPoly:
         acc: dict[_Monomial, Fraction] = {}
         for (i, k), c in items:
             if i < 0 or k < 0:
-                raise ValueError(f"negative exponent in monomial x^{i}*y^{k}")
+                raise InputError(f"negative exponent in monomial x^{i}*y^{k}")
             c = Fraction(c)
             if c:
                 acc[(i, k)] = acc.get((i, k), 0) + c
@@ -130,7 +130,7 @@ def _powers(v: RationalLike, n: int) -> list[RationalLike]:
 
 # -- text format ---------------------------------------------------------------
 
-class PolyParseError(ValueError):
+class PolyParseError(InputError):
     """Parse failure with the 0-based offset of the offending character."""
 
     def __init__(self, message: str, position: int) -> None:
@@ -204,7 +204,9 @@ def parse_poly(text: str) -> BivarPoly:
         if kind == "end":
             return BivarPoly(terms)
         if value not in ("+", "-"):
-            raise PolyParseError(f"expected '*', '+' or '-', got {value!r}", pos)
+            # value is one character or an int token, which may run to argv length
+            got = repr(value) if len(value) <= 80 else f"a {len(value)}-digit number"
+            raise PolyParseError(f"expected '*', '+' or '-', got {got}", pos)
 
 
 def format_poly(P: BivarPoly) -> str:
@@ -274,7 +276,7 @@ def basis_poly(D: int, j: int, kind: BasisKind) -> HarmonicBasisElement:
     """
     ring_data(D)
     if j < 1:
-        raise ValueError(f"basis degree must be >= 1, got {j}")
+        raise InputError(f"basis degree must be >= 1, got {_shown(j)}")
     part = 0 if kind is BasisKind.REAL_PART else 1
     return HarmonicBasisElement(
         poly=BivarPoly(
@@ -299,9 +301,11 @@ def in_span(
     """
     ring_data(D)
     if j < 1:
-        raise ValueError(f"span degree must be >= 1, got {j}")
+        raise InputError(f"span degree must be >= 1, got {_shown(j)}")
     if P.is_zero or not P.is_homogeneous or P.degree != j:
-        raise ValueError(f"in_span requires a homogeneous polynomial of degree {j}")
+        raise InputError(
+            f"in_span requires a homogeneous polynomial of degree {_shown(j)}"
+        )
     (_, a, b), *higher = decompose(D, P)
     if any(a_k or b_k for _, a_k, b_k in higher):
         return None
@@ -324,7 +328,7 @@ def decompose(
     if P.is_zero:
         return ()
     if not P.is_homogeneous:
-        raise ValueError("decompose requires a homogeneous polynomial")
+        raise InputError("decompose requires a homogeneous polynomial")
     j = P.degree
     half = j // 2
     # with wbar = t - w and delta = w - wbar = (-t, 2): delta*x = -wbar*z + w*zbar

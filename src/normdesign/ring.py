@@ -9,7 +9,7 @@ a + b*w is the integer pair (a, b) in the integral basis {1, w}. ``mul`` is
 the one product (``powers`` and ``power`` repeat it), and ``parts`` is the
 one place that reads an element's real and imaginary parts. Every
 operation is exact over Python integers, and exact on Fraction pairs
-(elements of Q(w)) too.
+(elements of Q(w)) too. Every module raises ``InputError`` on an argument.
 """
 
 from __future__ import annotations
@@ -74,6 +74,10 @@ class SplitType(Enum):
     INERT = "inert"
 
 
+class InputError(ValueError):
+    """An argument the function does not accept: the CLI's usage error (exit 2)."""
+
+
 def _shown(value) -> str:
     """repr(value), or a power of 2 it passes when an int runs past 64 bits.
 
@@ -87,12 +91,12 @@ def _shown(value) -> str:
 
 
 def ring_data(D: int) -> RingData:
-    """The constants of O_D; ValueError unless D is admissible."""
+    """The constants of O_D; InputError unless D is admissible."""
     try:
         return _RINGS[D]
     except KeyError:
         message = f"D must be one of {ADMISSIBLE_D}, got {_shown(D)}"
-        raise ValueError(message) from None
+        raise InputError(message) from None
 
 
 def norm_form(D: int, x: int, y: int) -> int:
@@ -114,13 +118,13 @@ def mul(D: int, u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
     """Product of u = a + b*w and v = c + d*w in O_D, as a pair (a, b).
 
     The one place that applies w^2 = t*w - n. Exact on int or Fraction
-    pairs; Fraction pairs multiply in Q(w). ValueError, as from
+    pairs; Fraction pairs multiply in Q(w). InputError, as from
     ``ring_data``, unless D is admissible.
     """
     try:
         n, t = _MUL_NT[D]
     except KeyError:
-        ring_data(D)  # raises the ValueError that names the admissible D
+        ring_data(D)  # raises the InputError that names the admissible D
         raise
     a, b = u
     c, d = v
@@ -144,7 +148,7 @@ def power(D: int, u: tuple[int, int], e: int) -> tuple[int, int]:
     ``powers(D, u, e)[e]`` takes e.
     """
     if e < 0:
-        raise ValueError(f"exponent must be >= 0, got {e}")
+        raise InputError(f"exponent must be >= 0, got {_shown(e)}")
     if e == 0:
         return (1, 0)
     out = u

@@ -25,7 +25,7 @@ from collections.abc import Iterator
 from math import isqrt
 
 from .arith import factorize, splitting_type, sqrt_mod
-from .ring import SplitType, _shown, conj, mul, powers, ring_data
+from .ring import InputError, SplitType, _shown, conj, mul, powers, ring_data
 
 #: ``norm_shell`` scans while isqrt(4r // |disc|) <= SCAN_MAX_ROWS (up to
 #: 1001 rows) and factors r past that: with the sieve, the two routes cost
@@ -96,7 +96,7 @@ def enumerate_shell(D: int, r: int) -> Shell:
     """
     R = ring_data(D)
     if r < 0:
-        raise ValueError(f"shell norm must be nonnegative, got {_shown(r)}")
+        raise InputError(f"shell norm must be nonnegative, got {_shown(r)}")
     if r == 0:
         return Shell(D, 0, ((0, 0),))
     t, a = R.t, -R.disc
@@ -192,7 +192,7 @@ def shell_from_factorization(D: int, r: int) -> Shell:
     """
     R = ring_data(D)
     if r < 0:
-        raise ValueError(f"shell norm must be nonnegative, got {_shown(r)}")
+        raise InputError(f"shell norm must be nonnegative, got {_shown(r)}")
     if r == 0:
         return Shell(D, 0, ((0, 0),))
     elements = [(1, 0)]
@@ -239,7 +239,7 @@ def shell_orbits(shell: Shell) -> tuple[tuple[tuple[int, int], ...], ...]:
     each orbit itself sorted.
     """
     if shell.r == 0:
-        raise ValueError("the zero shell is a unit fixed point, not a free orbit")
+        raise InputError("the zero shell is a unit fixed point, not a free orbit")
     D = shell.D
     units = ring_data(D).units
     seen: set[tuple[int, int]] = set()

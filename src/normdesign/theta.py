@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .arith import is_prime, kronecker, splitting_type
 from .harmonic import BivarPoly
-from .ring import SplitType, _shown, mul, parts, power, ring_data
+from .ring import InputError, SplitType, _shown, mul, parts, power, ring_data
 from .shells import Shell, enumerate_shell, half_ball_rows
 
 
@@ -97,7 +97,7 @@ def theta_series(D: int, P: BivarPoly, r_max: int) -> tuple[Fraction, ...]:
     """
     R = ring_data(D)
     if r_max < 1:
-        raise ValueError(f"r_max must be >= 1, got {r_max}")
+        raise InputError(f"r_max must be >= 1, got {_shown(r_max)}")
     even = [(2 * t, i, k) for (i, k), t in P.numerators.items() if (i + k) % 2 == 0]
     sums = [0] * (r_max + 1)
     if even:
@@ -128,7 +128,7 @@ def a_norm(D: int, j: int, r: int) -> Fraction:
     """
     R = ring_data(D)
     if j < 1:
-        raise ValueError(f"basis degree must be >= 1, got {j}")
+        raise InputError(f"basis degree must be >= 1, got {_shown(j)}")
     sa = sb = 0
     for z in enumerate_shell(D, r).points:
         a, b = power(D, z, j)
@@ -145,12 +145,12 @@ def a_prime_closed_form(D: int, j: int, p: int) -> Fraction:
     """
     u = ring_data(D).unit_count
     if not is_prime(p):
-        raise ValueError(f"a_prime_closed_form requires a prime, got {p}")
+        raise InputError(f"a_prime_closed_form requires a prime, got {_shown(p)}")
     if j < 1 or j % u != 0:
-        raise ValueError(f"closed form requires j to be a positive multiple of u_D={u}")
+        raise InputError(f"closed form requires j to be a positive multiple of u_D={u}")
     split = splitting_type(D, p)
     if split is SplitType.INERT:
-        raise ValueError(f"the norm {p} shell is empty for D={D}")
+        raise InputError(f"the norm {p} shell is empty for D={D}")
     value = parts(D, power(D, enumerate_shell(D, p).points[0], j))[0]
     return value if split is SplitType.RAMIFIED else 2 * value
 
@@ -175,11 +175,11 @@ def hecke_verify(
     R = ring_data(D)
     u = R.unit_count
     if j < 1 or j % u != 0:
-        raise ValueError(f"Hecke identities hold for j a multiple of u_D={u}")
+        raise InputError(f"Hecke identities hold for j a multiple of u_D={u}")
     if not is_prime(p):
-        raise ValueError(f"hecke_verify requires a prime, got {_shown(p)}")
+        raise InputError(f"hecke_verify requires a prime, got {_shown(p)}")
     if alpha_max < 2:
-        raise ValueError(f"alpha_max must be >= 2, got {_shown(alpha_max)}")
+        raise InputError(f"alpha_max must be >= 2, got {_shown(alpha_max)}")
     checks: list[HeckeCheck] = []
     known: dict[int, int] = {}
 
@@ -193,7 +193,7 @@ def hecke_verify(
 
     for r1, r2 in coprime_pairs:
         if math.gcd(r1, r2) != 1:
-            raise ValueError(f"pair ({r1}, {r2}) is not coprime")
+            raise InputError(f"pair ({r1}, {r2}) is not coprime")
         left = a(r1 * r2)
         right = a(r1) * a(r2)
         checks.append(

@@ -13,7 +13,7 @@ from normdesign import arith, cli, design, shells, theta
 from normdesign.cli import run
 from normdesign.design import strength_profile
 from normdesign.harmonic import BivarPoly
-from normdesign.ring import norm_form
+from normdesign.ring import InputError, norm_form
 from normdesign.shells import enumerate_shell
 
 
@@ -199,12 +199,12 @@ def test_theta_rmax_bound_is_checked_before_any_work(capsys, monkeypatch, rmax):
     assert captured.out == ""
     # 10^20 is past 64 bits, so the message names it by size
     shown = {10**9: "1000000000", 10**20: "more than 2^66"}[rmax]
-    assert f"at most 10^6, got {shown}\n" in captured.err
+    assert captured.err == f"error: --rmax must be at most 1000000, got {shown}\n"
 
 
 def test_theta_rmax_at_the_bound_is_accepted(capsys, monkeypatch):
     def reached(D, poly, r_max):
-        raise ValueError(f"theta_series reached at r_max={r_max}")
+        raise InputError(f"theta_series reached at r_max={r_max}")
 
     monkeypatch.setattr(cli, "theta_series", reached)
     assert cli.MAX_THETA_RMAX == 10**6
@@ -222,14 +222,15 @@ def test_verify_degree_out_of_range_is_a_usage_error(capsys, monkeypatch, flag, 
     assert run(["verify", "1", "5", flag, value]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {flag} must be in [1, 40], got {value}\n"
+    bound = "at most 40" if value == "41" else "at least 1"
+    assert captured.err == f"error: {flag} must be {bound}, got {value}\n"
 
 
 @pytest.mark.parametrize("value", ["1", "40"])
 @pytest.mark.parametrize("flag", ["--t", "--jmax"])
 def test_verify_degree_in_range_is_accepted(capsys, monkeypatch, flag, value):
     def reached(D, r, j_max):
-        raise ValueError(f"strength_profile reached at j_max={j_max}")
+        raise InputError(f"strength_profile reached at j_max={j_max}")
 
     monkeypatch.setattr(cli, "strength_profile", reached)
     assert run(["verify", "1", "5", flag, value]) == 2
@@ -256,7 +257,7 @@ def test_theta_rmax_below_one_is_a_usage_error(capsys, monkeypatch, source, rmax
 
 def _no_scan(monkeypatch):
     def scan(D, r):
-        raise ValueError(f"scan reached at r={r}")
+        raise InputError(f"scan reached at r={r}")
 
     monkeypatch.setattr(shells, "enumerate_shell", scan)
     monkeypatch.setattr(theta, "enumerate_shell", scan)
@@ -362,7 +363,7 @@ def test_degree_budget_is_checked_before_any_work(
 )
 def test_degree_at_the_budget_is_accepted(capsys, monkeypatch, command, reached):
     def stop(*args):
-        raise ValueError(f"{reached} reached")
+        raise InputError(f"{reached} reached")
 
     monkeypatch.setattr(cli, "basis_poly", stop)
     monkeypatch.setattr(cli, "hecke_verify", stop)
@@ -417,7 +418,7 @@ def test_theta_work_budget_is_checked_before_any_work(capsys, monkeypatch, argv,
 )
 def test_theta_within_the_work_budget_is_accepted(capsys, monkeypatch, argv, reached):
     def stop(*args):
-        raise ValueError(f"{reached} reached")
+        raise InputError(f"{reached} reached")
 
     monkeypatch.setattr(cli, "basis_poly", stop)
     monkeypatch.setattr(cli, "theta_series", stop)
@@ -429,11 +430,24 @@ def test_theta_within_the_work_budget_is_accepted(capsys, monkeypatch, argv, rea
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (["--rmax", "10001"], "--rmax must be at most 10^4, got 10001"),
-        (["--rmax", "1" + "0" * 5000], "--rmax must be at most 10^4"),
-        (["--jmax", "0"], "--jmax must be in [1, 40], got 0"),
-        (["--jmax", "41"], "--jmax must be in [1, 40], got 41"),
-        (["--rmax", "10", "--jmax", "-5"], "--jmax must be in [1, 40], got -5"),
+        pytest.param(
+            ["--rmax", "10001"], "--rmax must be at most 10000, got 10001\n",
+            id="rmax-10001",
+        ),
+        pytest.param(
+            ["--rmax", "1" + "0" * 5000], "--rmax must be at most 10000, got more",
+            id="rmax-5001-digits",
+        ),
+        pytest.param(
+            ["--jmax", "0"], "--jmax must be at least 1, got 0\n", id="jmax-0"
+        ),
+        pytest.param(
+            ["--jmax", "41"], "--jmax must be at most 40, got 41\n", id="jmax-41"
+        ),
+        pytest.param(
+            ["--rmax", "10", "--jmax", "-5"], "--jmax must be at least 1, got -5\n",
+            id="jmax--5",
+        ),
         (["--rmax", "0"], "--rmax must be at least 1, got 0\n"),
         (["--rmax", "-5"], "--rmax must be at least 1, got -5\n"),
         (
@@ -459,7 +473,7 @@ def test_sweep_budget_is_checked_before_any_task(capsys, monkeypatch, argv, mess
 )
 def test_sweep_within_the_budget_is_accepted(capsys, monkeypatch, argv):
     def reached(D, r):
-        raise ValueError("task list reached")
+        raise InputError("task list reached")
 
     monkeypatch.setattr(cli, "is_representable", reached)
     assert cli.MAX_SWEEP_RMAX == 10**4
@@ -562,6 +576,163 @@ def test_argv_length_values_are_named_by_size(capsys, monkeypatch, argv, shown):
     assert len(captured.err.encode()) < 200
 
 
+RANGE_BASE = {
+    "verify": ["verify", "1", "5"],
+    "theta": ["theta", "1", "--j", "4", "--rmax", "5"],
+    "hecke": ["hecke", "1", "--j", "4", "--p", "5"],
+    "sweep": ["sweep"],
+}
+
+
+@pytest.mark.parametrize(
+    "command,flag,low,high",
+    [(c, *row) for c, rows in cli.FLAG_RANGES.items() for row in rows],
+)
+def test_every_flag_range_row_is_checked_with_one_wording(
+    capsys, monkeypatch, command, flag, low, high
+):
+    _no_command_work(monkeypatch)
+    monkeypatch.setattr(cli, "hecke_verify", lambda *args: pytest.fail("hecke ran"))
+    outside = [(low - 1, f"at least {low}")]
+    if high is not None:
+        outside.append((high + 1, f"at most {high}"))
+    for value, bound in outside:
+        # a repeated flag takes its last value
+        assert run(RANGE_BASE[command] + [f"--{flag}", str(value)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --{flag} must be {bound}, got {value}\n"
+
+
+def test_flag_ranges_are_read_from_the_table(capsys, monkeypatch):
+    monkeypatch.setitem(cli.FLAG_RANGES, "sweep", (("rmax", 1, 5),))
+    monkeypatch.setattr(cli, "is_representable", lambda D, r: pytest.fail("sweep ran"))
+    assert run(["sweep", "--rmax", "6"]) == 2
+    assert capsys.readouterr().err == "error: --rmax must be at most 5, got 6\n"
+
+
+def _no_command_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("work was started")
+
+    for name in ("norm_shell", "basis_poly", "theta_series", "strength_profile"):
+        monkeypatch.setattr(cli, name, no_work)
+
+
+LONG = "a" * 100_000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["theta", "1", "--j", "4", "--rmax", ARGV_LENGTH + "x"], id="int"),
+        pytest.param(["shell", "1", "1", "--format", LONG], id="choice"),
+        pytest.param([LONG], id="command"),
+        pytest.param(["shell", "1", "1", LONG], id="extra-positional"),
+    ],
+)
+def test_parser_errors_clip_argv_length_strings(capsys, monkeypatch, argv):
+    # argparse quotes a rejected string in full: about 100 kB of stderr each
+    _no_command_work(monkeypatch)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.encode()) < 1000
+    assert captured.err.rstrip().endswith(" characters)")
+
+
+def test_short_parser_errors_are_not_clipped(capsys):
+    assert run(["theta", "1", "--j", "4", "--rmax", "12x"]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith("error: argument --rmax: invalid int value: '12x'\n")
+
+
+@pytest.mark.parametrize(
+    "poly,got",
+    [
+        pytest.param("x+" + ARGV_LENGTH + "x", "got 'x'", id="trailing-char"),
+        pytest.param("x " + ARGV_LENGTH, "got a 100000-digit number", id="int-token"),
+    ],
+)
+def test_poly_errors_show_a_window_of_argv_length_text(capsys, monkeypatch, poly, got):
+    # the text and its caret line each ran to the text's length
+    _no_command_work(monkeypatch)
+    assert run(["theta", "1", "--rmax", "5", "--poly", poly]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.encode()) < 1000
+    _, shown, marker, message = captured.err.splitlines()
+    assert "..." in shown
+    position = int(message.rsplit(" ", 1)[1].rstrip(")"))
+    # the caret stands under the character the error names
+    assert shown[len(marker) - 1] == poly[position]
+    assert f"{got} (at position {position})" in message
+
+
+def test_short_poly_errors_show_the_whole_text(capsys):
+    text = "x+" + "9" * 76 + "x"  # 79 characters: shown in full
+    assert run(["theta", "1", "--rmax", "5", "--poly", text]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot parse polynomial:\n  {text}\n  {' ' * 78}^\n"
+        "expected '*', '+' or '-', got 'x' (at position 78)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "command,argv",
+    [
+        ("strength_profile", ["verify", "1", "5"]),
+        ("theta_series", ["theta", "1", "--j", "4", "--rmax", "5"]),
+        ("hecke_verify", ["hecke", "1", "--j", "4", "--p", "5"]),
+    ],
+)
+def test_a_bare_value_error_from_the_library_is_internal(
+    capsys, monkeypatch, command, argv
+):
+    # only an InputError is the user's mistake; any other ValueError is a bug
+    def broken(*args):
+        raise ValueError("broken")
+
+    monkeypatch.setattr(cli, command, broken)
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["internal error: broken"]
+
+
+# one argv per usage error in the README's exit-code list
+README_USAGE_ERRORS = {
+    "inadmissible-D": ["verify", "5", "5"],
+    "unparseable-poly": ["theta", "1", "--poly", "x+", "--rmax", "5"],
+    "empty-shell": ["verify", "1", "3"],
+    "few-nodes": ["quadrature", "1", "1", "--poly", "x^40", "--nodes", "32"],
+    "float-range": ["quadrature", "1", str(10**400), "--poly", "x^2"],
+    "primality-bound": ["verify", "1", str(arith.MR_BOUND)],
+    "theta-budget": ["theta", "1", "--j", "1000", "--rmax", "1000000"],
+    "hecke-budget": ["hecke", "1", "--j", "4", "--p", "1000003"],
+    "verify-t": ["verify", "1", "5", "--t", "41"],
+    "verify-jmax": ["verify", "1", "5", "--jmax", "0"],
+    "theta-rmax-low": ["theta", "1", "--j", "4", "--rmax", "0"],
+    "theta-rmax-high": ["theta", "1", "--j", "4", "--rmax", "1000001"],
+    "theta-j": ["theta", "1", "--j", "0", "--rmax", "5"],
+    "hecke-j": ["hecke", "1", "--j", "1001", "--p", "5"],
+    "sweep-rmax": ["sweep", "--rmax", "10001"],
+    "sweep-jmax": ["sweep", "--jmax", "41"],
+    "sweep-parallel": ["sweep", "--parallel", "0"],
+    "output-path": ["shell", "1", "1", "--output", "{tmp}/missing/out.json"],
+}
+
+
+@pytest.mark.parametrize("case", README_USAGE_ERRORS)
+def test_readme_usage_errors_exit_2(capsys, tmp_path, case):
+    argv = [a.format(tmp=tmp_path) for a in README_USAGE_ERRORS[case]]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
 def test_internal_error_is_neither_usage_nor_failed_verification(
     capsys, monkeypatch
 ):
@@ -576,7 +747,7 @@ def test_internal_error_is_neither_usage_nor_failed_verification(
 
 
 @pytest.mark.parametrize("exc", [AssertionError("broken"), ZeroDivisionError("broken")])
-def test_internal_errors_exit_3_and_value_errors_exit_2(capsys, monkeypatch, exc):
+def test_internal_errors_exit_3_and_input_errors_exit_2(capsys, monkeypatch, exc):
     def fail(args):
         raise exc
 
@@ -584,10 +755,19 @@ def test_internal_errors_exit_3_and_value_errors_exit_2(capsys, monkeypatch, exc
     monkeypatch.setattr(cli, "_PARSER", None)  # rebuild with the patched command
     assert run(["shell", "1", "1"]) == 3
     assert capsys.readouterr().err == "internal error: broken\n"
+    # a builtin ValueError inside a command is a bug, not the user's input
     monkeypatch.setattr(cli, "_cmd_shell", lambda args: int("x"))
     monkeypatch.setattr(cli, "_PARSER", None)
+    assert run(["shell", "1", "1"]) == 3
+    assert capsys.readouterr().err.startswith("internal error: invalid literal")
+
+    def reject(args):
+        raise InputError("rejected")
+
+    monkeypatch.setattr(cli, "_cmd_shell", reject)
+    monkeypatch.setattr(cli, "_PARSER", None)
     assert run(["shell", "1", "1"]) == 2
-    assert capsys.readouterr().err.startswith("error: invalid literal")
+    assert capsys.readouterr().err == "error: rejected\n"
 
 
 def test_cli_import_leaves_out_dataclasses_and_multiprocessing():

@@ -2,6 +2,7 @@ import re
 from pathlib import Path
 
 import normdesign
+from normdesign import arith, cli, design, harmonic, ring, shells, theta
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(
     encoding="utf-8"
@@ -30,6 +31,8 @@ DELETED = (
     "_OUTER_MAX_MODULUS",
     "integer_form",
     "_int_form",
+    "UsageError",
+    "_check_degree",
 )
 
 
@@ -48,4 +51,6 @@ def test_deleted_names_are_gone():
     for name in DELETED:
         assert name not in normdesign.__all__
         assert not hasattr(normdesign, name), name
+        for module in (arith, cli, design, harmonic, ring, shells, theta):
+            assert not hasattr(module, name), (module.__name__, name)
         assert name not in README, name

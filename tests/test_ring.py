@@ -282,3 +282,38 @@ def test_ring_data_holds_only_what_the_library_reads():
         "t", "n", "disc", "unit_count", "units", "sigma2", "im_w"
     )
     assert not hasattr(ring, "unit_count")
+
+
+HUGE = 10**40  # past 64 bits: named as "more than 2^132" / "less than -2^132"
+POLY = BivarPoly({(1, 0): 1})
+
+
+@pytest.mark.parametrize(
+    "call,shown",
+    [
+        (lambda: design.strength_profile(1, 5, HUGE), "got more than 2^132"),
+        (lambda: theta.theta_series(1, POLY, -HUGE), "got less than -2^132"),
+        (lambda: theta.a_norm(1, -HUGE, 5), "got less than -2^132"),
+        (lambda: theta.a_prime_closed_form(1, 4, -HUGE), "got less than -2^132"),
+        (lambda: harmonic.basis_poly(1, -HUGE, harmonic.BasisKind.REAL_PART),
+         "got less than -2^132"),
+        (lambda: harmonic.in_span(1, -HUGE, POLY), "got less than -2^132"),
+        (lambda: harmonic.in_span(1, HUGE, POLY), "degree more than 2^132"),
+        (lambda: arith.factorize(-HUGE), "got less than -2^132"),
+        (lambda: arith.is_representable(1, -HUGE), "got less than -2^132"),
+        (lambda: arith.splitting_type(1, -HUGE), "got less than -2^132"),
+        (lambda: power(1, (1, 1), -HUGE), "got less than -2^132"),
+    ],
+)
+def test_input_errors_name_large_values_by_size(call, shown):
+    with pytest.raises(ring.InputError) as info:
+        call()
+    assert str(info.value).endswith(shown)
+
+
+def test_input_error_is_a_value_error():
+    # library callers that catch ValueError see no change
+    assert issubclass(ring.InputError, ValueError)
+    assert issubclass(harmonic.PolyParseError, ring.InputError)
+    with pytest.raises(ValueError):
+        ring_data(5)
