@@ -1,12 +1,13 @@
 """Command line front end: shells, design reports, theta tables and sweeps.
 
-Exit codes: 0 when the command and every check it ran succeeded, 1 when a
-verification failed, 2 on usage errors: a parser error, an ``InputError``
-(an integer flag outside its ``FLAG_RANGES`` row, unparseable input,
-inadmissible D, an empty shell where a nonempty one is required, a budget
-exceeded) or an OSError. 3 on an internal error: a ValueError that is not an
-``InputError``, an ArithmeticError or an AssertionError that escapes a
-command, reported as one line on stderr.
+Each command returns its exit code and its text; ``run`` alone writes the
+text, to stdout or to --output. Exit codes: 0 when the command and every
+check it ran succeeded, 1 when a verification failed, 2 on usage errors: a
+parser error, an ``InputError`` (an integer flag outside its ``FLAG_RANGES``
+row, unparseable input, inadmissible D, an empty shell where a nonempty one
+is required, a budget exceeded) or an OSError. 3 on an internal error: a
+ValueError that is not an ``InputError``, an ArithmeticError or an
+AssertionError that escapes a command, reported as one line on stderr.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ MAX_SWEEP_RMAX = 10**4
 FLAG_RANGES = {
     "verify": (("t", 1, MAX_PROFILE_DEGREE), ("jmax", 1, MAX_PROFILE_DEGREE)),
     "theta": (("rmax", 1, MAX_THETA_RMAX), ("j", 1, MAX_DEGREE)),
-    "hecke": (("j", 1, MAX_DEGREE),),
+    "hecke": (("j", 1, MAX_DEGREE), ("alpha", 2, None)),
     "sweep": (("rmax", 1, MAX_SWEEP_RMAX), ("jmax", 1, MAX_PROFILE_DEGREE),
               ("parallel", 1, None)),
 }
@@ -94,9 +95,13 @@ def _dumps(obj) -> str:
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         print(text)
-    else:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        return
+    try:
+        handle = open(output, "w", encoding="utf-8")
+    except ValueError as exc:  # a NUL in the path: only a Python caller can pass one
+        raise InputError(f"cannot open --output: {exc}") from None
+    with handle:
+        handle.write(text + "\n")
 
 
 def _parse_poly_arg(text: str) -> BivarPoly:
@@ -134,17 +139,14 @@ def _check_theta_budget(degree: int, rmax: int) -> None:
 # -- subcommands -----------------------------------------------------------
 
 
-def _cmd_shell(args) -> int:
+def _cmd_shell(args) -> tuple[int, str]:
     shell = norm_shell(args.D, args.r)
     if args.format == "json":
         points = [list(p) for p in shell.points]
-        _emit(_dumps({"D": shell.D, "r": shell.r, "points": points}), args.output)
-    elif args.format == "csv":
-        lines = ["x,y"] + [f"{x},{y}" for x, y in shell.points]
-        _emit("\n".join(lines), args.output)
-    else:
-        _emit(_shell_table(shell), args.output)
-    return 0
+        return 0, _dumps({"D": shell.D, "r": shell.r, "points": points})
+    if args.format == "csv":
+        return 0, "\n".join(["x,y"] + [f"{x},{y}" for x, y in shell.points])
+    return 0, _shell_table(shell)
 
 
 def _shell_table(shell: Shell) -> str:
@@ -156,7 +158,7 @@ def _shell_table(shell: Shell) -> str:
     return "\n".join(lines)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[int, str]:
     if args.t is None and args.jmax is None:
         args.jmax = min(2 * ring_data(args.D).unit_count + 1, 13)
     # an empty shell raises InputError in strength_profile: exit 2
@@ -167,20 +169,15 @@ def _cmd_verify(args) -> int:
     else:
         report = strength_profile(args.D, args.r, args.jmax)
         passed = report.theorem_main_ok
+    code = 0 if passed else 1
     if args.format == "json":
-        _emit(_dumps(_report_json(report)), args.output)
-    elif args.format == "csv":
-        lines = ["j,status,witness"]
-        failing = {f.j: f.witness for f in report.failing}
-        for j in range(1, report.j_max + 1):
-            if j in failing:
-                lines.append(f"{j},failing,{format_rational(failing[j])}")
-            else:
-                lines.append(f"{j},vanishing,")
-        _emit("\n".join(lines), args.output)
-    else:
-        _emit(_verify_table(report, args.t, passed), args.output)
-    return 0 if passed else 1
+        return code, _dumps(_report_json(report))
+    if args.format == "csv":
+        failing = {f.j: format_rational(f.witness) for f in report.failing}
+        rows = [f"{j},failing,{failing[j]}" if j in failing else f"{j},vanishing,"
+                for j in range(1, report.j_max + 1)]
+        return code, "\n".join(["j,status,witness"] + rows)
+    return code, _verify_table(report, args.t, passed)
 
 
 def _report_json(report: DesignReport) -> dict:
@@ -215,7 +212,7 @@ def _verify_table(report, t: int | None, passed: bool) -> str:
     return "\n".join(lines)
 
 
-def _cmd_theta(args) -> int:
+def _cmd_theta(args) -> tuple[int, str]:
     if args.j is not None:
         _check_theta_budget(args.j, args.rmax)
         poly = basis_poly(args.D, args.j, BasisKind.REAL_PART).poly
@@ -229,65 +226,52 @@ def _cmd_theta(args) -> int:
             payload["j"] = args.j
         else:
             payload["poly"] = format_poly(poly)
-        _emit(_dumps(payload), args.output)
-    elif args.format == "csv":
+        return 0, _dumps(payload)
+    if args.format == "csv":
         lines = ["r,coefficient"] + [f"{r},{c}" for r, c in enumerate(coeffs)]
-        _emit("\n".join(lines), args.output)
     else:
         lines = [
             f"theta coefficients for D={args.D}, P = {format_poly(poly)}, "
             f"weight {max(poly.degree, 0) + 1}"
         ]
         lines += [f"  r={r}: {c}" for r, c in enumerate(coeffs)]
-        _emit("\n".join(lines), args.output)
-    return 0
+    return 0, "\n".join(lines)
 
 
 def _check_hecke_budget(D: int, p: int, alpha: int) -> None:
-    """InputError when the scans of the norm p^1..p^alpha shells pass MAX_HECKE_ROWS.
+    """InputError once the scans of the norm p^1..p^alpha shells pass MAX_HECKE_ROWS.
 
-    p^alpha is bounded by bit lengths before it is formed: argv integers
-    run to 128 KiB. Inputs hecke_verify rejects before any scan (alpha < 2,
-    p past the primality bound) are left to it.
+    Each norm at least doubles (p >= 2), so the loop ends within 55 norms
+    at any --alpha. hecke_verify rejects a p outside [2, MR_BOUND).
     """
-    if alpha < 2 or not 2 <= p < MR_BOUND:
+    if not 2 <= p < MR_BOUND:
         return
-    ring_data(D)  # an inadmissible D is named before any budget
-    # p^alpha >= 2^bits and |disc| < 2^8, so its scan alone has more than
-    # 2^((bits-6)//2) rows
-    bits = alpha * (p.bit_length() - 1)
-    if bits > 2 * MAX_HECKE_ROWS.bit_length() + 6:
-        exponent = _shown((bits - 6) // 2)
-        if not exponent.isdigit():  # past 64 bits itself at an argv-length --alpha
-            exponent = f"({exponent})"
-        rows = f"more than 2^{exponent}"
-    else:
-        count = sum(scan_rows(D, p**k) for k in range(1, alpha + 1))
-        if count <= MAX_HECKE_ROWS:
-            return
-        rows = str(count)
-    raise InputError(
-        f"hecke would scan {rows} rows for the norm p^1..p^alpha shells at "
-        f"--p {p}; the limit is 10^8 rows"
-    )
+    norm, count = 1, 0
+    for _ in range(alpha):
+        norm *= p
+        count += scan_rows(D, norm)
+        if count > MAX_HECKE_ROWS:
+            raise InputError(
+                f"hecke would scan at least {_shown(count)} rows for the norm "
+                f"p^1..p^alpha shells at --p {p}; the limit is 10^8 rows"
+            )
 
 
-def _cmd_hecke(args) -> int:
+def _cmd_hecke(args) -> tuple[int, str]:
     _check_hecke_budget(args.D, args.p, args.alpha)
     report = hecke_verify(args.D, args.j, args.p, args.alpha, COPRIME_PAIRS)
+    code = 0 if report.all_passed else 1
     if args.format == "json":
-        _emit(_dumps(_hecke_json(report)), args.output)
-    else:
-        lines = [f"Hecke identity checks for D={report.D}, j={report.j}"]
-        for c in report.checks:
-            status = "ok" if c.passed else "FAIL"
-            lines.append(
-                f"  [{status}] {c.identity} {c.inputs}: "
-                f"{format_rational(c.left)} vs {format_rational(c.right)}"
-            )
-        lines.append("all passed" if report.all_passed else "FAILURES present")
-        _emit("\n".join(lines), args.output)
-    return 0 if report.all_passed else 1
+        return code, _dumps(_hecke_json(report))
+    lines = [f"Hecke identity checks for D={report.D}, j={report.j}"]
+    for c in report.checks:
+        status = "ok" if c.passed else "FAIL"
+        lines.append(
+            f"  [{status}] {c.identity} {c.inputs}: "
+            f"{format_rational(c.left)} vs {format_rational(c.right)}"
+        )
+    lines.append("all passed" if report.all_passed else "FAILURES present")
+    return code, "\n".join(lines)
 
 
 def _hecke_json(report: HeckeReport) -> dict:
@@ -308,29 +292,23 @@ def _hecke_json(report: HeckeReport) -> dict:
     }
 
 
-def _cmd_quadrature(args) -> int:
+def _cmd_quadrature(args) -> tuple[int, str]:
     poly = _parse_poly_arg(args.poly)
     value = quadrature_average(args.D, args.r, poly, args.nodes)
     if args.format == "json":
-        _emit(
-            _dumps(
-                {
-                    "D": args.D,
-                    "r": args.r,
-                    "poly": format_poly(poly),
-                    "nodes": args.nodes,
-                    "average": value,
-                }
-            ),
-            args.output,
+        return 0, _dumps(
+            {
+                "D": args.D,
+                "r": args.r,
+                "poly": format_poly(poly),
+                "nodes": args.nodes,
+                "average": value,
+            }
         )
-    else:
-        _emit(
-            f"weighted average of {format_poly(poly)} over the norm {args.r} "
-            f"ellipse (D={args.D}, {args.nodes} nodes): {value!r}",
-            args.output,
-        )
-    return 0
+    return 0, (
+        f"weighted average of {format_poly(poly)} over the norm {args.r} "
+        f"ellipse (D={args.D}, {args.nodes} nodes): {value!r}"
+    )
 
 
 def _sweep_task(task: tuple[int, int, int]) -> dict:
@@ -338,7 +316,7 @@ def _sweep_task(task: tuple[int, int, int]) -> dict:
     return _report_json(strength_profile(D, r, j_max))
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> tuple[int, str]:
     # r on the outer loop: the nine is_representable(D, r) calls for one r
     # come back to back and share one factorize(r) from its bounded cache.
     # The tasks stay in D-major order, so the payload does not change.
@@ -365,11 +343,10 @@ def _cmd_sweep(args) -> int:
         "all_ok": all_ok,
         "reports": reports,
     }
-    _emit(_dumps(payload), args.output)
-    return 0 if all_ok else 1
+    return (0 if all_ok else 1), _dumps(payload)
 
 
-def _cmd_reproduce_example(args) -> int:
+def _cmd_reproduce_example(args) -> tuple[int, str]:
     shell = enumerate_shell(EXAMPLE_D, EXAMPLE_R)
     p_poly = parse_poly(EXAMPLE_P)
     q_poly = parse_poly(EXAMPLE_Q)
@@ -397,8 +374,7 @@ def _cmd_reproduce_example(args) -> int:
         if ok
         else "UNEXPECTED: the worked example did not reproduce"
     )
-    _emit("\n".join(lines), args.output)
-    return 0 if ok else 1
+    return (0 if ok else 1), "\n".join(lines)
 
 
 # -- parser ------------------------------------------------------------------
@@ -508,7 +484,9 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         _check_flag_ranges(args)
-        return args.func(args)
+        code, text = args.func(args)
+        _emit(text, args.output)
+        return code
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

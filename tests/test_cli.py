@@ -270,10 +270,15 @@ def _no_scan(monkeypatch):
         # the p^51 scan alone has 35 871 197 rows; the p^1..p^50 scans
         # below it bring the total past the budget
         (7, "2", "51", "122471952"),
-        (1, "1009", "7", "more than 2^28"),
-        (163, "1000000000000000009", "3", "more than 2^85"),
-        # the exponent itself is past 64 bits, so it is named by size too
-        (1, "1009", "1" + "0" * 5000, "more than 2^(more than 2^16611) rows"),
+        # the count stops at the norm that passes the limit: p^3 here, and
+        # p^1 at p = 10^18 + 9; past it the norms are never formed
+        pytest.param(1, "1009", "7", "1060634004", id="p1009-alpha7-stops-at-p3"),
+        pytest.param(
+            163, "1000000000000000009", "3", "156652090", id="p10^18+9-stops-at-p1"
+        ),
+        pytest.param(
+            1, "1009", "1" + "0" * 5000, "1060634004", id="alpha-of-5001-digits"
+        ),
     ],
 )
 def test_hecke_scan_budget_is_checked_before_any_scan(
@@ -283,8 +288,26 @@ def test_hecke_scan_budget_is_checked_before_any_scan(
     assert run(["hecke", str(D), "--j", "2", "--p", p, "--alpha", alpha]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"hecke would scan {rows}" in captured.err
-    assert "the limit is 10^8 rows" in captured.err
+    assert captured.err == (
+        f"error: hecke would scan at least {rows} rows for the norm p^1..p^alpha "
+        f"shells at --p {p}; the limit is 10^8 rows\n"
+    )
+
+
+def test_hecke_budget_stops_counting_at_the_limit(capsys, monkeypatch):
+    # each norm at least doubles, so no --alpha takes more than 55 norms
+    calls = []
+
+    def counting(D, r):
+        calls.append(r)
+        return shells.scan_rows(D, r)
+
+    monkeypatch.setattr(cli, "scan_rows", counting)
+    _no_scan(monkeypatch)
+    alpha = "1" + "0" * 4999
+    assert run(["hecke", "1", "--j", "4", "--p", "1009", "--alpha", alpha]) == 2
+    assert "hecke would scan at least" in capsys.readouterr().err
+    assert 0 < len(calls) <= 60
 
 
 def test_hecke_scan_budget_counts_every_alpha_scan():
@@ -308,8 +331,8 @@ def test_hecke_within_the_scan_budget_is_accepted(capsys, monkeypatch, D, p, alp
     j = str(cli.ring_data(D).unit_count)
     assert run(["hecke", str(D), "--j", j, "--p", p, "--alpha", alpha]) == 2
     err = capsys.readouterr().err
-    # alpha < 2 is hecke_verify's own usage error; the rest reach a scan
-    assert ("alpha_max must be >= 2" if alpha == "1" else "scan reached") in err
+    # alpha < 2 is a FLAG_RANGES usage error; the rest reach a scan
+    assert ("--alpha must be at least 2" if alpha == "1" else "scan reached") in err
 
 
 def _no_degree_work(monkeypatch):
@@ -525,17 +548,17 @@ LESS = "got less than -2^332192"
         pytest.param(["verify", "1", "5", "--jmax", NEG], LESS, id="verify-jmax-neg"),
         pytest.param(
             ["hecke", "1", "--j", "4", "--p", "1009", "--alpha", ARGV_LENGTH],
-            "scan more than 2^(more than 2^332194) rows",
+            "scan at least 1060634004 rows",
             id="hecke-alpha",
         ),
-        # the rest are rejected by the library function that the command calls
-        pytest.param(["verify", "1", NEG], LESS, id="verify-r-neg"),
-        pytest.param(["shell", "1", NEG], LESS, id="shell-r-neg"),
         pytest.param(
             ["hecke", "1", "--j", "4", "--p", "5", "--alpha", NEG],
             LESS,
             id="hecke-alpha-neg",
         ),
+        # the rest are rejected by the library function that the command calls
+        pytest.param(["verify", "1", NEG], LESS, id="verify-r-neg"),
+        pytest.param(["shell", "1", NEG], LESS, id="shell-r-neg"),
         pytest.param(
             ["hecke", "1", "--j", "4", "--p", ARGV_LENGTH], MORE, id="hecke-p"
         ),
@@ -909,6 +932,39 @@ def test_output_flag_writes_file(tmp_path):
     path = tmp_path / "points.json"
     assert run(["shell", "1", "2", "--format", "json", "--output", str(path)]) == 0
     assert json.loads(path.read_text())["points"] == [[-1, -1], [-1, 1], [1, -1], [1, 1]]
+
+
+# one argv per command; verify exits 1 (691 is a 5-design, not a 6-design)
+OUTPUT_CASES = {
+    "shell": ["shell", "3", "691", "--format", "csv"],
+    "verify": ["verify", "3", "691", "--t", "6"],
+    "theta": ["theta", "2", "--poly", "x^2-1/3*y", "--rmax", "12"],
+    "hecke": ["hecke", "1", "--j", "4", "--p", "5", "--alpha", "2", "--format", "json"],
+    "quadrature": ["quadrature", "1", "1", "--poly", "x^2"],
+    "sweep": ["sweep", "--rmax", "15", "--jmax", "7"],
+    "reproduce-example": ["reproduce-example"],
+}
+
+
+@pytest.mark.parametrize("command", OUTPUT_CASES)
+def test_output_flag_writes_the_printed_bytes(capsys, tmp_path, command):
+    argv = OUTPUT_CASES[command]
+    code = run(argv)
+    printed = capsys.readouterr().out
+    assert code == (1 if command == "verify" else 0)
+    path = tmp_path / "out.txt"
+    assert run(argv + ["--output", str(path)]) == code
+    assert capsys.readouterr() == ("", "")
+    assert path.read_bytes() == printed.encode()
+
+
+def test_nul_in_the_output_path_is_a_usage_error(capsys):
+    # open() raises ValueError, not OSError, for a NUL; argv cannot carry
+    # one, but a Python caller of run can
+    assert run(["shell", "1", "1", "--output", "a\x00b"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cannot open --output: embedded null byte\n"
 
 
 def test_usage_error_exit_code():
