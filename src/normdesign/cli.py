@@ -72,8 +72,8 @@ COPRIME_PAIRS = (
 
 #: Largest ``sweep --rmax``: cost and memory grow about linearly in rmax
 #: (one report per representable norm, all held until the JSON is written).
-#: At the cap, --jmax 13 takes about 3.5 s and 66 MB, --jmax 40 9-10 s and
-#: 174 MB.
+#: At the cap, --jmax 13 takes about 3.4 s and 65 MB, --jmax 40 about 10 s
+#: and 175 MB.
 MAX_SWEEP_RMAX = 10**4
 
 #: (flag, low, high) per command: each integer flag's range, checked in this
@@ -408,6 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # argparse reads "--poly -x^2" as a flag with no value; "--poly=-x^2" works
+    poly_help = "polynomial, e.g. 2*x^2+3462*x*y+1729*y^2; write --poly=-x^2 for -x^2"
 
     p_shell = sub.add_parser("shell", help="enumerate a norm shell")
     p_shell.add_argument("D", type=int)
@@ -428,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_theta.add_argument("D", type=int)
     tgroup = p_theta.add_mutually_exclusive_group(required=True)
     tgroup.add_argument("--j", type=int, help="use the degree-j real basis polynomial")
-    tgroup.add_argument("--poly", help="polynomial, e.g. 2*x^2+3462*x*y+1729*y^2")
+    tgroup.add_argument("--poly", help=poly_help)
     p_theta.add_argument("--rmax", type=int, required=True)
     _add_common(p_theta)
     p_theta.set_defaults(func=_cmd_theta)
@@ -444,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_quad = sub.add_parser("quadrature", help="weighted ellipse average")
     p_quad.add_argument("D", type=int)
     p_quad.add_argument("r", type=int)
-    p_quad.add_argument("--poly", required=True)
+    p_quad.add_argument("--poly", required=True, help=poly_help)
     p_quad.add_argument("--nodes", type=int, default=256)
     _add_common(p_quad, formats=("json", "table"))
     p_quad.set_defaults(func=_cmd_quadrature)

@@ -1,10 +1,11 @@
 """Design classification of shells and its floating quadrature cross-check.
 
 A nonempty shell is a t-design exactly when both degree-j basis sums
-vanish for every j <= t; classification is therefore exact integer
-arithmetic. The quadrature routine independently evaluates the weighted
-line-integral averages that the discrete averages are measured against,
-validating the analytic normalization constants in floating point.
+vanish for every j <= t. The imaginary one vanishes on every shell, so
+the check reads one exact int per degree: the real sum. The quadrature routine
+independently evaluates the weighted line-integral averages that the
+discrete averages are measured against, validating the analytic
+normalization constants in floating point.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ DesignReport.__doc__ = "Exact classification of every degree j <= j_max for one 
 def strength_profile(D: int, r: int, j_max: int) -> DesignReport:
     """Classify every degree j <= j_max as vanishing or failing, with witnesses.
 
-    A degree fails when either basis shell sum is nonzero; the witness is
-    the real-part sum when nonzero, else the imaginary-part sum.
+    A degree fails when its R_{D,j} shell sum is nonzero; the witness is
+    that int, u_D times the theta coefficient a(r).
     """
     if j_max < 1 or j_max > MAX_PROFILE_DEGREE:
         raise InputError(
@@ -50,9 +51,9 @@ def strength_profile(D: int, r: int, j_max: int) -> DesignReport:
         )
     vanishing: list[int] = []
     failing: list[FailingDegree] = []
-    for j, (r_sum, i_sum) in enumerate(basis_shell_sums_upto(shell, j_max), start=1):
-        if r_sum or i_sum:
-            failing.append(FailingDegree(j, r_sum or i_sum))
+    for j, r_sum in enumerate(basis_shell_sums_upto(shell, j_max), start=1):
+        if r_sum:
+            failing.append(FailingDegree(j, r_sum))
         else:
             vanishing.append(j)
     expected = {j for j in range(1, j_max + 1) if j % R.unit_count == 0}

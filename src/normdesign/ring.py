@@ -6,10 +6,10 @@ admissible D that are 3 mod 4. The norm form is x^2 + t*x*y + n*y^2, the
 discriminant t^2 - 4n. ``ring_data`` holds these constants, one frozen
 record per D, and every other module reads them from it. An element
 a + b*w is the integer pair (a, b) in the integral basis {1, w}. ``mul`` is
-the one product (``powers`` and ``power`` repeat it), and ``parts`` is the
-one place that reads an element's real and imaginary parts. Every
-operation is exact over Python integers, and exact on Fraction pairs
-(elements of Q(w)) too. Every module raises ``InputError`` on an argument.
+the one product (``powers`` and ``power`` repeat it); ``parts`` gives an
+element's real and imaginary parts as Fractions, and a shell's power sum,
+(a, 0), is read as its int a. Every operation is exact on int and Fraction
+pairs (elements of Q(w)). Every module raises ``InputError`` on an argument.
 """
 
 from __future__ import annotations
@@ -165,19 +165,11 @@ def conj(D: int, u: tuple[int, int]) -> tuple[int, int]:
     return a + ring_data(D).t * b, -b
 
 
-_ZERO = Fraction(0)
-_ZERO_PARTS = (_ZERO, _ZERO)  # most degrees of a design vanish
-
-
 def parts(D: int, u: tuple[int, int]) -> tuple[Fraction, Fraction]:
     """(Re u, Im u / sqrt(D)) of u = a + b*w, both rational.
 
-    Each part is one Fraction over 2: (2a + t*b)/2 and sigma2*b/2. A zero
-    part is the one shared Fraction(0), built once: the imaginary part of
-    every shell sum is zero, and so are both parts of a vanishing degree.
+    Each part is one Fraction over 2: (2a + t*b)/2 and sigma2*b/2.
     """
     a, b = u
-    if not a and not b:
-        return _ZERO_PARTS
     R = ring_data(D)
-    return Fraction(2 * a + R.t * b, 2), (Fraction(R.sigma2 * b, 2) if b else _ZERO)
+    return Fraction(2 * a + R.t * b, 2), Fraction(R.sigma2 * b, 2)

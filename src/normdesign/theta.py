@@ -9,10 +9,9 @@ numerators: on each lattice row they fold into one polynomial in x,
 evaluated by Horner at the row's points, and the values add into one int
 per norm, so only a nonzero sum becomes a Fraction. shell_sum evaluates P
 at every shell point and stays the reference the tests check theta_series
-against. Basis-polynomial sums are also available through a
-faster route: summing (x + w*y)^j in the integral basis and reading off
-real and imaginary parts, which the tests pin against the generic
-polynomial evaluation.
+against. Basis-polynomial sums take a faster route: (x + w*y)^j summed in
+the integral basis. A shell is closed under conjugation, so the sum is real,
+its w-coordinate 0 (asserted) and its int a the R_{D,j} sum.
 """
 
 from __future__ import annotations
@@ -75,9 +74,12 @@ def power_sums(shell: Shell, j_max: int) -> list[tuple[int, int]]:
     return list(zip(sa, sb))
 
 
-def basis_shell_sums_upto(shell: Shell, j_max: int) -> list[tuple[Fraction, Fraction]]:
-    """Basis sums of every degree 1..j_max over one shell, in one pass."""
-    return [parts(shell.D, s) for s in power_sums(shell, j_max)]
+def basis_shell_sums_upto(shell: Shell, j_max: int) -> list[int]:
+    """The R_{D,j} shell sums, j = 1..j_max: the int a of power_sums' (a, 0)."""
+    sums = power_sums(shell, j_max)
+    # conj(x, y) = (x + t*y, -y) keeps the shell, so sum z^j is real: b = 0
+    assert not any(sb for _, sb in sums), f"D={shell.D} r={shell.r}: sum not real"
+    return [sa for sa, _ in sums]
 
 
 def theta_series(D: int, P: BivarPoly, r_max: int) -> tuple[Fraction, ...]:
@@ -123,8 +125,8 @@ def a_norm(D: int, j: int, r: int) -> Fraction:
 
     Integer-valued whenever j is a multiple of u_D, where the underlying
     series is a Hecke eigenform with a(1) = 1. The sum of z^j over the
-    shell stays an integer pair (sa, sb), one ``power`` per point, and
-    ``parts`` reads its real part.
+    shell stays an integer pair (sa, sb), one ``power`` per point; the
+    shell is closed under conjugation, so sb is 0 and the real part is sa.
     """
     R = ring_data(D)
     if j < 1:
@@ -134,7 +136,8 @@ def a_norm(D: int, j: int, r: int) -> Fraction:
         a, b = power(D, z, j)
         sa += a
         sb += b
-    return parts(D, (sa, sb))[0] / R.unit_count
+    assert sb == 0, f"D={D} r={r}: sum not real"  # as in basis_shell_sums_upto
+    return Fraction(sa, R.unit_count)
 
 
 def a_prime_closed_form(D: int, j: int, p: int) -> Fraction:

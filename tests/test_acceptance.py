@@ -21,7 +21,13 @@ from normdesign.design import quadrature_average
 from normdesign.harmonic import BasisKind, BivarPoly, basis_poly, parse_poly
 from normdesign.ring import ADMISSIBLE_D, SplitType, ring_data
 from normdesign.shells import enumerate_shell
-from normdesign.theta import a_norm, basis_shell_sums_upto, hecke_verify, shell_sum
+from normdesign.theta import (
+    a_norm,
+    basis_shell_sums_upto,
+    hecke_verify,
+    power_sums,
+    shell_sum,
+)
 
 EXAMPLE_POINTS = (
     (-30, 11), (-30, 19), (-19, -11), (-19, 30), (-11, -19), (-11, 30),
@@ -48,14 +54,19 @@ def criterion(label):
 
 @pytest.fixture(scope="module")
 def vanishing_sweep():
-    """One shared pass over all nine D, representable r <= 300, j <= 13."""
+    """One shared pass over all nine D, representable r <= 300, j <= 13.
+
+    Per shell and degree: the R_{D,j} sum from basis_shell_sums_upto, and
+    the w-coordinate of power_sums, which carries the I_{D,j} sum.
+    """
     start = time.perf_counter()
     sums = {}
     for D in ADMISSIBLE_D:
         for r in range(1, 301):
             shell = enumerate_shell(D, r)
             if shell.points:
-                sums[(D, r)] = basis_shell_sums_upto(shell, 13)
+                imag = [sb for _, sb in power_sums(shell, 13)]
+                sums[(D, r)] = list(zip(basis_shell_sums_upto(shell, 13), imag))
     elapsed = time.perf_counter() - start
     return sums, elapsed
 

@@ -169,6 +169,25 @@ def test_quadrature_command(capsys):
     assert "0.5" in out
 
 
+@pytest.mark.parametrize("poly", ["-x^2", "-1/2*y^3+x"])
+@pytest.mark.parametrize(
+    "argv",
+    [["theta", "1", "--rmax", "5"], ["quadrature", "1", "2"]],
+    ids=["theta", "quadrature"],
+)
+def test_poly_with_a_leading_minus_takes_the_equals_form(capsys, argv, poly):
+    assert run(argv + [f"--poly={poly}"]) == 0
+    joined = capsys.readouterr()
+    assert run(argv + ["--poly", f"0{poly}"]) == 0
+    assert capsys.readouterr() == joined
+    assert joined.out and not joined.err
+    # argparse reads a separate value that starts with "-" as a flag
+    assert run(argv + ["--poly", poly]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --poly: expected one argument" in captured.err
+
+
 def test_quadrature_bad_poly_reports_position(capsys):
     assert run(["quadrature", "1", "1", "--poly", "x^2+oops"]) == 2
     err = capsys.readouterr().err

@@ -138,6 +138,7 @@ def test_witnesses_are_reproducible_shell_sums(D):
         for f in report.failing:
             r_sum = shell_sum(D, basis_poly(D, f.j, BasisKind.REAL_PART).poly, r)
             assert f.witness == r_sum and f.witness != 0
+            assert type(f.witness) is int
         covered = set(report.vanishing) | {f.j for f in report.failing}
         assert covered == set(range(1, report.j_max + 1))
 

@@ -33,6 +33,8 @@ DELETED = (
     "_int_form",
     "UsageError",
     "_check_degree",
+    "_ZERO",
+    "_ZERO_PARTS",
 )
 
 

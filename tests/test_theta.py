@@ -55,8 +55,14 @@ def primes_up_to(n):
 
 
 def basis_sums(D, j, r):
-    """(sum of R_{D,j}, sum of I_{D,j}/sqrt(D)) over the norm r shell."""
-    return basis_shell_sums_upto(enumerate_shell(D, r), j)[j - 1]
+    """(sum of R_{D,j}, sum of I_{D,j}/sqrt(D)) over the norm r shell.
+
+    The real half is basis_shell_sums_upto's int. The imaginary half is
+    read apart from it, from power_sums' w-coordinate b: sigma2*b/2.
+    """
+    shell = enumerate_shell(D, r)
+    sb = power_sums(shell, j)[j - 1][1]
+    return basis_shell_sums_upto(shell, j)[j - 1], Fraction(ring_data(D).sigma2 * sb, 2)
 
 
 def test_shell_sum_examples():
@@ -74,8 +80,9 @@ def test_basis_sums_agree_with_generic_evaluation(D, j):
     Iq = basis_poly(D, j, BasisKind.IMAG_PART).poly
     for r in (1, 2, 4, 25, 49, 90, 121):
         r_sum, i_sum = basis_sums(D, j, r)
+        assert type(r_sum) is int
         assert r_sum == shell_sum(D, R, r), (D, j, r)
-        assert i_sum == shell_sum(D, Iq, r), (D, j, r)
+        assert i_sum == shell_sum(D, Iq, r) == 0, (D, j, r)
 
 
 def test_theta_series_representation_counts():
@@ -304,6 +311,49 @@ def test_imag_sums_vanish_for_even_degrees(D):
             assert basis_sums(D, j, r)[1] == 0, (D, j, r)
 
 
+def test_basis_sums_assert_a_conjugation_closed_shell():
+    whole = enumerate_shell(1, 5)
+    upper = Shell(1, 5, tuple((x, y) for x, y in whole.points if y > 0))
+    assert power_sums(upper, 1) == [(0, 6)]  # 6i: the I_{1,1} sum is not 0
+    assert basis_shell_sums_upto(whole, 4) == [0, 0, 0, -56]
+    with pytest.raises(AssertionError):
+        basis_shell_sums_upto(upper, 4)
+
+
+def test_a_norm_asserts_a_real_shell_sum(monkeypatch, capsys):
+    real = theta.enumerate_shell
+
+    def first_point_only(D, r):
+        return Shell(D, r, real(D, r).points[:1])
+
+    monkeypatch.setattr(theta, "enumerate_shell", first_point_only)
+    assert power(1, theta.enumerate_shell(1, 5).points[0], 4) == (-7, 24)
+    with pytest.raises(AssertionError):
+        a_norm(1, 4, 5)
+    assert run(["hecke", "1", "--j", "4", "--p", "5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("internal error: ")
+
+
+def test_design_path_builds_no_fraction_parts(monkeypatch, capsys):
+    calls = []
+    real = theta.parts
+
+    def counted(D, u):
+        calls.append((D, u))
+        return real(D, u)
+
+    monkeypatch.setattr(theta, "parts", counted)
+    assert run(["sweep", "--rmax", "60"]) == 0
+    assert run(["verify", "1", "65", "--jmax", "13"]) == 0
+    capsys.readouterr()
+    assert calls == []
+    assert a_prime_closed_form(7, 2, 2) == -3  # the counter does see theta's calls
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("D", ADMISSIBLE_D)
 def test_real_sums_vanish_off_unit_multiples(D):
     u = ring_data(D).unit_count
@@ -332,7 +382,7 @@ def test_integrality_on_unit_multiples(D):
             continue
         sums = basis_shell_sums_upto(shell, 12)
         for j in multiples:
-            assert (sums[j - 1][0] / u).denominator == 1, (D, j, r)
+            assert sums[j - 1] % u == 0, (D, j, r)
 
 
 def test_a_prime_closed_form_examples():
