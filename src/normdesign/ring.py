@@ -61,8 +61,8 @@ def _ring_data(D: int) -> RingData:
 
 
 _RINGS = {D: _ring_data(D) for D in ADMISSIBLE_D}
-# (n, t) per D for mul, the innermost step of every power sum: one dict
-# read in place of ring_data's call and two field reads
+# (n, t) per D for mul, the innermost step of power and of the factored
+# shells: one dict read in place of ring_data's call and two field reads
 _MUL_NT = {D: (R.n, R.t) for D, R in _RINGS.items()}
 
 

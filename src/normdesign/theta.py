@@ -10,8 +10,10 @@ evaluated by Horner at the row's points, and the values add into one int
 per norm, so only a nonzero sum becomes a Fraction. shell_sum evaluates P
 at every shell point and stays the reference the tests check theta_series
 against. Basis-polynomial sums take a faster route: (x + w*y)^j summed in
-the integral basis. A shell is closed under conjugation, so the sum is real,
-its w-coordinate 0 (asserted) and its int a the R_{D,j} sum.
+the integral basis by the Lucas recurrence of each point's trace, with one
+ring product per point to check the recurrence's premise. A shell is
+closed under conjugation, so the sum is real, its w-coordinate 0
+(asserted) and its int a the R_{D,j} sum.
 """
 
 from __future__ import annotations
@@ -22,7 +24,9 @@ from fractions import Fraction
 
 from .arith import is_prime, kronecker, splitting_type
 from .harmonic import BivarPoly
-from .ring import InputError, SplitType, _shown, mul, parts, power, ring_data
+from .ring import (
+    InputError, SplitType, _shown, mul, norm_form, parts, power, ring_data
+)
 from .shells import Shell, enumerate_shell, half_ball_rows
 
 
@@ -54,23 +58,47 @@ def power_sums(shell: Shell, j_max: int) -> list[tuple[int, int]]:
     """Integral-basis coordinates of sum z^j over the shell, j = 1..j_max.
 
     Entry j-1 holds (sum of a, sum of b) where z^j = a + b*w for the shell
-    point z = x + w*y. Each point adds z itself to the two running lists of
-    a and b sums, then one ``mul`` by z per further degree: j_max - 1
-    products per point, none past degree j_max.
+    point z = x + w*y. A point of norm r and trace s = 2x + t*y is a root of
+    z^2 - s*z + r, so z^j = U_j*z - r*U_(j-1) with the Lucas sequence
+    U_0 = 0, U_1 = 1, U_j = s*U_(j-1) - r*U_(j-2) (Crandall and Pomerance,
+    Prime Numbers). One ``mul`` per point asserts that premise,
+    z*z == s*z - r. Points sum their x, y and count per trace; since
+    U_j(-s) = (-1)^(j-1)*U_j(s), the traces s and -s share one sequence:
+    five products per |s| and degree, for up to four points. No symmetry of
+    the shell is assumed: half shells and single points come out exact.
     """
     if j_max < 1:
         return []
-    D = shell.D
+    D, r = shell.D, shell.r
+    t = ring_data(D).t
+    # |s| -> [x, y, count] sums over the points of trace s >= 0, then s < 0
+    groups: dict[int, list[int]] = {}
+    for z in shell.points:
+        x, y = z
+        s = 2 * x + t * y
+        assert mul(D, z, z) == (s * x - r, s * y), (
+            f"D={D} r={r}: the point {z} has norm {norm_form(D, x, y)}"
+        )
+        a, k = (s, 0) if s >= 0 else (-s, 3)
+        g = groups.get(a)
+        if g is None:
+            g = groups[a] = [0, 0, 0, 0, 0, 0]
+        g[k] += x
+        g[k + 1] += y
+        g[k + 2] += 1
     sa = [0] * j_max
     sb = [0] * j_max
-    for z in shell.points:
-        sa[0] += z[0]
-        sb[0] += z[1]
-        p = z
-        for j in range(1, j_max):
-            p = mul(D, p, z)
-            sa[j] += p[0]
-            sb[j] += p[1]
+    for a, (xp, yp, cp, xn, yn, cn) in groups.items():
+        # with U at a, trace -a gives z^j = (-1)^(j-1)*(U_j*z + r*U_(j-1))
+        odd = (xp + xn, yp + yn, cp - cn)
+        even = (xp - xn, yp - yn, cp + cn)
+        u0, u1 = 0, 1  # U_i, U_(i+1)
+        for i in range(j_max):  # entry i, degree i + 1
+            X, Y, C = even if i & 1 else odd
+            ru = r * u0
+            sa[i] += u1 * X - ru * C
+            sb[i] += u1 * Y
+            u0, u1 = u1, a * u1 - ru
     return list(zip(sa, sb))
 
 

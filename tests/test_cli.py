@@ -902,6 +902,33 @@ def test_sweep_parallel_output_is_byte_identical(tmp_path):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
+@pytest.mark.parametrize("rmax", [1, 2, 30])
+@pytest.mark.parametrize("fail_at", [None, (3, 1), (163, 25)])
+def test_sweep_text_equals_the_payload_dump(capsys, monkeypatch, rmax, fail_at):
+    # sweep joins each report's own dump; the bytes must be _dumps of the
+    # whole payload, on a passing sweep and on a failing one
+    real = cli.strength_profile
+
+    def profile(D, r, j_max):
+        report = real(D, r, j_max)
+        return report._replace(theorem_main_ok=(D, r) != fail_at)
+
+    monkeypatch.setattr(cli, "strength_profile", profile)
+    reports = [
+        cli._report_json(profile(D, r, 13))
+        for D in normdesign.ADMISSIBLE_D
+        for r in range(1, rmax + 1)
+        if enumerate_shell(D, r).points
+    ]
+    all_ok = all(rep["theorem_main_ok"] for rep in reports)
+    payload = {"rmax": rmax, "jmax": 13, "all_ok": all_ok, "reports": reports}
+    texts = [cli._dumps(rep) for rep in reports]
+    assert cli._sweep_json(rmax, 13, all_ok, texts) == cli._dumps(payload)
+    assert run(["sweep", "--rmax", str(rmax)]) == (0 if all_ok else 1)
+    assert capsys.readouterr().out == cli._dumps(payload) + "\n"
+    assert all_ok == (fail_at is None or fail_at[1] > rmax)
+
+
 class RecordingPool:
     """Stands in for multiprocessing.Pool: records its size, maps serially."""
 

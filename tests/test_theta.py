@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normdesign import theta
+from normdesign import design, theta
 from normdesign.cli import COPRIME_PAIRS, run
 from normdesign.arith import (
     factorize,
@@ -295,6 +295,67 @@ def test_power_sums_match_the_power_oracle(D):
             oracle = [power_oracle(D, shell.points, j) for j in range(1, 41)]
             for j_max in POWER_SUMS_JMAX:
                 assert power_sums(shell, j_max) == oracle[:j_max], (D, r, j_max)
+
+
+_COORD = st.integers(-(10**6), 10**6)
+
+
+@st.composite
+def kernel_shells(draw):
+    """(shell, j_max) for power_sums, with no symmetry to lean on.
+
+    A single point of any norm with |x|, |y| <= 10^6, among them points of
+    trace s = 2x + t*y = 0 and real points (y = 0); or a scanned shell, whole
+    or an arbitrary subset of its points.
+    """
+    D = draw(st.sampled_from(ADMISSIBLE_D))
+    t = ring_data(D).t
+    kind = draw(st.sampled_from(("point", "trace 0", "real", "whole", "subset")))
+    if kind in ("whole", "subset"):
+        shell = enumerate_shell(D, draw(st.integers(0, 3000)))
+        if kind == "subset":
+            n = len(shell.points)
+            keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+            points = tuple(z for z, k in zip(shell.points, keep) if k)
+            shell = Shell(D, shell.r, points)
+    else:
+        x, y = draw(_COORD), draw(_COORD)
+        if kind == "trace 0":
+            x, y = (x, -2 * x) if t else (0, y)
+        elif kind == "real":
+            y = 0
+        shell = Shell(D, norm_form(D, x, y), ((x, y),))
+    return shell, draw(st.integers(0, 40))
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(kernel_shells())
+def test_power_sums_match_the_power_oracle_on_any_points(case):
+    shell, j_max = case
+    oracle = [power_oracle(shell.D, shell.points, j) for j in range(1, j_max + 1)]
+    assert power_sums(shell, j_max) == oracle
+
+
+def test_power_sums_assert_each_point_has_the_shell_norm():
+    five, ten = enumerate_shell(1, 5).points, enumerate_shell(1, 10).points
+    # the norm 10 shell is closed under conjugation, so b = 0 would not see it
+    for D, r, points in ((1, 5, ten), (1, 5, five + ((1, 1),)), (3, 4, ((0, 1),))):
+        with pytest.raises(AssertionError, match="has norm"):
+            power_sums(Shell(D, r, points), 3)
+    assert power_sums(Shell(1, 5, ten), 0) == []  # no degree, no point read
+
+
+def test_verify_reports_a_wrong_norm_point_as_an_internal_error(monkeypatch, capsys):
+    def mislabelled(D, r):
+        return Shell(D, r, enumerate_shell(D, 2 * r).points)
+
+    monkeypatch.setattr(design, "norm_shell", mislabelled)
+    assert run(["verify", "1", "5", "--jmax", "13"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: ")
+    assert len(captured.err.splitlines()) == 1
+    assert "has norm 10" in captured.err
 
 
 def test_cuspidality_of_basis_sums_at_zero():
