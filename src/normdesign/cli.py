@@ -72,8 +72,7 @@ COPRIME_PAIRS = (
 
 #: Largest ``sweep --rmax``: cost and memory grow about linearly in rmax
 #: (one report's JSON text per representable norm, all held until the
-#: payload is joined). At the cap, --jmax 13 takes about 1.7 s and 36 MB,
-#: --jmax 40 about 2.9 s and 89 MB.
+#: payload is joined).
 MAX_SWEEP_RMAX = 10**4
 
 #: (flag, low, high) per command: each integer flag's range, checked in this
@@ -463,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--jmax", type=int, default=13)
     p_sweep.add_argument("--parallel", type=int, default=1)
     p_sweep.add_argument("--output", help="write JSON to this path")
-    p_sweep.set_defaults(func=_cmd_sweep, format="json")
+    p_sweep.set_defaults(func=_cmd_sweep)
 
     p_example = sub.add_parser(
         "reproduce-example", help="run the D=3, r=691 worked example"

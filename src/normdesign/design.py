@@ -72,9 +72,10 @@ def strength_profile(D: int, r: int, j_max: int) -> DesignReport:
 
 
 def _ellipse_parametrization(D: int, r: int):
-    """gamma(theta), gamma'(theta) and the weight for the norm r ellipse.
+    """curve(theta), the weight and the prefactor for the norm r ellipse.
 
-    gamma(theta) is the (x, y) with x + w*y = sqrt(r)*e^(i*theta):
+    curve(theta) is the point gamma(theta) = (x, y) with x + w*y =
+    sqrt(r)*e^(i*theta), then its tangent gamma'(theta), from one cos/sin:
     y = sqrt(r)*sin(theta)/Im w, x = sqrt(r)*(cos(theta) - t*sin(theta)/sqrt(D)).
     """
     R = ring_data(D)
@@ -82,13 +83,10 @@ def _ellipse_parametrization(D: int, r: int):
     sqrt_r = math.sqrt(r)
     sqrt_d = math.sqrt(D)
 
-    def gamma(theta: float) -> tuple[float, float]:
+    def curve(theta: float) -> tuple[float, float, float, float]:
         c, s = math.cos(theta), math.sin(theta)
-        return sqrt_r * (c - t * s / sqrt_d), sqrt_r * s / im_w
-
-    def gamma_prime(theta: float) -> tuple[float, float]:
-        c, s = math.cos(theta), math.sin(theta)
-        return sqrt_r * (-s - t * c / sqrt_d), sqrt_r * c / im_w
+        x, y = sqrt_r * (c - t * s / sqrt_d), sqrt_r * s / im_w
+        return x, y, sqrt_r * (-s - t * c / sqrt_d), sqrt_r * c / im_w
 
     # the paper's two weight formulas, one per family of w
     if t == 0:
@@ -107,7 +105,7 @@ def _ellipse_parametrization(D: int, r: int):
             )
 
         prefactor = sqrt_d / math.pi
-    return gamma, gamma_prime, weight, prefactor
+    return curve, weight, prefactor
 
 
 def quadrature_average(D: int, r: int, P: BivarPoly, M: int) -> float:
@@ -133,13 +131,11 @@ def quadrature_average(D: int, r: int, P: BivarPoly, M: int) -> float:
             f"node count must exceed the polynomial degree {_shown(P.degree)}, got {M}"
         )
     try:
-        gamma, gamma_prime, weight, prefactor = _ellipse_parametrization(D, r)
+        curve, weight, prefactor = _ellipse_parametrization(D, r)
         step = 2.0 * math.pi / M
         total = 0.0
         for i in range(M):
-            theta = step * i
-            x, y = gamma(theta)
-            dx, dy = gamma_prime(theta)
+            x, y, dx, dy = curve(step * i)
             w = weight(x, y) or math.nan  # 0 only if its quadratic form overflowed
             total += P.evaluate_float(x, y) * w * math.hypot(dx, dy)
         value = prefactor * total * step

@@ -3,8 +3,8 @@
 For each admissible D and degree j >= 1 the pair R_{D,j}, I_{D,j} is the
 real and imaginary part of (x + w*y)^j, with w the second basis element of
 O_D. R_{D,j} is rational; I_{D,j} is sqrt(D) times a rational polynomial,
-so imaginary parts are carried as (rational polynomial, radical flag) and
-never leave the rationals. Denominators only ever involve powers of 2.
+and ``basis_poly`` returns that rational polynomial, so imaginary parts never
+leave the rationals. Denominators only ever involve powers of 2.
 
 ``decompose`` and ``in_span`` need no linear algebra: in z = x + w*y and
 zbar = x + wbar*y the norm form is z*zbar and R, I are the parts of z^j, so
@@ -77,9 +77,6 @@ class BivarPoly:
     def is_homogeneous(self) -> bool:
         degrees = {i + k for i, k in self.numerators}
         return len(degrees) <= 1
-
-    def coefficient(self, i: int, k: int) -> Fraction:
-        return Fraction(self.numerators.get((i, k), 0), self.den)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BivarPoly):
@@ -242,12 +239,12 @@ class BasisKind(Enum):
     IMAG_PART = "imag"
 
 
-HarmonicBasisElement = namedtuple("HarmonicBasisElement", "poly radical")
+HarmonicBasisElement = namedtuple("HarmonicBasisElement", "poly")
 HarmonicBasisElement.__doc__ = """\
 One of the two degree-j basis polynomials attached to O_D.
 
-``poly`` is always rational. For the imaginary part the true
-polynomial is sqrt(D) * poly, recorded by ``radical=True``.
+``poly`` is always rational. For ``BasisKind.IMAG_PART`` the true
+polynomial is sqrt(D) * poly.
 """
 
 
@@ -279,11 +276,10 @@ def basis_poly(D: int, j: int, kind: BasisKind) -> HarmonicBasisElement:
         raise InputError(f"basis degree must be >= 1, got {_shown(j)}")
     part = 0 if kind is BasisKind.REAL_PART else 1
     return HarmonicBasisElement(
-        poly=BivarPoly(
+        BivarPoly(
             ((j - m, m), math.comb(j, m) * parts(D, w_m)[part])
             for m, w_m in enumerate(powers(D, (0, 1), j))
-        ),
-        radical=kind is BasisKind.IMAG_PART,
+        )
     )
 
 

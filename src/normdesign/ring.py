@@ -61,9 +61,6 @@ def _ring_data(D: int) -> RingData:
 
 
 _RINGS = {D: _ring_data(D) for D in ADMISSIBLE_D}
-# (n, t) per D for mul, the innermost step of power and of the factored
-# shells: one dict read in place of ring_data's call and two field reads
-_MUL_NT = {D: (R.n, R.t) for D, R in _RINGS.items()}
 
 
 class SplitType(Enum):
@@ -121,15 +118,11 @@ def mul(D: int, u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
     pairs; Fraction pairs multiply in Q(w). InputError, as from
     ``ring_data``, unless D is admissible.
     """
-    try:
-        n, t = _MUL_NT[D]
-    except KeyError:
-        ring_data(D)  # raises the InputError that names the admissible D
-        raise
+    R = ring_data(D)
     a, b = u
     c, d = v
     bd = b * d
-    return (a * c - n * bd, a * d + b * c + t * bd)
+    return (a * c - R.n * bd, a * d + b * c + R.t * bd)
 
 
 def powers(D: int, u: tuple[int, int], e: int) -> list[tuple[int, int]]:

@@ -169,6 +169,18 @@ def test_quadrature_command(capsys):
     assert "0.5" in out
 
 
+def test_quadrature_json_payload_matches_the_table(capsys):
+    argv = ["quadrature", "1", "1", "--poly", "x^2", "--nodes", "256"]
+    assert run(argv + ["--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert set(payload) == {"D", "r", "poly", "nodes", "average"}
+    assert [payload[k] for k in ("D", "r", "poly", "nodes")] == [1, 1, "x^2", 256]
+    # the last digits follow libm's sin and cos, so only a tolerance is portable
+    assert payload["average"] == pytest.approx(0.5)
+    assert run(argv) == 0
+    assert float(capsys.readouterr().out.rsplit(": ", 1)[1]) == payload["average"]
+
+
 @pytest.mark.parametrize("poly", ["-x^2", "-1/2*y^3+x"])
 @pytest.mark.parametrize(
     "argv",
@@ -865,6 +877,13 @@ def test_reproduce_example(capsys):
     assert "sum of Q over the shell: -4818834696" in out
     assert "failing [6]" in out
     assert "5-design but not a 6-design" in out
+
+
+def test_reproduce_example_reports_a_mismatch(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "EXAMPLE_Q_SUM", cli.EXAMPLE_Q_SUM + 1)
+    assert run(["reproduce-example"]) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1] == "UNEXPECTED: the worked example did not reproduce"
 
 
 def test_sweep_exit_and_shape(tmp_path):

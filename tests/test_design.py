@@ -233,12 +233,10 @@ def test_quadrature_doubling_convergence_guard(D, r):
 @pytest.mark.parametrize("r", (1, 4))
 def test_measure_density_constant_along_the_curve(D, r):
     """weight(gamma(theta)) * |gamma'(theta)| does not depend on theta."""
-    gamma, gamma_prime, weight, _ = _ellipse_parametrization(D, r)
+    curve, weight, _ = _ellipse_parametrization(D, r)
     values = []
     for k in range(64):
-        theta = 2 * math.pi * k / 64
-        x, y = gamma(theta)
-        dx, dy = gamma_prime(theta)
+        x, y, dx, dy = curve(2 * math.pi * k / 64)
         values.append(weight(x, y) * math.hypot(dx, dy))
     expected = math.sqrt(D) if D % 4 in (1, 2) else 1 / (2 * math.sqrt(D))
     for v in values:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from normdesign.harmonic import (
     BasisKind,
     BivarPoly,
+    HarmonicBasisElement,
     PolyParseError,
     basis_poly,
     decompose,
@@ -113,6 +114,7 @@ def test_coefficients_are_integers_over_one_denominator():
     assert p.numerators == {(1, 0): 3, (0, 1): 2}
     assert BivarPoly.__slots__ == ("den", "numerators")
     assert not hasattr(p, "integer_form")
+    assert not hasattr(BivarPoly, "coefficient")  # terms is the one reader
     zero = BivarPoly({(2, 1): 0, (0, 0): Fraction(0, 5)})
     assert zero.den == 1 and zero.numerators == {}
     # split, rescaled and cancelling inputs of one polynomial give one state
@@ -229,6 +231,16 @@ def test_format_matches_documented_example():
     assert format_poly(p) == "2*x^2+3462*x*y+1729*y^2"
 
 
+def test_str_repr_and_equality_with_other_types():
+    p = poly("-1/2*y^3+x")
+    assert str(p) == format_poly(p) == "x-1/2*y^3"
+    assert repr(p) == "BivarPoly('x-1/2*y^3')"
+    assert str(BivarPoly()) == "0"
+    # a non-polynomial is never equal, and == does not raise
+    assert p.__eq__("x-1/2*y^3") is NotImplemented
+    assert p != "x-1/2*y^3" and p != 0
+
+
 def test_parse_fractions_signs_and_spaces():
     p = parse_poly(" -1/2*y^3 + x ")
     assert p.terms == {(0, 3): Fraction(-1, 2), (1, 0): Fraction(1)}
@@ -299,14 +311,14 @@ def test_parse_errors_carry_positions(text, position, message):
 def test_basis_poly_examples():
     r12 = basis_poly(1, 2, BasisKind.REAL_PART)
     assert r12.poly == poly("x^2-y^2")
-    assert r12.radical is False
+    # kind says which part was asked for; the wrapper carries only poly
+    assert HarmonicBasisElement._fields == ("poly",)
 
     r32 = basis_poly(3, 2, BasisKind.REAL_PART)
     assert r32.poly == poly("x^2+x*y-1/2*y^2")
 
     i32 = basis_poly(3, 2, BasisKind.IMAG_PART)
     assert i32.poly == poly("x*y+1/2*y^2")
-    assert i32.radical is True
 
 
 def test_basis_poly_rejects_degree_zero():
@@ -332,8 +344,9 @@ def test_basis_is_homogeneous_with_dyadic_denominators(D, j):
 @pytest.mark.parametrize("j", range(1, 13))
 def test_basis_pair_linearly_independent(D, j):
     R, Iq = basis_pair(D, j)
-    coords_r = [R.coefficient(j - m, m) for m in range(j + 1)]
-    coords_i = [Iq.coefficient(j - m, m) for m in range(j + 1)]
+    r_terms, i_terms = R.terms, Iq.terms
+    coords_r = [r_terms.get((j - m, m), 0) for m in range(j + 1)]
+    coords_i = [i_terms.get((j - m, m), 0) for m in range(j + 1)]
     # exact rank-2 check: some 2x2 minor is nonzero
     assert any(
         coords_r[a] * coords_i[b] - coords_r[b] * coords_i[a] != 0

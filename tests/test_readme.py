@@ -35,6 +35,7 @@ DELETED = (
     "_check_degree",
     "_ZERO",
     "_ZERO_PARTS",
+    "_MUL_NT",
 )
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from normdesign.arith import factorize, is_prime, kronecker, splitting_type
 from normdesign.ring import (
     ADMISSIBLE_D,
+    InputError,
     discriminant,
     mul,
     norm_form,
@@ -97,8 +98,12 @@ def test_small_shells():
 
 
 def test_negative_norm_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError) as scanned:
         enumerate_shell(1, -1)
+    with pytest.raises(InputError) as factored:
+        shell_from_factorization(1, -1)
+    assert str(factored.value) == str(scanned.value)
+    assert str(scanned.value) == "shell norm must be nonnegative, got -1"
 
 
 @pytest.mark.parametrize("D", ADMISSIBLE_D)
