@@ -1,11 +1,13 @@
 """Command line front end: shells, design reports, theta tables and sweeps.
 
 Each command returns its exit code and its text; ``run`` alone writes the
-text, to stdout or to --output. Exit codes: 0 when the command and every
-check it ran succeeded, 1 when a verification failed, 2 on usage errors: a
-parser error, an ``InputError`` (an integer flag outside its ``FLAG_RANGES``
-row, unparseable input, inadmissible D, an empty shell where a nonempty one
-is required, a budget exceeded) or an OSError. 3 on an internal error: a
+text, to stdout or to --output. ``_report_text`` alone writes a design
+report's JSON object, a byte contract (``verify --format json`` and each
+``sweep`` report). Exit codes: 0 when the command and every check it ran
+succeeded, 1 when a verification failed, 2 on usage errors: a parser error,
+an ``InputError`` (an integer flag outside its ``FLAG_RANGES`` row,
+unparseable input, inadmissible D, an empty shell where a nonempty one is
+required, a budget exceeded) or an OSError. 3 on an internal error: a
 ValueError that is not an ``InputError``, an ArithmeticError or an
 AssertionError that escapes a command, reported as one line on stderr.
 """
@@ -170,7 +172,7 @@ def _cmd_verify(args) -> tuple[int, str]:
         passed = report.theorem_main_ok
     code = 0 if passed else 1
     if args.format == "json":
-        return code, _dumps(_report_json(report))
+        return code, _report_text(report)
     if args.format == "csv":
         failing = {f.j: format_rational(f.witness) for f in report.failing}
         rows = [f"{j},failing,{failing[j]}" if j in failing else f"{j},vanishing,"
@@ -179,17 +181,14 @@ def _cmd_verify(args) -> tuple[int, str]:
     return code, _verify_table(report, args.t, passed)
 
 
-def _report_json(report: DesignReport) -> dict:
-    return {
-        "D": report.D,
-        "r": report.r,
-        "jmax": report.j_max,
-        "vanishing": list(report.vanishing),
-        "failing": [
-            {"j": f.j, "witness": format_rational(f.witness)} for f in report.failing
-        ],
-        "theorem_main_ok": report.theorem_main_ok,
-    }
+def _report_text(report: DesignReport) -> str:
+    """_dumps of the report's dict, keys sorted; witnesses need no JSON escape."""
+    failing = ",".join([f'{{"j":{f.j},"witness":"{format_rational(f.witness)}"}}'
+                        for f in report.failing])
+    vanishing = ",".join(map(str, report.vanishing))
+    ok = "true" if report.theorem_main_ok else "false"
+    return (f'{{"D":{report.D},"failing":[{failing}],"jmax":{report.j_max},'
+            f'"r":{report.r},"theorem_main_ok":{ok},"vanishing":[{vanishing}]}}')
 
 
 def _verify_table(report, t: int | None, passed: bool) -> str:
@@ -312,12 +311,12 @@ def _cmd_quadrature(args) -> tuple[int, str]:
 
 def _sweep_task(task: tuple[int, int, int]) -> tuple[bool, str]:
     D, r, j_max = task
-    report = _report_json(strength_profile(D, r, j_max))
-    return report["theorem_main_ok"], _dumps(report)
+    report = strength_profile(D, r, j_max)
+    return report.theorem_main_ok, _report_text(report)
 
 
 def _sweep_json(rmax: int, jmax: int, all_ok: bool, reports: list[str]) -> str:
-    """The sweep payload's _dumps, built around the reports' own dumps.
+    """The sweep payload's _dumps, built around the reports' own texts.
 
     _dumps sorts the keys (all_ok, jmax, reports, rmax) and dumps a list as
     its items' dumps joined by ",", so the bytes are the same while one str

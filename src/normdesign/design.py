@@ -56,8 +56,8 @@ def strength_profile(D: int, r: int, j_max: int) -> DesignReport:
             failing.append(FailingDegree(j, r_sum))
         else:
             vanishing.append(j)
-    expected = {j for j in range(1, j_max + 1) if j % R.unit_count == 0}
-    ok = {f.j for f in failing} == expected
+    u = R.unit_count  # failing is in increasing j: compare it with u, 2u, ... as lists
+    ok = [f.j for f in failing] == list(range(u, j_max + 1, u))
     return DesignReport(
         D=D,
         r=r,

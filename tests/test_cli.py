@@ -11,7 +11,7 @@ import pytest
 import normdesign
 from normdesign import arith, cli, design, shells, theta
 from normdesign.cli import run
-from normdesign.design import strength_profile
+from normdesign.design import FailingDegree, strength_profile
 from normdesign.harmonic import BivarPoly
 from normdesign.ring import InputError, norm_form
 from normdesign.shells import enumerate_shell
@@ -886,6 +886,51 @@ def test_reproduce_example_reports_a_mismatch(capsys, monkeypatch):
     assert out.splitlines()[-1] == "UNEXPECTED: the worked example did not reproduce"
 
 
+def report_json(report):
+    """The reference dict of a design report: cli._report_text writes its _dumps."""
+    return {
+        "D": report.D,
+        "r": report.r,
+        "jmax": report.j_max,
+        "vanishing": list(report.vanishing),
+        "failing": [
+            {"j": f.j, "witness": theta.format_rational(f.witness)}
+            for f in report.failing
+        ],
+        "theorem_main_ok": report.theorem_main_ok,
+    }
+
+
+def assert_report_text(report):
+    text = cli._report_text(report)
+    assert text == cli._dumps(report_json(report))
+    assert json.loads(text) == report_json(report)
+
+
+@pytest.mark.parametrize("jmax", [1, 13, 40])
+@pytest.mark.parametrize("D", normdesign.ADMISSIBLE_D)
+def test_report_text_is_the_reference_dump(D, jmax):
+    for r in range(1, 301):
+        if arith.is_representable(D, r):
+            assert_report_text(strength_profile(D, r, jmax))
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"theorem_main_ok": False},
+        {"failing": ()},
+        {"vanishing": ()},
+        {"failing": (FailingDegree(1, -1), FailingDegree(6, -(10**40)))},
+        {"failing": (FailingDegree(2, 2**300 + 1), FailingDegree(6, -(2**301)))},
+    ],
+)
+def test_report_text_on_hand_built_reports(fields):
+    # the worked example's report (one failing degree, witness -2409417348)
+    # with fields a real shell never gives; the text must still be the dump
+    assert_report_text(strength_profile(3, 691, 6)._replace(**fields))
+
+
 def test_sweep_exit_and_shape(tmp_path):
     out_path = tmp_path / "sweep.json"
     assert run(["sweep", "--rmax", "20", "--jmax", "13", "--output", str(out_path)]) == 0
@@ -905,7 +950,7 @@ def test_sweep_reports_match_strength_profile(capsys, jmax):
     assert run(["sweep", "--rmax", str(rmax), "--jmax", str(jmax)]) == 0
     payload = json.loads(capsys.readouterr().out)
     expected = [
-        cli._report_json(strength_profile(D, r, jmax))
+        report_json(strength_profile(D, r, jmax))
         for D in normdesign.ADMISSIBLE_D
         for r in range(1, rmax + 1)
         if enumerate_shell(D, r).points
@@ -934,7 +979,7 @@ def test_sweep_text_equals_the_payload_dump(capsys, monkeypatch, rmax, fail_at):
 
     monkeypatch.setattr(cli, "strength_profile", profile)
     reports = [
-        cli._report_json(profile(D, r, 13))
+        report_json(profile(D, r, 13))
         for D in normdesign.ADMISSIBLE_D
         for r in range(1, rmax + 1)
         if enumerate_shell(D, r).points

@@ -3,9 +3,9 @@ import math
 
 import pytest
 
-from normdesign import shells
-from normdesign.cli import _report_json
+from normdesign import design, shells
 from normdesign.arith import is_representable
+from normdesign.cli import _report_text
 from normdesign.design import (
     MAX_NODES,
     _ellipse_parametrization,
@@ -15,8 +15,11 @@ from normdesign.design import (
 )
 from normdesign.harmonic import BasisKind, BivarPoly, basis_poly, parse_poly
 from normdesign.ring import ADMISSIBLE_D, discriminant, norm_form, ring_data
-from normdesign.shells import SCAN_MAX_ROWS, enumerate_shell, shell_from_factorization
-from normdesign.theta import shell_sum
+from normdesign.shells import (
+    SCAN_MAX_ROWS, enumerate_shell, norm_shell, shell_from_factorization
+)
+from normdesign.theta import basis_shell_sums_upto, shell_sum
+from test_cli import report_json
 
 
 def test_t_design_examples():
@@ -148,8 +151,8 @@ def test_design_report_json_shape():
     assert (report.D, report.r, report.j_max) == (3, 691, 6)
     assert report.vanishing == (1, 2, 3, 4, 5)
     assert [(f.j, f.witness) for f in report.failing] == [(6, -2409417348)]
-    payload = _report_json(report)
-    assert json.loads(json.dumps(payload)) == payload
+    payload = report_json(report)
+    assert json.loads(_report_text(report)) == payload
     assert payload == {
         "D": 3,
         "r": 691,
@@ -158,6 +161,31 @@ def test_design_report_json_shape():
         "failing": [{"j": 6, "witness": "-2409417348/1"}],
         "theorem_main_ok": True,
     }
+
+
+@pytest.mark.parametrize("jmax_of", ["1", "u_D", "13", "40"])
+@pytest.mark.parametrize("D", ADMISSIBLE_D)
+def test_theorem_main_ok_is_false_on_any_forged_degree(monkeypatch, D, jmax_of):
+    # theorem_main_ok compares the failing degrees with u_D, 2*u_D, ... as
+    # lists. Forge the shell sums one degree at a time: a nonzero sum off the
+    # multiples of u_D, or a zero on one, must each make it False, and so
+    # must the sum at u_D moved to degree 1.
+    u = ring_data(D).unit_count
+    jmax = u if jmax_of == "u_D" else int(jmax_of)
+    forged = []
+    monkeypatch.setattr(design, "basis_shell_sums_upto", lambda shell, j_max: forged)
+    for r in (1, next(r for r in range(2, 50) if is_representable(D, r))):
+        true_sums = basis_shell_sums_upto(norm_shell(D, r), jmax)
+        forged[:] = true_sums
+        assert strength_profile(D, r, jmax).theorem_main_ok
+        for j in range(1, jmax + 1):
+            forged[:] = true_sums
+            forged[j - 1] = 0 if j % u == 0 else 1
+            assert not strength_profile(D, r, jmax).theorem_main_ok, (r, j)
+        if jmax >= u:  # as many failing degrees as expected, one at the wrong j
+            forged[:] = true_sums
+            forged[0], forged[u - 1] = forged[u - 1], forged[0]
+            assert not strength_profile(D, r, jmax).theorem_main_ok, r
 
 
 # -- quadrature ----------------------------------------------------------------

@@ -36,6 +36,7 @@ DELETED = (
     "_ZERO",
     "_ZERO_PARTS",
     "_MUL_NT",
+    "_report_json",
 )
 
 
@@ -57,3 +58,12 @@ def test_deleted_names_are_gone():
         for module in (arith, cli, design, harmonic, ring, shells, theta):
             assert not hasattr(module, name), (module.__name__, name)
         assert name not in README, name
+
+
+def test_design_report_example_is_verify_output(capsys):
+    # the README quotes the design-report JSON object byte for byte
+    example = next(
+        line for line in README.splitlines() if line.startswith('{"D":3,"failing"')
+    )
+    assert cli.run(["verify", "3", "691", "--jmax", "6", "--format", "json"]) == 0
+    assert capsys.readouterr().out == example + "\n"
