@@ -60,6 +60,14 @@ MAX_DEGREE = 1000
 #: bits at every point.
 MAX_THETA_WORK = 25 * 10**8
 
+#: Largest ``theta`` coefficient work, bits * (bits + 256 * (degree + 32)) *
+#: rmax, with bits the bit length of P's largest numerator or denominator.
+#: Each norm's sum holds about that many bits and is printed in decimal, a
+#: conversion quadratic in its length; each Horner step carries them too.
+#: MAX_THETA_WORK sees only the degree, so a 100 000-digit coefficient
+#: passed it up to --rmax 10^6.
+MAX_THETA_BITS_WORK = 5 * 10**12
+
 #: Largest total of reference scan rows ``hecke`` may start: the norm p^k
 #: shell takes shells.scan_rows(D, p^k) rows, and hecke scans k = 1..alpha.
 MAX_HECKE_ROWS = 10**8
@@ -128,12 +136,21 @@ def _check_flag_ranges(args) -> None:
         raise InputError(f"--{flag} must be {bound}, got {_shown(value)}")
 
 
-def _check_theta_budget(degree: int, rmax: int) -> None:
-    """InputError when (degree + 32)^2 * rmax passes MAX_THETA_WORK."""
+def _check_theta_budget(degree: int, rmax: int, bits: int = 0) -> None:
+    """InputError when theta passes MAX_THETA_WORK or MAX_THETA_BITS_WORK.
+
+    bits is the coefficient bit length, 0 before the polynomial is built.
+    """
     if (degree + 32) ** 2 * rmax > MAX_THETA_WORK:
         raise InputError(
             f"theta at degree {_shown(degree)} and --rmax {rmax} is past the "
             "work budget: (degree + 32)^2 * rmax must be at most 2.5*10^9"
+        )
+    if bits * (bits + 256 * (degree + 32)) * rmax > MAX_THETA_BITS_WORK:
+        raise InputError(
+            f"theta at {bits}-bit coefficients, degree {degree} and --rmax {rmax} "
+            "is past the work budget: bits * (bits + 256 * (degree + 32)) * rmax "
+            "must be at most 5*10^12"
         )
 
 
@@ -212,11 +229,12 @@ def _verify_table(report, t: int | None, passed: bool) -> str:
 
 def _cmd_theta(args) -> tuple[int, str]:
     if args.j is not None:
-        _check_theta_budget(args.j, args.rmax)
+        _check_theta_budget(args.j, args.rmax)  # before the expansion
         poly = basis_poly(args.D, args.j, BasisKind.REAL_PART).poly
     else:
         poly = _parse_poly_arg(args.poly)
-        _check_theta_budget(max(poly.degree, 0), args.rmax)
+    bits = max([poly.den, *map(abs, poly.numerators.values())]).bit_length()
+    _check_theta_budget(max(poly.degree, 0), args.rmax, bits)
     coeffs = [format_rational(c) for c in theta_series(args.D, poly, args.rmax)]
     if args.format == "json":
         payload = {"D": args.D, "rmax": args.rmax, "coeffs": coeffs}

@@ -6,6 +6,12 @@ O_D. R_{D,j} is rational; I_{D,j} is sqrt(D) times a rational polynomial,
 and ``basis_poly`` returns that rational polynomial, so imaginary parts never
 leave the rationals. Denominators only ever involve powers of 2.
 
+Polynomials are built on int numerators over one denominator: ``BivarPoly``,
+``parse_poly`` and ``basis_poly`` each sum ints and end in one canonicalizer
+that divides the denominator and the numerators by their gcd, and
+``format_poly`` reads them back with one gcd per term. ``basis_poly`` reads
+the powers of w as integral-basis pairs, not through ``ring.parts``.
+
 ``decompose`` and ``in_span`` need no linear algebra: in z = x + w*y and
 zbar = x + wbar*y the norm form is z*zbar and R, I are the parts of z^j, so
 the layer coordinates are a polynomial's coefficients in z and zbar.
@@ -35,6 +41,9 @@ class BivarPoly:
     and numerators maps each monomial (i, k) with a nonzero coefficient c
     to the int c * den. Both are canonical, so equality and hashing read
     them, and a Fraction is built only when a coefficient is asked for.
+    The constructor reads each coefficient's numerator and denominator
+    (through Fraction(c) unless c is an int), sums the terms as ints over
+    the LCM of those denominators and reduces the result by one gcd.
     """
 
     __slots__ = ("den", "numerators")
@@ -45,18 +54,31 @@ class BivarPoly:
         | Iterable[tuple[_Monomial, RationalLike]] = (),
     ) -> None:
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[_Monomial, Fraction] = {}
+        pairs: list[tuple[_Monomial, int, int]] = []
         for (i, k), c in items:
             if i < 0 or k < 0:
                 raise InputError(f"negative exponent in monomial x^{i}*y^{k}")
-            c = Fraction(c)
-            if c:
-                acc[(i, k)] = acc.get((i, k), 0) + c
-        coeffs = {m: c for m, c in acc.items() if c}
-        self.den = den = math.lcm(*(c.denominator for c in coeffs.values()))
-        self.numerators = {
-            m: c.numerator * (den // c.denominator) for m, c in coeffs.items()
-        }
+            if not isinstance(c, int):
+                c = Fraction(c)
+            pairs.append(((i, k), c.numerator, c.denominator))
+        self._reduce(*_common_den(pairs))
+
+    @classmethod
+    def _over(cls, numerators: dict[_Monomial, int], den: int) -> BivarPoly:
+        """The polynomial with coefficients numerators[m] / den, for den > 0."""
+        P = cls.__new__(cls)
+        P._reduce(numerators, den)
+        return P
+
+    def _reduce(self, numerators: dict[_Monomial, int], den: int) -> None:
+        # den / gcd(den, n_1, ..., n_k) is the LCM of the lowest-terms
+        # denominators, and the gcd of den alone makes the zero polynomial's 1
+        numerators = {m: t for m, t in numerators.items() if t}
+        g = math.gcd(den, *numerators.values())
+        if g > 1:
+            numerators = {m: t // g for m, t in numerators.items()}
+        self.den = den // g
+        self.numerators = numerators
 
     # -- structure ---------------------------------------------------------
 
@@ -117,6 +139,17 @@ class BivarPoly:
         return format_poly(self)
 
 
+def _common_den(
+    pairs: list[tuple[_Monomial, int, int]]
+) -> tuple[dict[_Monomial, int], int]:
+    """Sums of the fractions num / den per monomial, over the LCM of the dens."""
+    den = math.lcm(*(d for _, _, d in pairs))
+    acc: dict[_Monomial, int] = {}
+    for m, num, d in pairs:
+        acc[m] = acc.get(m, 0) + num * (den // d)
+    return acc, den
+
+
 def _powers(v: RationalLike, n: int) -> list[RationalLike]:
     """[v^0, v^1, ..., v^n]."""
     out = [1]
@@ -136,6 +169,7 @@ class PolyParseError(InputError):
 
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([xy*^+/-])|(\S))")
+_KINDS = (None, "int", "op")  # by the index of the token's group
 
 
 def parse_poly(text: str) -> BivarPoly:
@@ -143,25 +177,24 @@ def parse_poly(text: str) -> BivarPoly:
 
     Terms are coefficient and/or monomial factors joined by ``*``;
     coefficients may be fractions like ``-1/2``. Whitespace is ignored.
+    Each term's coefficient is kept as an int pair (num, den).
     """
     tokens: list[tuple[str, str, int]] = []  # (kind, value, position)
     for match in _TOKEN.finditer(text):
-        pos = match.start(match.lastindex)
-        if match.group(3):
-            raise PolyParseError(f"unexpected character {match.group(3)!r}", pos)
-        if match.group(1):
-            tokens.append(("int", match.group(1), pos))
-        else:
-            tokens.append(("op", match.group(2), pos))
+        group = match.lastindex
+        value = match.group(group)
+        if group == 3:
+            raise PolyParseError(f"unexpected character {value!r}", match.start(group))
+        tokens.append((_KINDS[group], value, match.start(group)))
     if not tokens:
         raise PolyParseError("empty polynomial", 0)
     # an end token at len(text) gives every lookahead a token and a position
     tokens.append(("end", "", len(text)))
 
-    terms: list[tuple[_Monomial, Fraction]] = []
+    terms: list[tuple[_Monomial, int, int]] = []  # (monomial, num, den)
     i = 0
     while True:  # one signed term per pass; the sign is optional on the first
-        coeff, exps = Fraction(-1 if tokens[i][1] == "-" else 1), [0, 0]
+        num, den, exps = -1 if tokens[i][1] == "-" else 1, 1, [0, 0]
         if tokens[i][1] in ("+", "-"):
             i += 1
         if tokens[i][0] == "end":
@@ -170,16 +203,15 @@ def parse_poly(text: str) -> BivarPoly:
             kind, value, pos = tokens[i]
             i += 1
             if kind == "int":
-                num = int(value)
+                num *= int(value)
                 if tokens[i][1] == "/":
                     kind, value, pos = tokens[i + 1]
                     if kind != "int":
                         raise PolyParseError("expected a denominator", pos)
                     if int(value) == 0:
                         raise PolyParseError("zero denominator", pos)
-                    num = Fraction(num, int(value))
+                    den *= int(value)
                     i += 2
-                coeff *= num
             elif value in ("x", "y"):
                 exp = 1
                 if tokens[i][1] == "^":
@@ -197,9 +229,9 @@ def parse_poly(text: str) -> BivarPoly:
             if value != "*":
                 break
             i += 1
-        terms.append(((exps[0], exps[1]), coeff))
+        terms.append(((exps[0], exps[1]), num, den))
         if kind == "end":
-            return BivarPoly(terms)
+            return BivarPoly._over(*_common_den(terms))
         if value not in ("+", "-"):
             # value is one character or an int token, which may run to argv length
             got = repr(value) if len(value) <= 80 else f"a {len(value)}-digit number"
@@ -207,27 +239,31 @@ def parse_poly(text: str) -> BivarPoly:
 
 
 def format_poly(P: BivarPoly) -> str:
-    """Canonical text form; ``parse_poly`` round-trips it exactly."""
+    """Canonical text form; ``parse_poly`` round-trips it exactly.
+
+    Each coefficient is read from its numerator over ``P.den``, reduced by
+    one gcd.
+    """
     if P.is_zero:
         return "0"
     pieces: list[str] = []
-    terms = P.terms
-    for i, k in sorted(terms, key=lambda m: (m[0] + m[1], -m[0])):
-        c = terms[i, k]
-        mag = -c if c < 0 else c
+    den, numerators = P.den, P.numerators
+    for i, k in sorted(numerators, key=lambda m: (m[0] + m[1], -m[0])):
+        t = numerators[i, k]
+        g = math.gcd(t, den)
+        mag, d = abs(t) // g, den // g
         factors: list[str] = []
-        if mag != 1 or (i == 0 and k == 0):
-            factors.append(str(mag.numerator) if mag.denominator == 1 else
-                           f"{mag.numerator}/{mag.denominator}")
+        if mag != 1 or d != 1 or (i == 0 and k == 0):
+            factors.append(str(mag) if d == 1 else f"{mag}/{d}")
         if i:
             factors.append("x" if i == 1 else f"x^{i}")
         if k:
             factors.append("y" if k == 1 else f"y^{k}")
         term = "*".join(factors)
         if not pieces:
-            pieces.append(term if c > 0 else "-" + term)
+            pieces.append(term if t > 0 else "-" + term)
         else:
-            pieces.append(("+" if c > 0 else "-") + term)
+            pieces.append(("+" if t > 0 else "-") + term)
     return "".join(pieces)
 
 
@@ -267,20 +303,22 @@ def _linear_power(
 def basis_poly(D: int, j: int, kind: BasisKind) -> HarmonicBasisElement:
     """Exact binomial expansion of the real or imaginary part of (x + w*y)^j.
 
-    The coefficient of x^(j-m)*y^m is C(j, m)*w^m, with the powers of w in
-    the integral basis, so coefficients stay rational with denominators
-    dividing 2^j.
+    The coefficient of x^(j-m)*y^m is C(j, m)*w^m. With w^m = a + b*w in
+    the integral basis, its real part is C(j, m)*(2a + t*b)/2 and its
+    imaginary part over sqrt(D) is C(j, m)*sigma2*b/2, so the polynomial is
+    built as int numerators over the one denominator 2, then reduced.
     """
-    ring_data(D)
+    R = ring_data(D)
     if j < 1:
         raise InputError(f"basis degree must be >= 1, got {_shown(j)}")
-    part = 0 if kind is BasisKind.REAL_PART else 1
-    return HarmonicBasisElement(
-        BivarPoly(
-            ((j - m, m), math.comb(j, m) * parts(D, w_m)[part])
-            for m, w_m in enumerate(powers(D, (0, 1), j))
-        )
-    )
+    w_powers = powers(D, (0, 1), j)
+    if kind is BasisKind.REAL_PART:
+        numerators = {(j - m, m): math.comb(j, m) * (2 * a + R.t * b)
+                      for m, (a, b) in enumerate(w_powers)}
+    else:
+        numerators = {(j - m, m): math.comb(j, m) * R.sigma2 * b
+                      for m, (_, b) in enumerate(w_powers)}
+    return HarmonicBasisElement(BivarPoly._over(numerators, 2))
 
 
 # -- coordinates in z = x + w*y -------------------------------------------------

@@ -11,8 +11,10 @@ and two workers, the README examples, the CI steps that finish in under a
 second and the bench's seed-1 passes. Argv-length values are 1 000 digits
 here, not the CI's 100 000: they take the same paths (past 64 bits, past
 the parser's 200 characters) without a 100 kB line per command.
-``quadrature`` prints floats from libm's trigonometry, so only its exit-2
-case is kept. ``--output`` is never given: each command writes stdout.
+``quadrature`` prints floats from libm's trigonometry, so it is kept only
+for its exit-2 case and for the canonical polynomial texts below, at D = 1
+and r = 1 (regenerate those lines if a libm rounds cos or sin differently).
+``--output`` is never given: each command writes stdout.
 """
 
 import json
@@ -32,6 +34,8 @@ FORMATS = ("json", "csv", "table")
 # scan's limit, 10^12 + 39 and 2*10^9 + 11 factored or empty per D
 NORMS = (1, 2, 5, 691, 10**6 + 3, 10**12 + 39, 2 * 10**9 + 11)
 LONG = "9" * 1000
+# texts whose canonical form merges, cancels, reduces or drops terms
+CANONICAL_POLYS = ("x+x", "x-x", "6/4*x^2-2/4*y^2", "0*x+1/3", "-0")
 
 
 def commands() -> list[list[str]]:
@@ -84,7 +88,12 @@ def commands() -> list[list[str]]:
         ["theta", "1", "--j", "4", "--rmax", LONG + "x"],
         ["theta", "1", "--rmax", "5", "--poly", "x+" + LONG + "x"],
         ["theta", "1", "--poly", "x^20000", "--rmax", "5", "--format", "json"],
+        ["theta", "1", f"--poly={LONG}*x^2", "--rmax", "1000000", "--format", "json"],
     ]
+    for text in CANONICAL_POLYS:
+        poly = f"--poly={text}"
+        cmds.append(["theta", "1", poly, "--rmax", "20", "--format", "json"])
+        cmds.append(["quadrature", "1", "1", poly, "--format", "table"])
     for workload in WORKLOADS.values():
         cmds += [list(inv.argv) for inv in workload.plan(1)]
     return [list(argv) for argv in dict.fromkeys(map(tuple, cmds))]

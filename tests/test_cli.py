@@ -481,6 +481,79 @@ def test_theta_within_the_work_budget_is_accepted(capsys, monkeypatch, argv, rea
     assert f"{reached} reached" in capsys.readouterr().err
 
 
+BITS_540, BITS_541 = str(2**540 - 1), str(2**541 - 1)
+BITS_7831, BITS_7832 = str(2**7831 - 1), str(2**7832 - 1)
+
+
+@pytest.mark.parametrize(
+    "argv,shown",
+    [
+        pytest.param(
+            [f"--poly={ARGV_LENGTH}*x^2", "--rmax", "1000000"],
+            "332193-bit coefficients, degree 2 and --rmax 1000000",
+            id="argv-length-rmax-cap",
+        ),
+        pytest.param(
+            [f"--poly={ARGV_LENGTH}*x^2", "--rmax", "45"],
+            "332193-bit coefficients, degree 2 and --rmax 45",
+            id="argv-length-rmax-45",
+        ),
+        pytest.param(
+            [f"--poly=x^2+1/{ARGV_LENGTH}", "--rmax", "45"],
+            "332193-bit coefficients, degree 2 and --rmax 45",
+            id="argv-length-denominator",
+        ),
+        pytest.param(
+            [f"--poly={BITS_541}*x^2", "--rmax", "1000000"],
+            "541-bit coefficients, degree 2 and --rmax 1000000",
+            id="541-bits-rmax-cap",
+        ),
+        pytest.param(
+            [f"--poly={BITS_7832}*x^1000", "--rmax", "2347"],
+            "7832-bit coefficients, degree 1000 and --rmax 2347",
+            id="7832-bits-degree-1000",
+        ),
+    ],
+)
+def test_theta_coefficient_budget_is_checked_before_any_walk(
+    capsys, monkeypatch, argv, shown
+):
+    def no_series(*args):
+        raise AssertionError("theta_series was called")
+
+    monkeypatch.setattr(cli, "theta_series", no_series)
+    assert run(["theta", "1"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: theta at {shown} is past the work budget: "
+        "bits * (bits + 256 * (degree + 32)) * rmax must be at most 5*10^12\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["1", f"--poly={ARGV_LENGTH}*x^2", "--rmax", "44"],
+                     id="argv-length-rmax-44"),
+        pytest.param(["1", f"--poly={BITS_540}*x^2", "--rmax", "1000000"],
+                     id="540-bits-rmax-cap"),
+        pytest.param(["1", f"--poly={BITS_7831}*x^1000", "--rmax", "2347"],
+                     id="7831-bits-degree-1000"),
+        pytest.param(["1", "--j", "1000", "--rmax", "2347"], id="j-1000-D-1"),
+        pytest.param(["163", "--j", "1000", "--rmax", "2347"], id="j-1000-D-163"),
+    ],
+)
+def test_theta_within_the_coefficient_budget_is_accepted(capsys, monkeypatch, argv):
+    def stop(*args):
+        raise InputError("theta_series reached")
+
+    monkeypatch.setattr(cli, "theta_series", stop)
+    assert cli.MAX_THETA_BITS_WORK == 5 * 10**12
+    assert run(["theta"] + argv) == 2
+    assert "theta_series reached" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [

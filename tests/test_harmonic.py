@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from normdesign.harmonic import (
     in_span,
     parse_poly,
 )
-from normdesign.ring import ADMISSIBLE_D, ring_data
+from normdesign.ring import ADMISSIBLE_D, parts, powers, ring_data
 
 
 def poly(text):
@@ -383,6 +384,136 @@ def test_real_basis_is_harmonic_in_straightened_coordinates(D, j):
 def test_odd_degree_imag_monomials_have_odd_y_exponent(D, j):
     _, Iq = basis_pair(D, j)
     assert all(k % 2 == 1 for _, k in Iq.terms)
+
+
+# -- Fraction oracles for the int routes ----------------------------------------
+
+
+def canonical_reference(terms):
+    """(den, numerators) from Fraction sums: den is the LCM of the reduced
+    coefficients' denominators, each numerator the coefficient times den."""
+    acc = {}
+    for m, c in terms:
+        acc[m] = acc.get(m, 0) + Fraction(c)
+    coeffs = {m: c for m, c in acc.items() if c}
+    den = math.lcm(*(c.denominator for c in coeffs.values()))
+    return den, {m: c.numerator * (den // c.denominator) for m, c in coeffs.items()}
+
+
+def state(P):
+    return P.den, P.numerators
+
+
+def basis_reference(D, j, kind):
+    """C(j, m) * w^m split into Fraction parts by ring.parts, term by term."""
+    part = 0 if kind is BasisKind.REAL_PART else 1
+    return canonical_reference(
+        ((j - m, m), math.comb(j, m) * parts(D, w_m)[part])
+        for m, w_m in enumerate(powers(D, (0, 1), j))
+    )
+
+
+def parse_reference(text):
+    """Fraction products per term for a text parse_poly accepts, through BivarPoly."""
+    terms = []
+    for sign, body in re.findall(r"([+-]?)([^+-]+)", re.sub(r"\s", "", text)):
+        coeff, exps = Fraction(-1 if sign == "-" else 1), [0, 0]
+        for factor in body.split("*"):
+            if factor[0] in "xy":
+                exps["xy".index(factor[0])] += int(factor[2:] or 1)
+            else:
+                num, _, den = factor.partition("/")
+                coeff *= Fraction(int(num), int(den or 1))
+        terms.append(((exps[0], exps[1]), coeff))
+    return BivarPoly(terms), terms
+
+
+def format_reference(P):
+    """format_poly on the Fraction coefficients of P.terms."""
+    if P.is_zero:
+        return "0"
+    pieces = []
+    terms = P.terms
+    for i, k in sorted(terms, key=lambda m: (m[0] + m[1], -m[0])):
+        c = terms[i, k]
+        mag = abs(c)
+        factors = []
+        if mag != 1 or (i == 0 and k == 0):
+            factors.append(str(mag.numerator) if mag.denominator == 1 else
+                           f"{mag.numerator}/{mag.denominator}")
+        if i:
+            factors.append("x" if i == 1 else f"x^{i}")
+        if k:
+            factors.append("y" if k == 1 else f"y^{k}")
+        sign = "-" if c < 0 else ("+" if pieces else "")
+        pieces.append(sign + "*".join(factors))
+    return "".join(pieces)
+
+
+@pytest.mark.parametrize("kind", BasisKind)
+@pytest.mark.parametrize("D", ADMISSIBLE_D)
+def test_basis_poly_matches_the_parts_expansion(D, kind):
+    for j in (*range(1, 61), 1000):
+        P = basis_poly(D, j, kind).poly
+        assert state(P) == basis_reference(D, j, kind), j
+        if j <= 60:
+            assert format_poly(P) == format_reference(P), j
+
+
+CANCELLING = ["x-x", "6/4*x+2/4*y", "0*x", "2/4", "-0", "x+x", "0*x+1/3",
+              "6/4*x^2-2/4*y^2", "1/2*x*y-2/4*y*x+3/9", "x^2*3*y-3*x^2*y+1/6*2*x"]
+
+
+@pytest.mark.parametrize("text", CANCELLING)
+def test_parse_poly_matches_the_fraction_parse_on_cancellations(text):
+    P = parse_poly(text)
+    reference, terms = parse_reference(text)
+    assert state(P) == state(reference) == canonical_reference(terms)
+    assert format_poly(P) == format_reference(P)
+
+
+# a few monomials, so repeats are common; coefficients include 0 and
+# reducible fractions such as 6/4; a term may be followed by its negation
+_monomial_texts = st.sampled_from(["", "x", "y", "x*y", "x^2", "y^3*x", "x^2*y^2"])
+_coefficient_texts = st.one_of(
+    st.just(""),
+    st.integers(0, 12).map(str),
+    st.tuples(st.integers(0, 12), st.integers(1, 12)).map(lambda t: f"{t[0]}/{t[1]}"),
+)
+
+
+@st.composite
+def poly_texts(draw):
+    pieces = []
+    for _ in range(draw(st.integers(1, 8))):
+        coeff, mono = draw(_coefficient_texts), draw(_monomial_texts)
+        term = "*".join(f for f in (coeff, mono) if f) or "1"
+        sign = draw(st.sampled_from(["+", "-"]))
+        pieces.append(sign + term)
+        if draw(st.booleans()):
+            pieces.append(("-" if sign == "+" else "+") + term)
+    text = "".join(pieces)
+    return text[1:] if text[0] == "+" else text
+
+
+@PROPERTY
+@given(poly_texts())
+def test_parse_and_format_match_the_fraction_routes(text):
+    P = parse_poly(text)
+    reference, terms = parse_reference(text)
+    assert state(P) == state(reference) == canonical_reference(terms)
+    shown = format_poly(P)
+    assert shown == format_reference(P)
+    assert state(parse_poly(shown)) == state(P)
+
+
+@PROPERTY
+@given(st.lists(st.tuples(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                          coefficients), max_size=12))
+def test_constructor_matches_the_fraction_sums(terms):
+    # each term again with its sign flipped on half of them: cancellations
+    terms += [(m, -c) for m, c in terms[::2]]
+    assert state(BivarPoly(terms)) == canonical_reference(terms)
 
 
 # -- span membership ------------------------------------------------------------
