@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from math import isqrt
 
 from .arith import MR_BOUND, is_representable
 from .design import (
@@ -52,21 +53,11 @@ MAX_THETA_RMAX = 10**6
 #: shell point.
 MAX_DEGREE = 1000
 
-#: Largest ``theta`` work, (degree + 32)^2 * rmax, for --j and --poly alike.
-#: A walk point costs the walk step and one Horner step per power of x, on
-#: ints whose sizes grow with the degree. The terms fold into each lattice
-#: row's polynomial in x once per row, so the term count does not enter.
-#: x^(10^6) at --rmax 4 would take 10^6 Horner steps on ints of up to 10^6
-#: bits at every point.
-MAX_THETA_WORK = 25 * 10**8
-
-#: Largest ``theta`` coefficient work, bits * (bits + 256 * (degree + 32)) *
-#: rmax, with bits the bit length of P's largest numerator or denominator.
-#: Each norm's sum holds about that many bits and is printed in decimal, a
-#: conversion quadratic in its length; each Horner step carries them too.
-#: MAX_THETA_WORK sees only the degree, so a 100 000-digit coefficient
-#: passed it up to --rmax 10^6.
-MAX_THETA_BITS_WORK = 5 * 10**12
+#: Largest ``theta`` work as _check_theta_budget models it, for --j and
+#: --poly alike. A unit is about 0.05 ns on Python 3.11: at the edges the
+#: README tables, theta takes about 1-3.5 s. --j 18 --rmax 10^6 on D = 1
+#: sits just inside.
+MAX_THETA_WORK = 84 * 10**9
 
 #: Largest total of reference scan rows ``hecke`` may start: the norm p^k
 #: shell takes shells.scan_rows(D, p^k) rows, and hecke scans k = 1..alpha.
@@ -136,21 +127,27 @@ def _check_flag_ranges(args) -> None:
         raise InputError(f"--{flag} must be {bound}, got {_shown(value)}")
 
 
-def _check_theta_budget(degree: int, rmax: int, bits: int = 0) -> None:
-    """InputError when theta passes MAX_THETA_WORK or MAX_THETA_BITS_WORK.
+def _check_theta_budget(D: int, degree: int, rmax: int, bits: int) -> None:
+    """InputError when theta's modelled work passes MAX_THETA_WORK.
 
-    bits is the coefficient bit length, 0 before the polynomial is built.
+    bits is the bit length of P's largest numerator or denominator, or a
+    lower bound on it. The walk visits about pi*rmax/sqrt(|disc|) points, one
+    of each +-z pair, with degree + 1 Horner steps at each on ints that grow
+    from bits to size = bits + degree*log2(rmax)/2, the largest sum's length.
+    Each unit orbit walked may add a nonzero sum, printed in decimal at a
+    cost quadratic in size; every norm costs a fixed amount. The offsets
+    1200 and 40000, the divisor 32 and MAX_THETA_WORK are fitted to timings.
     """
-    if (degree + 32) ** 2 * rmax > MAX_THETA_WORK:
+    R = ring_data(D)
+    size = bits + degree * rmax.bit_length() // 2
+    points = 3217 * rmax // isqrt(-R.disc << 20)  # 3217/1024 is about pi
+    orbits = 2 * points // R.unit_count
+    work = (points * (degree + 1) * (bits + size + 1200)
+            + orbits * size * size // 32 + 40000 * rmax)
+    if work > MAX_THETA_WORK:
         raise InputError(
-            f"theta at degree {_shown(degree)} and --rmax {rmax} is past the "
-            "work budget: (degree + 32)^2 * rmax must be at most 2.5*10^9"
-        )
-    if bits * (bits + 256 * (degree + 32)) * rmax > MAX_THETA_BITS_WORK:
-        raise InputError(
-            f"theta at {bits}-bit coefficients, degree {degree} and --rmax {rmax} "
-            "is past the work budget: bits * (bits + 256 * (degree + 32)) * rmax "
-            "must be at most 5*10^12"
+            f"theta on D={D} at degree {_shown(degree)}, --rmax {rmax} and "
+            f"coefficient bit length {bits} or more is past the work budget"
         )
 
 
@@ -229,12 +226,12 @@ def _verify_table(report, t: int | None, passed: bool) -> str:
 
 def _cmd_theta(args) -> tuple[int, str]:
     if args.j is not None:
-        _check_theta_budget(args.j, args.rmax)  # before the expansion
+        _check_theta_budget(args.D, args.j, args.rmax, 1)  # before the expansion
         poly = basis_poly(args.D, args.j, BasisKind.REAL_PART).poly
     else:
         poly = _parse_poly_arg(args.poly)
     bits = max([poly.den, *map(abs, poly.numerators.values())]).bit_length()
-    _check_theta_budget(max(poly.degree, 0), args.rmax, bits)
+    _check_theta_budget(args.D, max(poly.degree, 0), args.rmax, bits)
     coeffs = [format_rational(c) for c in theta_series(args.D, poly, args.rmax)]
     if args.format == "json":
         payload = {"D": args.D, "rmax": args.rmax, "coeffs": coeffs}

@@ -284,22 +284,6 @@ polynomial is sqrt(D) * poly.
 """
 
 
-def _linear_power(
-    D: int, a: tuple[int, int], b: tuple[int, int], e: int
-) -> list[tuple[int, int]]:
-    """Coefficients of (a*X + b*Y)^e for a, b in O_D, held as pairs.
-
-    Entry m is C(e, m) * a^(e-m) * b^m, the coefficient of X^(e-m) * Y^m.
-    """
-    a_powers, b_powers = powers(D, a, e), powers(D, b, e)
-    out = []
-    for m in range(e + 1):
-        u, v = mul(D, a_powers[e - m], b_powers[m])
-        binom = math.comb(e, m)
-        out.append((binom * u, binom * v))
-    return out
-
-
 def basis_poly(D: int, j: int, kind: BasisKind) -> HarmonicBasisElement:
     """Exact binomial expansion of the real or imaginary part of (x + w*y)^j.
 
@@ -368,12 +352,16 @@ def decompose(
     # with wbar = t - w and delta = w - wbar = (-t, 2): delta*x = -wbar*z + w*zbar
     # and delta*y = z - zbar, so P.den*delta^j*P, read off P's numerators, is a
     # polynomial in z, zbar over Z[w]; only layers k <= j/2 are read.
+    # (delta*x)^i has C(i, s) * (-wbar)^(i-s) * w^s on z^(i-s) * zbar^s, and
     # (z - zbar)^m has the integer coefficients (-1)^l * C(m, l).
+    nwbar_powers, w_powers = powers(D, (-R.t, 1), j), powers(D, (0, 1), half)
     coeffs = [(0, 0)] * (half + 1)
     for (i, m), c in P.numerators.items():
-        for s, (u, v) in enumerate(_linear_power(D, (-R.t, 1), (0, 1), i)[: half + 1]):
+        for s in range(min(i, half) + 1):
+            u, v = mul(D, nwbar_powers[i - s], w_powers[s])
+            binom = math.comb(i, s)
             for l in range(min(m, half - s) + 1):
-                cl = (-1) ** l * math.comb(m, l) * c
+                cl = (-1) ** l * math.comb(m, l) * binom * c
                 cu, cv = coeffs[s + l]
                 coeffs[s + l] = (cu + cl * u, cv + cl * v)
     # delta^2 = disc, so 1/delta^j = delta^(j mod 2)/disc^ceil(j/2)

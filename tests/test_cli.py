@@ -433,125 +433,125 @@ def test_poly_degree_is_not_budgeted(capsys):
     assert capsys.readouterr().out.endswith("  r=1: 2/1\n")
 
 
+# The edge cases below come in pairs across the budget's edge: the largest
+# rmax, bit length or degree accepted, and the next one up.
+BITS_1054, BITS_1055 = str(2**1054 - 1), str(2**1055 - 1)
+BITS_2254, BITS_2255 = str(2**2254 - 1), str(2**2255 - 1)
+BITS_6542, BITS_6543 = str(2**6542 - 1), str(2**6543 - 1)
+
+
 @pytest.mark.parametrize(
-    "argv,shown",
+    "argv,shown,expands",
     [
-        (["--j", "1000", "--rmax", "1000000"], "degree 1000 and --rmax 1000000"),
-        (["--j", "1000", "--rmax", "2348"], "degree 1000 and --rmax 2348"),
-        (["--j", "19", "--rmax", "1000000"], "degree 19 and --rmax 1000000"),
-        (["--poly", "x^19", "--rmax", "1000000"], "degree 19 and --rmax 1000000"),
-        (["--poly", "x^1000000", "--rmax", "4"], "degree 1000000 and --rmax 4"),
-        (["--poly", "x^2*y^22327", "--rmax", "5"], "degree 22329 and --rmax 5"),
-        (
-            ["--poly", "x^1" + "0" * 30, "--rmax", "1"],
-            "degree more than 2^99 and --rmax 1",
-        ),
+        # --j is checked at bit length 1 before basis_poly expands it
+        pytest.param(["1", "--j", "1000", "--rmax", "1000000"],
+                     "D=1 at degree 1000, --rmax 1000000 and coefficient bit length 1",
+                     False, id="j-1000-rmax-cap"),
+        pytest.param(["1", "--j", "19", "--rmax", "1000000"],
+                     "D=1 at degree 19, --rmax 1000000 and coefficient bit length 1",
+                     False, id="j-19-rmax-cap"),
+        # and again at its bit length after, before any walk
+        pytest.param(["1", "--j", "1000", "--rmax", "5044"],
+                     "D=1 at degree 1000, --rmax 5044 and coefficient bit length 995",
+                     True, id="j-1000-D-1-rmax-5044"),
+        pytest.param(["163", "--j", "1000", "--rmax", "18950"],
+                     "D=163 at degree 1000, --rmax 18950 and coefficient bit length 2885",
+                     True, id="j-1000-D-163-rmax-18950"),
+        pytest.param(["1", "--poly", "x^19", "--rmax", "1000000"],
+                     "D=1 at degree 19, --rmax 1000000 and coefficient bit length 1",
+                     False, id="x^19-rmax-cap"),
+        pytest.param(["1", "--poly", "x^1000000", "--rmax", "4"],
+                     "D=1 at degree 1000000, --rmax 4 and coefficient bit length 1",
+                     False, id="x^1000000-rmax-4"),
+        pytest.param(["1", "--poly", "x^2*y^88164", "--rmax", "5"],
+                     "D=1 at degree 88166, --rmax 5 and coefficient bit length 1",
+                     False, id="degree-88166-rmax-5"),
+        pytest.param(["1", "--poly", "x^1" + "0" * 30, "--rmax", "1"],
+                     "D=1 at degree more than 2^99, --rmax 1 and coefficient bit length 1",
+                     False, id="degree-past-2^99"),
+        pytest.param(["1", f"--poly={ARGV_LENGTH}*x^2", "--rmax", "1000000"],
+                     "D=1 at degree 2, --rmax 1000000 and coefficient bit length 332193",
+                     False, id="argv-length-rmax-cap"),
+        pytest.param(["1", f"--poly={ARGV_LENGTH}*x^2", "--rmax", "1000"],
+                     "D=1 at degree 2, --rmax 1000 and coefficient bit length 332193",
+                     False, id="argv-length-rmax-1000"),
+        pytest.param(["1", f"--poly={ARGV_LENGTH}*x^2", "--rmax", "32"],
+                     "D=1 at degree 2, --rmax 32 and coefficient bit length 332193",
+                     False, id="argv-length-rmax-32"),
+        pytest.param(["1", f"--poly=x^2+1/{ARGV_LENGTH}", "--rmax", "32"],
+                     "D=1 at degree 2, --rmax 32 and coefficient bit length 332193",
+                     False, id="argv-length-denominator"),
+        pytest.param(["1", f"--poly={BITS_1055}*x^2", "--rmax", "1000000"],
+                     "D=1 at degree 2, --rmax 1000000 and coefficient bit length 1055",
+                     False, id="1055-bits-rmax-cap"),
+        pytest.param(["163", f"--poly={BITS_2255}*x^2", "--rmax", "1000000"],
+                     "D=163 at degree 2, --rmax 1000000 and coefficient bit length 2255",
+                     False, id="2255-bits-D-163-rmax-cap"),
+        pytest.param(["1", f"--poly={BITS_6543}*x^1000", "--rmax", "2347"],
+                     "D=1 at degree 1000, --rmax 2347 and coefficient bit length 6543",
+                     False, id="6543-bits-degree-1000"),
     ],
 )
-def test_theta_work_budget_is_checked_before_any_work(capsys, monkeypatch, argv, shown):
-    _no_degree_work(monkeypatch)
-    assert run(["theta", "1"] + argv) == 2
+def test_theta_work_budget_is_checked_before_any_walk(
+    capsys, monkeypatch, argv, shown, expands
+):
+    def no_work(*args):
+        raise AssertionError("work was started")
+
+    monkeypatch.setattr(cli, "theta_series", no_work)
+    if not expands:
+        monkeypatch.setattr(cli, "basis_poly", no_work)
+    assert run(["theta"] + argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (
-        f"error: theta at {shown} is past the work budget: "
-        "(degree + 32)^2 * rmax must be at most 2.5*10^9\n"
-    )
+    assert captured.err == f"error: theta on {shown} or more is past the work budget\n"
 
 
 @pytest.mark.parametrize(
     "argv,reached",
     [
-        (["--j", "1000", "--rmax", "2347"], "basis_poly"),
-        (["--j", "18", "--rmax", "1000000"], "basis_poly"),
-        (["--j", "4", "--rmax", "1000000"], "basis_poly"),
-        (["--poly", "x^18", "--rmax", "1000000"], "theta_series"),
-        (["--poly", "x^20000", "--rmax", "5"], "theta_series"),
-        (["--poly", "x^2*y^22326", "--rmax", "5"], "theta_series"),
+        # basis_poly reached: the check at bit length 1 lets --j through
+        pytest.param(["1", "--j", "1000", "--rmax", "2347"], "basis_poly",
+                     id="j-1000-rmax-2347-before-expansion"),
+        pytest.param(["1", "--j", "18", "--rmax", "1000000"], "basis_poly",
+                     id="j-18-rmax-cap-before-expansion"),
+        pytest.param(["1", "--j", "4", "--rmax", "1000000"], "basis_poly",
+                     id="j-4-rmax-cap-before-expansion"),
+        # theta_series reached: the expanded or parsed polynomial passes too
+        pytest.param(["1", "--j", "1000", "--rmax", "2347"], "theta_series",
+                     id="j-1000-D-1"),
+        pytest.param(["163", "--j", "1000", "--rmax", "2347"], "theta_series",
+                     id="j-1000-D-163"),
+        pytest.param(["1", "--j", "1000", "--rmax", "5043"], "theta_series",
+                     id="j-1000-D-1-rmax-5043"),
+        pytest.param(["163", "--j", "1000", "--rmax", "18949"], "theta_series",
+                     id="j-1000-D-163-rmax-18949"),
+        pytest.param(["1", "--j", "18", "--rmax", "1000000"], "theta_series",
+                     id="j-18-rmax-cap"),
+        pytest.param(["1", "--poly", "x^18", "--rmax", "1000000"], "theta_series",
+                     id="x^18-rmax-cap"),
+        pytest.param(["1", "--poly", "x^20000", "--rmax", "5"], "theta_series",
+                     id="x^20000-rmax-5"),
+        pytest.param(["1", "--poly", "x^2*y^88163", "--rmax", "5"], "theta_series",
+                     id="degree-88165-rmax-5"),
+        pytest.param(["1", f"--poly={ARGV_LENGTH}*x^2", "--rmax", "31"], "theta_series",
+                     id="argv-length-rmax-31"),
+        pytest.param(["1", f"--poly={BITS_1054}*x^2", "--rmax", "1000000"],
+                     "theta_series", id="1054-bits-rmax-cap"),
+        pytest.param(["163", f"--poly={BITS_2254}*x^2", "--rmax", "1000000"],
+                     "theta_series", id="2254-bits-D-163-rmax-cap"),
+        pytest.param(["1", f"--poly={BITS_6542}*x^1000", "--rmax", "2347"],
+                     "theta_series", id="6542-bits-degree-1000"),
     ],
 )
 def test_theta_within_the_work_budget_is_accepted(capsys, monkeypatch, argv, reached):
     def stop(*args):
         raise InputError(f"{reached} reached")
 
-    monkeypatch.setattr(cli, "basis_poly", stop)
-    monkeypatch.setattr(cli, "theta_series", stop)
-    assert cli.MAX_THETA_WORK == 25 * 10**8
-    assert run(["theta", "1"] + argv) == 2
-    assert f"{reached} reached" in capsys.readouterr().err
-
-
-BITS_540, BITS_541 = str(2**540 - 1), str(2**541 - 1)
-BITS_7831, BITS_7832 = str(2**7831 - 1), str(2**7832 - 1)
-
-
-@pytest.mark.parametrize(
-    "argv,shown",
-    [
-        pytest.param(
-            [f"--poly={ARGV_LENGTH}*x^2", "--rmax", "1000000"],
-            "332193-bit coefficients, degree 2 and --rmax 1000000",
-            id="argv-length-rmax-cap",
-        ),
-        pytest.param(
-            [f"--poly={ARGV_LENGTH}*x^2", "--rmax", "45"],
-            "332193-bit coefficients, degree 2 and --rmax 45",
-            id="argv-length-rmax-45",
-        ),
-        pytest.param(
-            [f"--poly=x^2+1/{ARGV_LENGTH}", "--rmax", "45"],
-            "332193-bit coefficients, degree 2 and --rmax 45",
-            id="argv-length-denominator",
-        ),
-        pytest.param(
-            [f"--poly={BITS_541}*x^2", "--rmax", "1000000"],
-            "541-bit coefficients, degree 2 and --rmax 1000000",
-            id="541-bits-rmax-cap",
-        ),
-        pytest.param(
-            [f"--poly={BITS_7832}*x^1000", "--rmax", "2347"],
-            "7832-bit coefficients, degree 1000 and --rmax 2347",
-            id="7832-bits-degree-1000",
-        ),
-    ],
-)
-def test_theta_coefficient_budget_is_checked_before_any_walk(
-    capsys, monkeypatch, argv, shown
-):
-    def no_series(*args):
-        raise AssertionError("theta_series was called")
-
-    monkeypatch.setattr(cli, "theta_series", no_series)
-    assert run(["theta", "1"] + argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        f"error: theta at {shown} is past the work budget: "
-        "bits * (bits + 256 * (degree + 32)) * rmax must be at most 5*10^12\n"
-    )
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        pytest.param(["1", f"--poly={ARGV_LENGTH}*x^2", "--rmax", "44"],
-                     id="argv-length-rmax-44"),
-        pytest.param(["1", f"--poly={BITS_540}*x^2", "--rmax", "1000000"],
-                     id="540-bits-rmax-cap"),
-        pytest.param(["1", f"--poly={BITS_7831}*x^1000", "--rmax", "2347"],
-                     id="7831-bits-degree-1000"),
-        pytest.param(["1", "--j", "1000", "--rmax", "2347"], id="j-1000-D-1"),
-        pytest.param(["163", "--j", "1000", "--rmax", "2347"], id="j-1000-D-163"),
-    ],
-)
-def test_theta_within_the_coefficient_budget_is_accepted(capsys, monkeypatch, argv):
-    def stop(*args):
-        raise InputError("theta_series reached")
-
-    monkeypatch.setattr(cli, "theta_series", stop)
-    assert cli.MAX_THETA_BITS_WORK == 5 * 10**12
+    monkeypatch.setattr(cli, reached, stop)
+    assert cli.MAX_THETA_WORK == 84 * 10**9
     assert run(["theta"] + argv) == 2
-    assert "theta_series reached" in capsys.readouterr().err
+    assert f"{reached} reached" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

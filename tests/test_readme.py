@@ -37,6 +37,8 @@ DELETED = (
     "_ZERO_PARTS",
     "_MUL_NT",
     "_report_json",
+    "MAX_THETA_BITS_WORK",
+    "_linear_power",
 )
 
 
