@@ -54,10 +54,11 @@ MAX_THETA_RMAX = 10**6
 MAX_DEGREE = 1000
 
 #: Largest ``theta`` work as _check_theta_budget models it, for --j and
-#: --poly alike. A unit is about 0.05 ns on Python 3.11: at the edges the
-#: README tables, theta takes about 1-3.5 s. --j 18 --rmax 10^6 on D = 1
-#: sits just inside.
-MAX_THETA_WORK = 84 * 10**9
+#: --poly alike. A unit is about 0.06-0.07 ns on Python 3.11: at the edges
+#: the README tables, theta takes about 1.2-5 s. --j 18 --rmax 10^6 on
+#: D = 1 sits just inside, and at 10^6 a coefficient of x^2 may have about
+#: 540 bits, as under the old coefficient budget: about 200 MB at most.
+MAX_THETA_WORK = 62 * 10**9
 
 #: Largest total of reference scan rows ``hecke`` may start: the norm p^k
 #: shell takes shells.scan_rows(D, p^k) rows, and hecke scans k = 1..alpha.
@@ -127,23 +128,33 @@ def _check_flag_ranges(args) -> None:
         raise InputError(f"--{flag} must be {bound}, got {_shown(value)}")
 
 
-def _check_theta_budget(D: int, degree: int, rmax: int, bits: int) -> None:
+def _check_theta_budget(D: int, rmax: int, exponents, bits: int) -> None:
     """InputError when theta's modelled work passes MAX_THETA_WORK.
 
-    bits is the bit length of P's largest numerator or denominator, or a
-    lower bound on it. The walk visits about pi*rmax/sqrt(|disc|) points, one
-    of each +-z pair, with degree + 1 Horner steps at each on ints that grow
-    from bits to size = bits + degree*log2(rmax)/2, the largest sum's length.
-    Each unit orbit walked may add a nonzero sum, printed in decimal at a
-    cost quadratic in size; every norm costs a fixed amount. The offsets
-    1200 and 40000, the divisor 32 and MAX_THETA_WORK are fitted to timings.
+    exponents are P's (i, k), those of x^i*y^k; bits is the bit length of
+    P's largest numerator or denominator, or a lower bound on it. Like
+    theta_series, the model keeps the terms of even total degree; with none
+    nothing is walked. Otherwise the walk visits about pi*rmax/sqrt(|disc|)
+    points, one of each +-z pair, and at least the isqrt(rmax) of the row
+    y = 0. Each takes dx + 1 Horner steps on ints that grow from bits to
+    size = bits + degree*log2(rmax)/2, the largest sum's length, with dx and
+    degree the kept terms' largest power of x and total degree. Each unit
+    orbit walked may add a nonzero sum,
+    printed in decimal at a cost quadratic in size. Every norm costs a fixed
+    amount, and its sum, Fraction and string hold memory linear in size.
+    The offsets 600 and 28000, the divisor 48, the factor 36 and
+    MAX_THETA_WORK are fitted to timings and peak memory.
     """
     R = ring_data(D)
-    size = bits + degree * rmax.bit_length() // 2
-    points = 3217 * rmax // isqrt(-R.disc << 20)  # 3217/1024 is about pi
+    even = [(i, i + k) for i, k in exponents if (i + k) % 2 == 0]
+    points = size = dx = degree = 0
+    if even:
+        dx, degree = max(i for i, _ in even), max(d for _, d in even)
+        size = bits + degree * rmax.bit_length() // 2
+        points = max(isqrt(rmax), 3217 * rmax // isqrt(-R.disc << 20))  # ~pi
     orbits = 2 * points // R.unit_count
-    work = (points * (degree + 1) * (bits + size + 1200)
-            + orbits * size * size // 32 + 40000 * rmax)
+    work = (points * (dx + 1) * (bits + size + 600)
+            + orbits * size * size // 48 + rmax * (28000 + 36 * size))
     if work > MAX_THETA_WORK:
         raise InputError(
             f"theta on D={D} at degree {_shown(degree)}, --rmax {rmax} and "
@@ -226,12 +237,13 @@ def _verify_table(report, t: int | None, passed: bool) -> str:
 
 def _cmd_theta(args) -> tuple[int, str]:
     if args.j is not None:
-        _check_theta_budget(args.D, args.j, args.rmax, 1)  # before the expansion
+        # Re(z^j) holds x^j; checked before the expansion
+        _check_theta_budget(args.D, args.rmax, [(args.j, 0)], 1)
         poly = basis_poly(args.D, args.j, BasisKind.REAL_PART).poly
     else:
         poly = _parse_poly_arg(args.poly)
     bits = max([poly.den, *map(abs, poly.numerators.values())]).bit_length()
-    _check_theta_budget(args.D, max(poly.degree, 0), args.rmax, bits)
+    _check_theta_budget(args.D, args.rmax, poly.numerators, bits)
     coeffs = [format_rational(c) for c in theta_series(args.D, poly, args.rmax)]
     if args.format == "json":
         payload = {"D": args.D, "rmax": args.rmax, "coeffs": coeffs}

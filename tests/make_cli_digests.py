@@ -90,8 +90,8 @@ def commands() -> list[list[str]]:
         ["theta", "1", "--poly", "x^20000", "--rmax", "5", "--format", "json"],
         ["theta", "1", f"--poly={LONG}*x^2", "--rmax", "1000000", "--format", "json"],
         # one past the --j 1000 work edge on D = 163; the edge itself takes
-        # about 2-3 s
-        ["theta", "163", "--j", "1000", "--rmax", "18950"],
+        # about 2 s
+        ["theta", "163", "--j", "1000", "--rmax", "14841"],
     ]
     for text in CANONICAL_POLYS:
         poly = f"--poly={text}"

@@ -435,9 +435,9 @@ def test_poly_degree_is_not_budgeted(capsys):
 
 # The edge cases below come in pairs across the budget's edge: the largest
 # rmax, bit length or degree accepted, and the next one up.
-BITS_1054, BITS_1055 = str(2**1054 - 1), str(2**1055 - 1)
-BITS_2254, BITS_2255 = str(2**2254 - 1), str(2**2255 - 1)
-BITS_6542, BITS_6543 = str(2**6542 - 1), str(2**6543 - 1)
+BITS_550, BITS_551 = str(2**550 - 1), str(2**551 - 1)
+BITS_786, BITS_787 = str(2**786 - 1), str(2**787 - 1)
+BITS_4409, BITS_4410 = str(2**4409 - 1), str(2**4410 - 1)
 
 
 @pytest.mark.parametrize(
@@ -447,25 +447,35 @@ BITS_6542, BITS_6543 = str(2**6542 - 1), str(2**6543 - 1)
         pytest.param(["1", "--j", "1000", "--rmax", "1000000"],
                      "D=1 at degree 1000, --rmax 1000000 and coefficient bit length 1",
                      False, id="j-1000-rmax-cap"),
-        pytest.param(["1", "--j", "19", "--rmax", "1000000"],
-                     "D=1 at degree 19, --rmax 1000000 and coefficient bit length 1",
-                     False, id="j-19-rmax-cap"),
+        pytest.param(["1", "--j", "20", "--rmax", "1000000"],
+                     "D=1 at degree 20, --rmax 1000000 and coefficient bit length 1",
+                     False, id="j-20-rmax-cap"),
         # and again at its bit length after, before any walk
-        pytest.param(["1", "--j", "1000", "--rmax", "5044"],
-                     "D=1 at degree 1000, --rmax 5044 and coefficient bit length 995",
-                     True, id="j-1000-D-1-rmax-5044"),
-        pytest.param(["163", "--j", "1000", "--rmax", "18950"],
-                     "D=163 at degree 1000, --rmax 18950 and coefficient bit length 2885",
-                     True, id="j-1000-D-163-rmax-18950"),
-        pytest.param(["1", "--poly", "x^19", "--rmax", "1000000"],
-                     "D=1 at degree 19, --rmax 1000000 and coefficient bit length 1",
-                     False, id="x^19-rmax-cap"),
+        pytest.param(["1", "--j", "1000", "--rmax", "4096"],
+                     "D=1 at degree 1000, --rmax 4096 and coefficient bit length 995",
+                     True, id="j-1000-D-1-rmax-4096"),
+        pytest.param(["163", "--j", "1000", "--rmax", "14841"],
+                     "D=163 at degree 1000, --rmax 14841 and coefficient bit length 2885",
+                     True, id="j-1000-D-163-rmax-14841"),
+        pytest.param(["1", "--poly", "x^20", "--rmax", "1000000"],
+                     "D=1 at degree 20, --rmax 1000000 and coefficient bit length 1",
+                     False, id="x^20-rmax-cap"),
         pytest.param(["1", "--poly", "x^1000000", "--rmax", "4"],
                      "D=1 at degree 1000000, --rmax 4 and coefficient bit length 1",
                      False, id="x^1000000-rmax-4"),
-        pytest.param(["1", "--poly", "x^2*y^88164", "--rmax", "5"],
-                     "D=1 at degree 88166, --rmax 5 and coefficient bit length 1",
-                     False, id="degree-88166-rmax-5"),
+        # the row y = 0 is walked even where pi*rmax/sqrt(|disc|) rounds to 0
+        pytest.param(["163", "--poly", "x^1000000", "--rmax", "4"],
+                     "D=163 at degree 1000000, --rmax 4 and coefficient bit length 1",
+                     False, id="x^1000000-D-163-rmax-4"),
+        pytest.param(["11", "--poly", "x^1000000000", "--rmax", "1"],
+                     "D=11 at degree 1000000000, --rmax 1 and coefficient bit length 1",
+                     False, id="x^1000000000-D-11-rmax-1"),
+        pytest.param(["11", "--poly", "x^1" + "0" * 30, "--rmax", "1"],
+                     "D=11 at degree more than 2^99, --rmax 1 and coefficient bit length 1",
+                     False, id="degree-past-2^99-D-11"),
+        pytest.param(["1", "--poly", "x^2*y^662922", "--rmax", "5"],
+                     "D=1 at degree 662924, --rmax 5 and coefficient bit length 1",
+                     False, id="degree-662924-rmax-5"),
         pytest.param(["1", "--poly", "x^1" + "0" * 30, "--rmax", "1"],
                      "D=1 at degree more than 2^99, --rmax 1 and coefficient bit length 1",
                      False, id="degree-past-2^99"),
@@ -475,21 +485,21 @@ BITS_6542, BITS_6543 = str(2**6542 - 1), str(2**6543 - 1)
         pytest.param(["1", f"--poly={ARGV_LENGTH}*x^2", "--rmax", "1000"],
                      "D=1 at degree 2, --rmax 1000 and coefficient bit length 332193",
                      False, id="argv-length-rmax-1000"),
-        pytest.param(["1", f"--poly={ARGV_LENGTH}*x^2", "--rmax", "32"],
-                     "D=1 at degree 2, --rmax 32 and coefficient bit length 332193",
-                     False, id="argv-length-rmax-32"),
-        pytest.param(["1", f"--poly=x^2+1/{ARGV_LENGTH}", "--rmax", "32"],
-                     "D=1 at degree 2, --rmax 32 and coefficient bit length 332193",
+        pytest.param(["1", f"--poly={ARGV_LENGTH}*x^2", "--rmax", "35"],
+                     "D=1 at degree 2, --rmax 35 and coefficient bit length 332193",
+                     False, id="argv-length-rmax-35"),
+        pytest.param(["1", f"--poly=x^2+1/{ARGV_LENGTH}", "--rmax", "35"],
+                     "D=1 at degree 2, --rmax 35 and coefficient bit length 332193",
                      False, id="argv-length-denominator"),
-        pytest.param(["1", f"--poly={BITS_1055}*x^2", "--rmax", "1000000"],
-                     "D=1 at degree 2, --rmax 1000000 and coefficient bit length 1055",
-                     False, id="1055-bits-rmax-cap"),
-        pytest.param(["163", f"--poly={BITS_2255}*x^2", "--rmax", "1000000"],
-                     "D=163 at degree 2, --rmax 1000000 and coefficient bit length 2255",
-                     False, id="2255-bits-D-163-rmax-cap"),
-        pytest.param(["1", f"--poly={BITS_6543}*x^1000", "--rmax", "2347"],
-                     "D=1 at degree 1000, --rmax 2347 and coefficient bit length 6543",
-                     False, id="6543-bits-degree-1000"),
+        pytest.param(["1", f"--poly={BITS_551}*x^2", "--rmax", "1000000"],
+                     "D=1 at degree 2, --rmax 1000000 and coefficient bit length 551",
+                     False, id="551-bits-rmax-cap"),
+        pytest.param(["163", f"--poly={BITS_787}*x^2", "--rmax", "1000000"],
+                     "D=163 at degree 2, --rmax 1000000 and coefficient bit length 787",
+                     False, id="787-bits-D-163-rmax-cap"),
+        pytest.param(["1", f"--poly={BITS_4410}*x^1000", "--rmax", "2347"],
+                     "D=1 at degree 1000, --rmax 2347 and coefficient bit length 4410",
+                     False, id="4410-bits-degree-1000"),
     ],
 )
 def test_theta_work_budget_is_checked_before_any_walk(
@@ -522,26 +532,36 @@ def test_theta_work_budget_is_checked_before_any_walk(
                      id="j-1000-D-1"),
         pytest.param(["163", "--j", "1000", "--rmax", "2347"], "theta_series",
                      id="j-1000-D-163"),
-        pytest.param(["1", "--j", "1000", "--rmax", "5043"], "theta_series",
-                     id="j-1000-D-1-rmax-5043"),
-        pytest.param(["163", "--j", "1000", "--rmax", "18949"], "theta_series",
-                     id="j-1000-D-163-rmax-18949"),
+        pytest.param(["1", "--j", "1000", "--rmax", "4095"], "theta_series",
+                     id="j-1000-D-1-rmax-4095"),
+        pytest.param(["163", "--j", "1000", "--rmax", "14840"], "theta_series",
+                     id="j-1000-D-163-rmax-14840"),
         pytest.param(["1", "--j", "18", "--rmax", "1000000"], "theta_series",
                      id="j-18-rmax-cap"),
         pytest.param(["1", "--poly", "x^18", "--rmax", "1000000"], "theta_series",
                      id="x^18-rmax-cap"),
-        pytest.param(["1", "--poly", "x^20000", "--rmax", "5"], "theta_series",
-                     id="x^20000-rmax-5"),
+        # odd total degree only: theta_series walks nothing
+        pytest.param(["1", "--j", "19", "--rmax", "1000000"], "theta_series",
+                     id="j-19-rmax-cap"),
+        pytest.param(["1", "--poly", "x^19", "--rmax", "1000000"], "theta_series",
+                     id="x^19-rmax-cap"),
         pytest.param(["1", "--poly", "x^2*y^88163", "--rmax", "5"], "theta_series",
                      id="degree-88165-rmax-5"),
-        pytest.param(["1", f"--poly={ARGV_LENGTH}*x^2", "--rmax", "31"], "theta_series",
-                     id="argv-length-rmax-31"),
-        pytest.param(["1", f"--poly={BITS_1054}*x^2", "--rmax", "1000000"],
-                     "theta_series", id="1054-bits-rmax-cap"),
-        pytest.param(["163", f"--poly={BITS_2254}*x^2", "--rmax", "1000000"],
-                     "theta_series", id="2254-bits-D-163-rmax-cap"),
-        pytest.param(["1", f"--poly={BITS_6542}*x^1000", "--rmax", "2347"],
-                     "theta_series", id="6542-bits-degree-1000"),
+        pytest.param(["1", "--poly", "x^20000", "--rmax", "5"], "theta_series",
+                     id="x^20000-rmax-5"),
+        # a point costs one Horner step per power of x, not of y
+        pytest.param(["1", "--poly", "x^2*y^88164", "--rmax", "5"], "theta_series",
+                     id="degree-88166-rmax-5"),
+        pytest.param(["1", "--poly", "x^2*y^662920", "--rmax", "5"], "theta_series",
+                     id="degree-662922-rmax-5"),
+        pytest.param(["1", f"--poly={ARGV_LENGTH}*x^2", "--rmax", "34"], "theta_series",
+                     id="argv-length-rmax-34"),
+        pytest.param(["1", f"--poly={BITS_550}*x^2", "--rmax", "1000000"],
+                     "theta_series", id="550-bits-rmax-cap"),
+        pytest.param(["163", f"--poly={BITS_786}*x^2", "--rmax", "1000000"],
+                     "theta_series", id="786-bits-D-163-rmax-cap"),
+        pytest.param(["1", f"--poly={BITS_4409}*x^1000", "--rmax", "2347"],
+                     "theta_series", id="4409-bits-degree-1000"),
     ],
 )
 def test_theta_within_the_work_budget_is_accepted(capsys, monkeypatch, argv, reached):
@@ -549,7 +569,7 @@ def test_theta_within_the_work_budget_is_accepted(capsys, monkeypatch, argv, rea
         raise InputError(f"{reached} reached")
 
     monkeypatch.setattr(cli, reached, stop)
-    assert cli.MAX_THETA_WORK == 84 * 10**9
+    assert cli.MAX_THETA_WORK == 62 * 10**9
     assert run(["theta"] + argv) == 2
     assert f"{reached} reached" in capsys.readouterr().err
 
