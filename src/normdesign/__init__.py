@@ -12,11 +12,10 @@ from .harmonic import (
     basis_poly,
     decompose,
     format_poly,
-    in_span,
     parse_poly,
 )
 from .ring import ADMISSIBLE_D, mul, ring_data
-from .shells import enumerate_shell, shell_from_factorization, shell_orbits
+from .shells import enumerate_shell, shell_from_factorization
 from .theta import a_norm, hecke_verify, shell_sum, theta_series
 
 __version__ = "0.1.0"
@@ -30,14 +29,12 @@ __all__ = [
     "enumerate_shell",
     "format_poly",
     "hecke_verify",
-    "in_span",
     "kronecker",
     "mul",
     "parse_poly",
     "quadrature_average",
     "ring_data",
     "shell_from_factorization",
-    "shell_orbits",
     "shell_sum",
     "spherical_map",
     "strength_profile",

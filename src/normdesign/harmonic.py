@@ -12,9 +12,10 @@ that divides the denominator and the numerators by their gcd, and
 ``format_poly`` reads them back with one gcd per term. ``basis_poly`` reads
 the powers of w as integral-basis pairs, not through ``ring.parts``.
 
-``decompose`` and ``in_span`` need no linear algebra: in z = x + w*y and
-zbar = x + wbar*y the norm form is z*zbar and R, I are the parts of z^j, so
-the layer coordinates are a polynomial's coefficients in z and zbar.
+``decompose`` needs no linear algebra: in z = x + w*y and zbar = x + wbar*y
+the norm form is z*zbar and R, I are the parts of z^j, so the layer
+coordinates are a polynomial's coefficients in z and zbar. It is the
+oracle for ``basis_poly``'s spans, independent of the binomial expansion.
 """
 
 from __future__ import annotations
@@ -113,19 +114,18 @@ class BivarPoly:
     def evaluate(self, x: RationalLike, y: RationalLike) -> Fraction:
         """Exact value at a point with int or Fraction coordinates.
 
-        On an integer point the sum of the numerators t * x^i * y^k stays in
-        ints and only the final division by den builds a Fraction. Any
-        other coordinate type raises TypeError before any product.
+        One power per term, t * x**i * y**k: on an integer point the sum
+        stays in ints and only the final division by den builds a Fraction.
+        Any other coordinate type raises TypeError before any product.
         """
         if not (isinstance(x, (int, Fraction)) and isinstance(y, (int, Fraction))):
             raise TypeError(
                 "point coordinates must be int or Fraction, got "
                 f"{type(x).__name__} and {type(y).__name__}"
             )
-        terms = self.numerators
-        xs = _powers(x, max((i for i, _ in terms), default=0))
-        ys = _powers(y, max((k for _, k in terms), default=0))
-        return Fraction(sum(t * xs[i] * ys[k] for (i, k), t in terms.items()), self.den)
+        return Fraction(
+            sum(t * x**i * y**k for (i, k), t in self.numerators.items()), self.den
+        )
 
     def evaluate_float(self, x: float, y: float) -> float:
         # t / den is float(c): int true division is correctly rounded
@@ -148,14 +148,6 @@ def _common_den(
     for m, num, d in pairs:
         acc[m] = acc.get(m, 0) + num * (den // d)
     return acc, den
-
-
-def _powers(v: RationalLike, n: int) -> list[RationalLike]:
-    """[v^0, v^1, ..., v^n]."""
-    out = [1]
-    for _ in range(n):
-        out.append(out[-1] * v)
-    return out
 
 
 # -- text format ---------------------------------------------------------------
@@ -306,28 +298,6 @@ def basis_poly(D: int, j: int, kind: BasisKind) -> HarmonicBasisElement:
 
 
 # -- coordinates in z = x + w*y -------------------------------------------------
-
-
-def in_span(
-    D: int, j: int, P: BivarPoly
-) -> tuple[Fraction, Fraction] | None:
-    """Rational coordinates of P in the basis {R_{D,j}, I_{D,j}/sqrt(D)}.
-
-    Returns (a, b) with P == a*R + b*(I/sqrt(D)) when P lies in the span,
-    None otherwise. Membership here implies membership in the real span
-    of {R, I}, since sqrt(D) only rescales the second basis vector.
-    """
-    ring_data(D)
-    if j < 1:
-        raise InputError(f"span degree must be >= 1, got {_shown(j)}")
-    if P.is_zero or not P.is_homogeneous or P.degree != j:
-        raise InputError(
-            f"in_span requires a homogeneous polynomial of degree {_shown(j)}"
-        )
-    (_, a, b), *higher = decompose(D, P)
-    if any(a_k or b_k for _, a_k, b_k in higher):
-        return None
-    return a, b
 
 
 def decompose(

@@ -4,9 +4,9 @@ Two routes give the same shell: ``enumerate_shell`` scans the lattice and
 is the reference; ``shell_from_factorization`` builds the shell from the
 prime elements dividing r and is far cheaper once r is large.
 ``norm_shell`` picks the cheaper of the two for r. Shells come
-back with a canonical lexicographic point order so that orbit tables and
-every CLI output are reproducible byte for byte. ``half_ball_rows`` walks
-the lattice ball in whole rows; ``scan_rows`` is the scan's row count.
+back with a canonical lexicographic point order so that every CLI output
+is reproducible byte for byte. ``half_ball_rows`` walks the lattice ball
+in whole rows; ``scan_rows`` is the scan's row count.
 
 The scan tests a row y by whether 4r - |disc|*y^2 is a perfect square. On
 long scans a sieve (the exclusion sieve of Fermat's factoring method,
@@ -229,27 +229,4 @@ def norm_shell(D: int, r: int) -> Shell:
     if r > 0 and scan_rows(D, r) > SCAN_MAX_ROWS + 1:
         return shell_from_factorization(D, r)
     return enumerate_shell(D, r)
-
-
-def shell_orbits(shell: Shell) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Partition of the shell into unit orbits.
-
-    Units act freely away from the origin, so each orbit has exactly u_D
-    points. Orbits are listed by their lexicographically smallest member,
-    each orbit itself sorted.
-    """
-    if shell.r == 0:
-        raise InputError("the zero shell is a unit fixed point, not a free orbit")
-    D = shell.D
-    units = ring_data(D).units
-    seen: set[tuple[int, int]] = set()
-    orbits: list[tuple[tuple[int, int], ...]] = []
-    # points are sorted, so the first unseen point is its orbit's minimum
-    for point in shell.points:
-        if point in seen:
-            continue
-        orbit = tuple(sorted({mul(D, u, point) for u in units}))
-        orbits.append(orbit)
-        seen.update(orbit)
-    return tuple(orbits)
 

@@ -89,6 +89,8 @@ def commands() -> list[list[str]]:
         ["theta", "1", "--rmax", "5", "--poly", "x+" + LONG + "x"],
         ["theta", "1", "--poly", "x^20000", "--rmax", "5", "--format", "json"],
         ["theta", "1", f"--poly={LONG}*x^2", "--rmax", "1000000", "--format", "json"],
+        ["theta", "1", "--poly", "y^2000000000", "--rmax", "1", "--format", "json"],
+        ["theta", "1", "--poly", f"x^{10**100 + 1}", "--rmax", "1", "--format", "json"],
         # one past the --j 1000 work edge on D = 163; the edge itself takes
         # about 2 s
         ["theta", "163", "--j", "1000", "--rmax", "14841"],

@@ -120,6 +120,15 @@ def test_theta_with_j_and_poly(capsys):
     assert capsys.readouterr().out.splitlines()[-1] == f"  r=1: {2 * int(big)}/1"
 
 
+def test_theta_takes_the_origin_value_one_power_per_term(capsys):
+    # the work budget charges a power of y at --rmax 1 little, but
+    # theta_series always evaluates P(0, 0): a list of every power of 0 up to
+    # 2*10^9 would need about 16 GB
+    argv = ["theta", "1", "--poly", "y^2000000000", "--rmax", "1", "--format", "json"]
+    assert run(argv) == 0
+    assert json.loads(capsys.readouterr().out)["coeffs"] == ["0/1", "2/1"]
+
+
 def test_theta_requires_exactly_one_polynomial_choice(capsys):
     assert run(["theta", "1", "--rmax", "5"]) == 2
     assert run(["theta", "1", "--j", "2", "--poly", "x", "--rmax", "5"]) == 2

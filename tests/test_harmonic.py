@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -16,7 +17,6 @@ from normdesign.harmonic import (
     basis_poly,
     decompose,
     format_poly,
-    in_span,
     parse_poly,
 )
 from normdesign.ring import ADMISSIBLE_D, parts, powers, ring_data
@@ -207,6 +207,18 @@ def test_evaluate_rejects_a_str_point_before_any_product():
     for point in (("ab", 0), (0, "ab"), ("ab", "cd")):
         with pytest.raises(TypeError, match="int or Fraction"):
             p.evaluate(*point)
+
+
+def test_evaluate_takes_one_power_per_term():
+    # a list of every power of 0 up to 10^7 + 1 would take about 80 MB
+    P = BivarPoly({(10**7 + 1, 0): 1})
+    tracemalloc.start()
+    try:
+        assert P.evaluate(0, 0) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_evaluate_cache_is_invisible_to_equality():
@@ -516,22 +528,20 @@ def test_constructor_matches_the_fraction_sums(terms):
     assert state(BivarPoly(terms)) == canonical_reference(terms)
 
 
-# -- span membership ------------------------------------------------------------
+# -- span membership, read off decompose ---------------------------------------
+# P lies in the span of {R_{D,j}, I_{D,j}/sqrt(D)} exactly when decompose puts
+# its coordinates in layer 0 and zeros above it.
+
+
+def span_layers(j, a, b):
+    """decompose's layers for a*R_j + b*I_j/sqrt(D)."""
+    return ((0, a, b),) + tuple((k, 0, 0) for k in range(1, j // 2 + 1))
 
 
 def test_in_span_examples():
-    assert in_span(3, 2, poly("2*x^2+3462*x*y+1729*y^2")) == (2, 3460)
-    assert in_span(1, 2, poly("x^2+y^2")) is None
-    assert in_span(1, 3, poly("x^3-3*x*y^2")) == (1, 0)
-
-
-def test_in_span_validates_input():
-    with pytest.raises(ValueError):
-        in_span(1, 2, poly("x^2+x"))  # not homogeneous
-    with pytest.raises(ValueError):
-        in_span(1, 3, poly("x^2-y^2"))  # wrong degree
-    with pytest.raises(ValueError):
-        in_span(1, 2, BivarPoly())
+    assert decompose(3, poly("2*x^2+3462*x*y+1729*y^2")) == span_layers(2, 2, 3460)
+    assert decompose(1, poly("x^2+y^2")) == ((0, 0, 0), (1, 1, 0))
+    assert decompose(1, poly("x^3-3*x*y^2")) == span_layers(3, 1, 0)
 
 
 @pytest.mark.parametrize("D", ADMISSIBLE_D)
@@ -545,19 +555,19 @@ def test_in_span_recovers_random_combinations(D, j):
         combo = lincomb((a, R), (b, Iq))
         if combo.is_zero:
             continue
-        assert in_span(D, j, combo) == (a, b)
+        assert decompose(D, combo) == span_layers(j, a, b)
 
 
 def test_in_span_rejects_outside_vectors():
     # q itself is never in the span, any D: the span is trace-free
     for D in (1, 2, 3, 7):
-        assert in_span(D, 2, norm_form_poly(D)) is None
+        assert decompose(D, norm_form_poly(D)) == ((0, 0, 0), (1, 1, 0))
 
 
 @pytest.mark.parametrize("D", ADMISSIBLE_D)
 @pytest.mark.parametrize("j", range(3, 9))
 def test_in_span_rejects_a_nonzero_norm_form_layer(D, j):
-    """a*R_j + b*Iq_j + c*q*R_{j-2} leaves the span whenever c != 0."""
+    """a*R_j + b*Iq_j + c*q*R_{j-2} has layer 1 = (c, 0), off the span when c != 0."""
     R, Iq = basis_pair(D, j)
     q_layer = product(norm_form_poly(D), basis_pair(D, j - 2)[0])
     rng = random.Random(31 * D + j)
@@ -565,7 +575,8 @@ def test_in_span_rejects_a_nonzero_norm_form_layer(D, j):
         a = random_fraction(rng)
         b = random_fraction(rng)
         c = random_fraction(rng) or Fraction(1)
-        assert in_span(D, j, lincomb((a, R), (b, Iq), (c, q_layer))) is None
+        combo = lincomb((a, R), (b, Iq), (c, q_layer))
+        assert decompose(D, combo) == ((0, a, b), (1, c, 0)) + span_layers(j, a, b)[2:]
 
 
 # -- decomposition --------------------------------------------------------------

@@ -39,6 +39,9 @@ DELETED = (
     "_report_json",
     "MAX_THETA_BITS_WORK",
     "_linear_power",
+    "in_span",
+    "shell_orbits",
+    "_powers",
 )
 
 

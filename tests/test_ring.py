@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normdesign import arith, design, harmonic, ring, theta
+from normdesign import arith, design, harmonic, ring, shells, theta
 from normdesign.harmonic import BivarPoly
 from normdesign.ring import (
     ADMISSIBLE_D,
@@ -68,7 +68,6 @@ D_FIRST = {
         5, 0, BivarPoly({(0, 0): 1}), 3
     ),
     "basis_poly": lambda: harmonic.basis_poly(5, 0, harmonic.BasisKind.REAL_PART),
-    "in_span": lambda: harmonic.in_span(5, 0, BivarPoly()),
     "decompose": lambda: harmonic.decompose(5, BivarPoly({(1, 0): 1, (0, 0): 1})),
     "theta_series": lambda: theta.theta_series(5, BivarPoly({(0, 0): 1}), 0),
     "a_norm": lambda: theta.a_norm(5, 0, -1),
@@ -297,8 +296,7 @@ POLY = BivarPoly({(1, 0): 1})
         (lambda: theta.a_prime_closed_form(1, 4, -HUGE), "got less than -2^132"),
         (lambda: harmonic.basis_poly(1, -HUGE, harmonic.BasisKind.REAL_PART),
          "got less than -2^132"),
-        (lambda: harmonic.in_span(1, -HUGE, POLY), "got less than -2^132"),
-        (lambda: harmonic.in_span(1, HUGE, POLY), "degree more than 2^132"),
+        (lambda: shells.enumerate_shell(1, -HUGE), "got less than -2^132"),
         (lambda: arith.factorize(-HUGE), "got less than -2^132"),
         (lambda: arith.is_representable(1, -HUGE), "got less than -2^132"),
         (lambda: arith.splitting_type(1, -HUGE), "got less than -2^132"),

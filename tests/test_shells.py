@@ -21,7 +21,6 @@ from normdesign.shells import (
     _wheel_rows,
     enumerate_shell,
     shell_from_factorization,
-    shell_orbits,
 )
 from normdesign.theta import basis_shell_sums_upto, power_sums
 
@@ -159,41 +158,16 @@ def test_shell_against_representation_count_and_invariants(case):
             assert r_sum == 0, (j, r_sum)
 
 
-def test_orbit_examples():
-    orbits = shell_orbits(enumerate_shell(1, 2))
-    assert orbits == (((-1, -1), (-1, 1), (1, -1), (1, 1)),)
-
-    orbits = shell_orbits(enumerate_shell(3, 691))
-    assert len(orbits) == 2
-    assert all(len(orbit) == 6 for orbit in orbits)
-
-    orbits = shell_orbits(enumerate_shell(7, 2))
-    assert orbits == (((-1, 1), (1, -1)), ((0, -1), (0, 1)))
-
-
-def test_orbits_reject_zero_shell():
-    with pytest.raises(ValueError):
-        shell_orbits(enumerate_shell(1, 0))
-
-
 @pytest.mark.parametrize("D", ADMISSIBLE_D)
 def test_orbits_partition_the_shell(D):
+    """The units act freely on every nonzero shell: their orbits tile it."""
     units = ring_data(D).units
     for r in (1, 2, 4, 25, 49, 92):
-        shell = enumerate_shell(D, r)
-        if not shell.points:
-            continue
-        orbits = shell_orbits(shell)
-        flattened = [p for orbit in orbits for p in orbit]
-        assert sorted(flattened) == list(shell.points)
-        assert len(flattened) == len(set(flattened))
-        for orbit in orbits:
-            assert len(orbit) == ring_data(D).unit_count
-            rep = min(orbit)
-            regenerated = {mul(D, u, rep) for u in units}
-            assert regenerated == set(orbit)
-        reps = [min(orbit) for orbit in orbits]
-        assert reps == sorted(reps)
+        points = set(enumerate_shell(D, r).points)
+        orbits = {frozenset(mul(D, u, p) for u in units) for p in points}
+        assert all(len(orbit) == ring_data(D).unit_count for orbit in orbits)
+        assert sum(map(len, orbits)) == len(points)
+        assert set().union(*orbits) == points
 
 
 # -- the sieve against the plain scan --------------------------------------------
