@@ -7,9 +7,10 @@ report's JSON object, a byte contract (``verify --format json`` and each
 succeeded, 1 when a verification failed, 2 on usage errors: a parser error,
 an ``InputError`` (an integer flag outside its ``FLAG_RANGES`` row,
 unparseable input, inadmissible D, an empty shell where a nonempty one is
-required, a budget exceeded) or an OSError. 3 on an internal error: a
-ValueError that is not an ``InputError``, an ArithmeticError or an
-AssertionError that escapes a command, reported as one line on stderr.
+required, a budget exceeded) or an OSError, a closed stdout included. 3 on
+an internal error: a ValueError that is not an ``InputError``, an
+ArithmeticError or an AssertionError that escapes a command, reported as
+one line on stderr.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import suppress
 from math import isqrt
 
 from .arith import MR_BOUND, is_representable
@@ -40,8 +42,8 @@ EXAMPLE_P = "2*x^2+3462*x*y+1729*y^2"
 EXAMPLE_Q = "2*x^6+6*x^5*y-15*x^4*y^2-40*x^3*y^3-15*x^2*y^4+6*x*y^5+2*y^6"
 EXAMPLE_Q_SUM = -4818834696
 
-# Each budget below is checked before any work starts; the README's CLI
-# section gives the measured cost at each cap.
+# Each budget below is checked before any walk, scan or task starts; the
+# README's CLI section gives the measured cost at each cap.
 
 #: Largest ``theta --rmax``: theta_series holds one coefficient per norm
 #: and walks one point of each +-z pair up to it.
@@ -95,7 +97,8 @@ def _dumps(obj) -> str:
 
 def _emit(text: str, output: str | None) -> None:
     if output is None:
-        print(text)
+        # flushed here, so a closed stdout raises its OSError inside run
+        print(text, flush=True)
         return
     try:
         handle = open(output, "w", encoding="utf-8")
@@ -128,25 +131,25 @@ def _check_flag_ranges(args) -> None:
         raise InputError(f"--{flag} must be {bound}, got {_shown(value)}")
 
 
-def _check_theta_budget(D: int, rmax: int, exponents, bits: int) -> None:
-    """InputError when theta's modelled work passes MAX_THETA_WORK.
+def _check_theta_budget(D: int, rmax: int, P: BivarPoly) -> None:
+    """InputError when theta's modelled work on P passes MAX_THETA_WORK.
 
-    exponents are P's (i, k), those of x^i*y^k; bits is the bit length of
-    P's largest numerator or denominator, or a lower bound on it. Like
+    bits is the bit length of P's largest numerator or denominator. Like
     theta_series, the model keeps the terms of even total degree; with none
     nothing is walked. Otherwise the walk visits about pi*rmax/sqrt(|disc|)
     points, one of each +-z pair, and at least the isqrt(rmax) of the row
     y = 0. Each takes dx + 1 Horner steps on ints that grow from bits to
     size = bits + degree*log2(rmax)/2, the largest sum's length, with dx and
     degree the kept terms' largest power of x and total degree. Each unit
-    orbit walked may add a nonzero sum,
-    printed in decimal at a cost quadratic in size. Every norm costs a fixed
-    amount, and its sum, Fraction and string hold memory linear in size.
+    orbit walked may add a nonzero sum, printed in decimal at a cost
+    quadratic in size. Every norm costs a fixed amount, and its sum,
+    Fraction and string hold memory linear in size.
     The offsets 600 and 28000, the divisor 48, the factor 36 and
     MAX_THETA_WORK are fitted to timings and peak memory.
     """
+    bits = max([P.den, *map(abs, P.numerators.values())]).bit_length()
     R = ring_data(D)
-    even = [(i, i + k) for i, k in exponents if (i + k) % 2 == 0]
+    even = [(i, i + k) for i, k in P.numerators if (i + k) % 2 == 0]
     points = size = dx = degree = 0
     if even:
         dx, degree = max(i for i, _ in even), max(d for _, d in even)
@@ -237,13 +240,10 @@ def _verify_table(report, t: int | None, passed: bool) -> str:
 
 def _cmd_theta(args) -> tuple[int, str]:
     if args.j is not None:
-        # Re(z^j) holds x^j; checked before the expansion
-        _check_theta_budget(args.D, args.rmax, [(args.j, 0)], 1)
         poly = basis_poly(args.D, args.j, BasisKind.REAL_PART).poly
     else:
         poly = _parse_poly_arg(args.poly)
-    bits = max([poly.den, *map(abs, poly.numerators.values())]).bit_length()
-    _check_theta_budget(args.D, args.rmax, poly.numerators, bits)
+    _check_theta_budget(args.D, args.rmax, poly)
     coeffs = [format_rational(c) for c in theta_series(args.D, poly, args.rmax)]
     if args.format == "json":
         payload = {"D": args.D, "rmax": args.rmax, "coeffs": coeffs}
@@ -321,15 +321,9 @@ def _cmd_quadrature(args) -> tuple[int, str]:
     poly = _parse_poly_arg(args.poly)
     value = quadrature_average(args.D, args.r, poly, args.nodes)
     if args.format == "json":
-        return 0, _dumps(
-            {
-                "D": args.D,
-                "r": args.r,
-                "poly": format_poly(poly),
-                "nodes": args.nodes,
-                "average": value,
-            }
-        )
+        payload = {"D": args.D, "r": args.r, "poly": format_poly(poly),
+                   "nodes": args.nodes, "average": value}
+        return 0, _dumps(payload)
     return 0, (
         f"weighted average of {format_poly(poly)} over the norm {args.r} "
         f"ellipse (D={args.D}, {args.nodes} nodes): {value!r}"
@@ -395,17 +389,10 @@ def _cmd_reproduce_example(args) -> tuple[int, str]:
         f"degrees 1..6: vanishing {list(report.vanishing)}, "
         f"failing {[f.j for f in report.failing]}"
     )
-    ok = (
-        len(shell.points) == 12
-        and p_sum == 0
-        and q_sum == EXAMPLE_Q_SUM
-        and [f.j for f in report.failing] == [6]
-    )
-    lines.append(
-        "the shell is a 5-design but not a 6-design"
-        if ok
-        else "UNEXPECTED: the worked example did not reproduce"
-    )
+    ok = (len(shell.points) == 12 and p_sum == 0 and q_sum == EXAMPLE_Q_SUM
+          and [f.j for f in report.failing] == [6])
+    lines.append("the shell is a 5-design but not a 6-design" if ok
+                 else "UNEXPECTED: the worked example did not reproduce")
     return (0 if ok else 1), "\n".join(lines)
 
 
@@ -522,7 +509,8 @@ def run(argv: list[str] | None = None) -> int:
         _emit(text, args.output)
         return code
     except (InputError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        with suppress(OSError):  # stderr may be closed too: still exit 2
+            print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError, AssertionError) as exc:
         # a library invariant broke: neither a usage error nor a failed check
@@ -531,7 +519,15 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    for stream in filter(None, (sys.stdout, sys.stderr)):  # None: fd closed
+        try:
+            stream.flush()
+        except OSError:
+            # its reader is gone: what is left goes to devnull, so the
+            # interpreter's flush at exit cannot turn the code into 120
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

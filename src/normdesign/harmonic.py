@@ -42,9 +42,9 @@ class BivarPoly:
     and numerators maps each monomial (i, k) with a nonzero coefficient c
     to the int c * den. Both are canonical, so equality and hashing read
     them, and a Fraction is built only when a coefficient is asked for.
-    The constructor reads each coefficient's numerator and denominator
-    (through Fraction(c) unless c is an int), sums the terms as ints over
-    the LCM of those denominators and reduces the result by one gcd.
+    The constructor reads each coefficient's numerator and denominator (an
+    int, bool included, or a Fraction; TypeError otherwise), sums the terms
+    as ints over the LCM of those denominators and reduces them by one gcd.
     """
 
     __slots__ = ("den", "numerators")
@@ -59,8 +59,10 @@ class BivarPoly:
         for (i, k), c in items:
             if i < 0 or k < 0:
                 raise InputError(f"negative exponent in monomial x^{i}*y^{k}")
-            if not isinstance(c, int):
-                c = Fraction(c)
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(
+                    f"coefficients must be int or Fraction, got {type(c).__name__}"
+                )
             pairs.append(((i, k), c.numerator, c.denominator))
         self._reduce(*_common_den(pairs))
 

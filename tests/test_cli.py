@@ -7,6 +7,8 @@ from math import gcd, isqrt
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import normdesign
 from normdesign import arith, cli, design, shells, theta
@@ -450,76 +452,71 @@ BITS_4409, BITS_4410 = str(2**4409 - 1), str(2**4410 - 1)
 
 
 @pytest.mark.parametrize(
-    "argv,shown,expands",
+    "argv,shown",
     [
-        # --j is checked at bit length 1 before basis_poly expands it
+        # --j is checked at its expanded bit length, before any walk
         pytest.param(["1", "--j", "1000", "--rmax", "1000000"],
-                     "D=1 at degree 1000, --rmax 1000000 and coefficient bit length 1",
-                     False, id="j-1000-rmax-cap"),
+                     "D=1 at degree 1000, --rmax 1000000 and coefficient bit length 995",
+                     id="j-1000-rmax-cap"),
         pytest.param(["1", "--j", "20", "--rmax", "1000000"],
-                     "D=1 at degree 20, --rmax 1000000 and coefficient bit length 1",
-                     False, id="j-20-rmax-cap"),
-        # and again at its bit length after, before any walk
+                     "D=1 at degree 20, --rmax 1000000 and coefficient bit length 18",
+                     id="j-20-rmax-cap"),
         pytest.param(["1", "--j", "1000", "--rmax", "4096"],
                      "D=1 at degree 1000, --rmax 4096 and coefficient bit length 995",
-                     True, id="j-1000-D-1-rmax-4096"),
+                     id="j-1000-D-1-rmax-4096"),
         pytest.param(["163", "--j", "1000", "--rmax", "14841"],
                      "D=163 at degree 1000, --rmax 14841 and coefficient bit length 2885",
-                     True, id="j-1000-D-163-rmax-14841"),
+                     id="j-1000-D-163-rmax-14841"),
         pytest.param(["1", "--poly", "x^20", "--rmax", "1000000"],
                      "D=1 at degree 20, --rmax 1000000 and coefficient bit length 1",
-                     False, id="x^20-rmax-cap"),
+                     id="x^20-rmax-cap"),
         pytest.param(["1", "--poly", "x^1000000", "--rmax", "4"],
                      "D=1 at degree 1000000, --rmax 4 and coefficient bit length 1",
-                     False, id="x^1000000-rmax-4"),
+                     id="x^1000000-rmax-4"),
         # the row y = 0 is walked even where pi*rmax/sqrt(|disc|) rounds to 0
         pytest.param(["163", "--poly", "x^1000000", "--rmax", "4"],
                      "D=163 at degree 1000000, --rmax 4 and coefficient bit length 1",
-                     False, id="x^1000000-D-163-rmax-4"),
+                     id="x^1000000-D-163-rmax-4"),
         pytest.param(["11", "--poly", "x^1000000000", "--rmax", "1"],
                      "D=11 at degree 1000000000, --rmax 1 and coefficient bit length 1",
-                     False, id="x^1000000000-D-11-rmax-1"),
+                     id="x^1000000000-D-11-rmax-1"),
         pytest.param(["11", "--poly", "x^1" + "0" * 30, "--rmax", "1"],
                      "D=11 at degree more than 2^99, --rmax 1 and coefficient bit length 1",
-                     False, id="degree-past-2^99-D-11"),
+                     id="degree-past-2^99-D-11"),
         pytest.param(["1", "--poly", "x^2*y^662922", "--rmax", "5"],
                      "D=1 at degree 662924, --rmax 5 and coefficient bit length 1",
-                     False, id="degree-662924-rmax-5"),
+                     id="degree-662924-rmax-5"),
         pytest.param(["1", "--poly", "x^1" + "0" * 30, "--rmax", "1"],
                      "D=1 at degree more than 2^99, --rmax 1 and coefficient bit length 1",
-                     False, id="degree-past-2^99"),
+                     id="degree-past-2^99"),
         pytest.param(["1", f"--poly={ARGV_LENGTH}*x^2", "--rmax", "1000000"],
                      "D=1 at degree 2, --rmax 1000000 and coefficient bit length 332193",
-                     False, id="argv-length-rmax-cap"),
+                     id="argv-length-rmax-cap"),
         pytest.param(["1", f"--poly={ARGV_LENGTH}*x^2", "--rmax", "1000"],
                      "D=1 at degree 2, --rmax 1000 and coefficient bit length 332193",
-                     False, id="argv-length-rmax-1000"),
+                     id="argv-length-rmax-1000"),
         pytest.param(["1", f"--poly={ARGV_LENGTH}*x^2", "--rmax", "35"],
                      "D=1 at degree 2, --rmax 35 and coefficient bit length 332193",
-                     False, id="argv-length-rmax-35"),
+                     id="argv-length-rmax-35"),
         pytest.param(["1", f"--poly=x^2+1/{ARGV_LENGTH}", "--rmax", "35"],
                      "D=1 at degree 2, --rmax 35 and coefficient bit length 332193",
-                     False, id="argv-length-denominator"),
+                     id="argv-length-denominator"),
         pytest.param(["1", f"--poly={BITS_551}*x^2", "--rmax", "1000000"],
                      "D=1 at degree 2, --rmax 1000000 and coefficient bit length 551",
-                     False, id="551-bits-rmax-cap"),
+                     id="551-bits-rmax-cap"),
         pytest.param(["163", f"--poly={BITS_787}*x^2", "--rmax", "1000000"],
                      "D=163 at degree 2, --rmax 1000000 and coefficient bit length 787",
-                     False, id="787-bits-D-163-rmax-cap"),
+                     id="787-bits-D-163-rmax-cap"),
         pytest.param(["1", f"--poly={BITS_4410}*x^1000", "--rmax", "2347"],
                      "D=1 at degree 1000, --rmax 2347 and coefficient bit length 4410",
-                     False, id="4410-bits-degree-1000"),
+                     id="4410-bits-degree-1000"),
     ],
 )
-def test_theta_work_budget_is_checked_before_any_walk(
-    capsys, monkeypatch, argv, shown, expands
-):
+def test_theta_work_budget_is_checked_before_any_walk(capsys, monkeypatch, argv, shown):
     def no_work(*args):
         raise AssertionError("work was started")
 
     monkeypatch.setattr(cli, "theta_series", no_work)
-    if not expands:
-        monkeypatch.setattr(cli, "basis_poly", no_work)
     assert run(["theta"] + argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -529,14 +526,7 @@ def test_theta_work_budget_is_checked_before_any_walk(
 @pytest.mark.parametrize(
     "argv,reached",
     [
-        # basis_poly reached: the check at bit length 1 lets --j through
-        pytest.param(["1", "--j", "1000", "--rmax", "2347"], "basis_poly",
-                     id="j-1000-rmax-2347-before-expansion"),
-        pytest.param(["1", "--j", "18", "--rmax", "1000000"], "basis_poly",
-                     id="j-18-rmax-cap-before-expansion"),
-        pytest.param(["1", "--j", "4", "--rmax", "1000000"], "basis_poly",
-                     id="j-4-rmax-cap-before-expansion"),
-        # theta_series reached: the expanded or parsed polynomial passes too
+        # theta_series reached: the expanded or parsed polynomial passes
         pytest.param(["1", "--j", "1000", "--rmax", "2347"], "theta_series",
                      id="j-1000-D-1"),
         pytest.param(["163", "--j", "1000", "--rmax", "2347"], "theta_series",
@@ -545,6 +535,8 @@ def test_theta_work_budget_is_checked_before_any_walk(
                      id="j-1000-D-1-rmax-4095"),
         pytest.param(["163", "--j", "1000", "--rmax", "14840"], "theta_series",
                      id="j-1000-D-163-rmax-14840"),
+        pytest.param(["1", "--j", "4", "--rmax", "1000000"], "theta_series",
+                     id="j-4-rmax-cap"),
         pytest.param(["1", "--j", "18", "--rmax", "1000000"], "theta_series",
                      id="j-18-rmax-cap"),
         pytest.param(["1", "--poly", "x^18", "--rmax", "1000000"], "theta_series",
@@ -581,6 +573,42 @@ def test_theta_within_the_work_budget_is_accepted(capsys, monkeypatch, argv, rea
     assert cli.MAX_THETA_WORK == 62 * 10**9
     assert run(["theta"] + argv) == 2
     assert f"{reached} reached" in capsys.readouterr().err
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(
+    st.sampled_from(normdesign.ADMISSIBLE_D),
+    st.sets(st.tuples(st.integers(0, 300), st.integers(0, 300)), min_size=1, max_size=6),
+    st.integers(1, 400_000),
+    st.integers(1, cli.MAX_THETA_RMAX - 1),
+    st.integers(1, cli.MAX_THETA_RMAX),
+    st.integers(1, 400_000),
+)
+def test_theta_work_model_never_accepts_more_at_a_larger_size(
+    D, exponents, bits, rmax, more_rmax, more_bits
+):
+    """Rejected at (rmax, bits), rejected at (rmax + 1, bits) and (rmax, bits + 1).
+
+    The message's "bit length N or more" and the edge pairs above read the
+    budget's edge as one rmax or bit length past which nothing passes. One
+    step up only shows a fault at the edge, so a drawn longer step is
+    checked as well: a model that falls over a long range fails there.
+    """
+    first, *rest = sorted(exponents)
+
+    def rejected(rmax: int, bits: int) -> bool:
+        P = BivarPoly({first: 2 ** (bits - 1), **dict.fromkeys(rest, 1)})
+        try:
+            cli._check_theta_budget(D, rmax, P)
+        except InputError:
+            return True
+        return False
+
+    if rejected(rmax, bits):
+        assert rejected(rmax + 1, bits)
+        assert rejected(rmax, bits + 1)
+        assert rejected(min(rmax + more_rmax, cli.MAX_THETA_RMAX), bits)
+        assert rejected(rmax, bits + more_bits)
 
 
 @pytest.mark.parametrize(
@@ -1177,6 +1205,34 @@ def test_nul_in_the_output_path_is_a_usage_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: cannot open --output: embedded null byte\n"
+
+
+@pytest.mark.parametrize(
+    "stderr_on_pipe", [False, True], ids=["stderr-apart", "stderr-on-pipe"]
+)
+@pytest.mark.parametrize(
+    "argv",
+    # shell's text fits the stdout buffer, so only a flush meets the closed
+    # pipe; sweep's does not, so print itself raises
+    [["shell", "1", "5"], ["sweep", "--rmax", "60"]],
+    ids=["buffered", "past-the-buffer"],
+)
+def test_a_closed_stdout_exits_2(argv, stderr_on_pipe):
+    # unbuffered streams write at once and hide the exit flush that gave 120
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(normdesign.__file__).parents[1])
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "normdesign.cli", *argv], env=env, timeout=60,
+            stdout=write_end, stderr=write_end if stderr_on_pipe else subprocess.PIPE,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    if not stderr_on_pipe:
+        assert proc.stderr == b"error: [Errno 32] Broken pipe\n"
 
 
 def test_usage_error_exit_code():

@@ -198,6 +198,12 @@ def test_evaluate_rejects_inexact_points():
     for point in ((0.5, 2), (2, Decimal("0.5")), ("1/2", "3")):
         with pytest.raises(TypeError):
             p.evaluate(*point)
+    # the constructor takes the same two types as coefficients: 0.1 would
+    # read as 3602879701896397/36028797018963968 and "1/3" parse as text
+    for c in (0.1, "1/3", Decimal("0.5")):
+        with pytest.raises(TypeError, match="int or Fraction"):
+            BivarPoly({(1, 0): c})
+    assert BivarPoly({(1, 0): True}).numerators == {(1, 0): 1}
 
 
 def test_evaluate_rejects_a_str_point_before_any_product():
