@@ -526,6 +526,13 @@ def test_theta_work_budget_is_checked_before_any_walk(capsys, monkeypatch, argv,
 @pytest.mark.parametrize(
     "argv,reached",
     [
+        # basis_poly reached: nothing rejects --j before it is expanded
+        pytest.param(["1", "--j", "1000", "--rmax", "2347"], "basis_poly",
+                     id="j-1000-rmax-2347-before-expansion"),
+        pytest.param(["1", "--j", "18", "--rmax", "1000000"], "basis_poly",
+                     id="j-18-rmax-cap-before-expansion"),
+        pytest.param(["1", "--j", "4", "--rmax", "1000000"], "basis_poly",
+                     id="j-4-rmax-cap-before-expansion"),
         # theta_series reached: the expanded or parsed polynomial passes
         pytest.param(["1", "--j", "1000", "--rmax", "2347"], "theta_series",
                      id="j-1000-D-1"),
