@@ -33,7 +33,7 @@ from .harmonic import (
     BasisKind, BivarPoly, PolyParseError, basis_poly, format_poly, parse_poly
 )
 from .ring import ADMISSIBLE_D, InputError, _shown, ring_data
-from .shells import Shell, enumerate_shell, norm_shell, scan_rows
+from .shells import Shell, ball_shells, enumerate_shell, norm_shell, scan_rows
 from .theta import HeckeReport, format_rational, hecke_verify, shell_sum, theta_series
 
 EXAMPLE_D = 3
@@ -76,7 +76,7 @@ COPRIME_PAIRS = (
 
 #: Largest ``sweep --rmax``: cost and memory grow about linearly in rmax
 #: (one report's JSON text per representable norm, all held until the
-#: payload is joined).
+#: payload is joined, and the ball walk's shells of one D at a time).
 MAX_SWEEP_RMAX = 10**4
 
 #: (flag, low, high) per command: each integer flag's range, checked in this
@@ -330,10 +330,23 @@ def _cmd_quadrature(args) -> tuple[int, str]:
     )
 
 
-def _sweep_task(task: tuple[int, int, int]) -> tuple[bool, str]:
-    D, r, j_max = task
-    report = strength_profile(D, r, j_max)
-    return report.theorem_main_ok, _report_text(report)
+def _sweep_task(task: tuple[int, int, int, list[int]]) -> list[tuple[bool, str]]:
+    """(ok, report text) per nonempty shell of D up to rmax, in increasing r.
+
+    The shells come from one ball walk; their norms must be the ones that
+    is_representable found, so each route checks the other.
+    """
+    D, rmax, j_max, norms = task
+    walked, results = [], []
+    for shell in ball_shells(D, rmax):
+        walked.append(shell.r)
+        report = strength_profile(D, shell.r, j_max, shell)
+        results.append((report.theorem_main_ok, _report_text(report)))
+    assert walked == norms, (
+        f"sweep on D={D}: the ball walk and is_representable disagree on the "
+        f"norms {sorted(set(walked) ^ set(norms))[:5]}"
+    )
+    return results
 
 
 def _sweep_json(rmax: int, jmax: int, all_ok: bool, reports: list[str]) -> str:
@@ -350,23 +363,25 @@ def _sweep_json(rmax: int, jmax: int, all_ok: bool, reports: list[str]) -> str:
 def _cmd_sweep(args) -> tuple[int, str]:
     # r on the outer loop: the nine is_representable(D, r) calls for one r
     # come back to back and share one factorize(r) from its bounded cache.
-    # The tasks stay in D-major order, so the payload does not change.
+    # Each task walks the ball of one D, and holds its buckets only while it
+    # runs; the tasks stay in D-major order, so the payload does not change.
     norms: dict[int, list[int]] = {D: [] for D in ADMISSIBLE_D}
     for r in range(1, args.rmax + 1):
         for D in ADMISSIBLE_D:
             if is_representable(D, r):
                 norms[D].append(r)
-    tasks = [(D, r, args.jmax) for D in ADMISSIBLE_D for r in norms[D]]
+    tasks = [(D, args.rmax, args.jmax, norms[D]) for D in ADMISSIBLE_D]
     # the payload does not depend on the worker count, so clamping is safe
-    workers = min(args.parallel, os.cpu_count() or 1)
+    workers = min(args.parallel, os.cpu_count() or 1, len(tasks))
     if workers <= 1:
-        results = [_sweep_task(t) for t in tasks]
+        per_d = [_sweep_task(t) for t in tasks]
     else:
         # imported here: multiprocessing adds about 9 ms to every start-up
         from multiprocessing import Pool
 
         with Pool(workers) as pool:
-            results = pool.map(_sweep_task, tasks, chunksize=32)
+            per_d = pool.map(_sweep_task, tasks, chunksize=1)
+    results = [result for task_results in per_d for result in task_results]
     all_ok = all(ok for ok, _ in results)
     text = _sweep_json(args.rmax, args.jmax, all_ok, [t for _, t in results])
     return (0 if all_ok else 1), text
@@ -502,6 +517,15 @@ def run(argv: list[str] | None = None) -> int:
     try:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:
+        # argparse wrote its help or usage itself: flush it here, so that a
+        # closed stdout exits 2 like any command's output
+        try:
+            if sys.stdout is not None:
+                sys.stdout.flush()
+        except OSError as error:
+            with suppress(OSError):
+                print(f"error: {error}", file=sys.stderr)
+            return 2
         return int(exc.code or 0)
     try:
         _check_flag_ranges(args)

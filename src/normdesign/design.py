@@ -15,7 +15,7 @@ from collections import namedtuple
 
 from .harmonic import BivarPoly
 from .ring import InputError, _shown, norm_form, ring_data
-from .shells import norm_shell
+from .shells import Shell, norm_shell
 from .theta import basis_shell_sums_upto
 
 MAX_PROFILE_DEGREE = 40  # shell sums grow like r^(j/2); keep scans at desk scale
@@ -30,11 +30,16 @@ DesignReport = namedtuple(
 DesignReport.__doc__ = "Exact classification of every degree j <= j_max for one shell."
 
 
-def strength_profile(D: int, r: int, j_max: int) -> DesignReport:
+def strength_profile(
+    D: int, r: int, j_max: int, shell: Shell | None = None
+) -> DesignReport:
     """Classify every degree j <= j_max as vanishing or failing, with witnesses.
 
     A degree fails when its R_{D,j} shell sum is nonzero; the witness is
-    that int, u_D times the theta coefficient a(r).
+    that int, u_D times the theta coefficient a(r). The shell is
+    norm_shell(D, r) unless the caller passes it, as sweep does with each
+    shell of shells.ball_shells; a shell of another D or r raises
+    InputError, and one of (D, r) is taken as complete.
     """
     if j_max < 1 or j_max > MAX_PROFILE_DEGREE:
         raise InputError(
@@ -43,7 +48,13 @@ def strength_profile(D: int, r: int, j_max: int) -> DesignReport:
     R = ring_data(D)
     if r < 1:
         raise InputError(f"design checks require r >= 1, got {_shown(r)}")
-    shell = norm_shell(D, r)
+    if shell is None:
+        shell = norm_shell(D, r)
+    elif (shell.D, shell.r) != (D, r):
+        raise InputError(
+            f"the shell passed is the norm {_shown(shell.r)} shell for "
+            f"D={shell.D}, not the norm {_shown(r)} shell for D={D}"
+        )
     if not shell.points:
         raise InputError(
             f"the norm {r} shell is empty for D={D}: some inert prime divides "

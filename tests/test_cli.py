@@ -1110,8 +1110,8 @@ def test_sweep_text_equals_the_payload_dump(capsys, monkeypatch, rmax, fail_at):
     # whole payload, on a passing sweep and on a failing one
     real = cli.strength_profile
 
-    def profile(D, r, j_max):
-        report = real(D, r, j_max)
+    def profile(D, r, j_max, shell=None):
+        report = real(D, r, j_max, shell)
         return report._replace(theorem_main_ok=(D, r) != fail_at)
 
     monkeypatch.setattr(cli, "strength_profile", profile)
@@ -1128,6 +1128,20 @@ def test_sweep_text_equals_the_payload_dump(capsys, monkeypatch, rmax, fail_at):
     assert run(["sweep", "--rmax", str(rmax)]) == (0 if all_ok else 1)
     assert capsys.readouterr().out == cli._dumps(payload) + "\n"
     assert all_ok == (fail_at is None or fail_at[1] > rmax)
+
+
+def test_sweep_checks_the_ball_walk_against_is_representable(capsys, monkeypatch):
+    # each D's ball walk must find exactly the norms is_representable found;
+    # a norm one route misses is a broken invariant, not a usage error
+    real = arith.is_representable
+    monkeypatch.setattr(
+        cli, "is_representable", lambda D, r: (D, r) != (7, 2) and real(D, r)
+    )
+    assert run(["sweep", "--rmax", "30"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: sweep on D=7:")
+    assert captured.err.endswith("disagree on the norms [2]\n")
 
 
 class RecordingPool:
@@ -1150,7 +1164,7 @@ class RecordingPool:
 
 @pytest.mark.parametrize(
     "cpus,requested,expected",
-    [(2, 1000, [2]), (4, 3, [3]), (None, 8, []), (1, 8, [])],
+    [(2, 1000, [2]), (4, 3, [3]), (None, 8, []), (1, 8, []), (16, 12, [9])],
 )
 def test_sweep_parallel_is_clamped_to_cpu_count(
     tmp_path, monkeypatch, cpus, requested, expected
@@ -1220,9 +1234,10 @@ def test_nul_in_the_output_path_is_a_usage_error(capsys):
 @pytest.mark.parametrize(
     "argv",
     # shell's text fits the stdout buffer, so only a flush meets the closed
-    # pipe; sweep's does not, so print itself raises
-    [["shell", "1", "5"], ["sweep", "--rmax", "60"]],
-    ids=["buffered", "past-the-buffer"],
+    # pipe; sweep's does not, so print itself raises. argparse writes the
+    # help texts itself, and they fit the buffer too
+    [["shell", "1", "5"], ["sweep", "--rmax", "60"], ["--help"], ["theta", "--help"]],
+    ids=["buffered", "past-the-buffer", "help", "command-help"],
 )
 def test_a_closed_stdout_exits_2(argv, stderr_on_pipe):
     # unbuffered streams write at once and hide the exit flush that gave 120

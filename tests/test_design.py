@@ -14,7 +14,9 @@ from normdesign.design import (
     strength_profile,
 )
 from normdesign.harmonic import BasisKind, BivarPoly, basis_poly, parse_poly
-from normdesign.ring import ADMISSIBLE_D, discriminant, norm_form, ring_data
+from normdesign.ring import (
+    ADMISSIBLE_D, InputError, discriminant, norm_form, ring_data
+)
 from normdesign.shells import (
     SCAN_MAX_ROWS, enumerate_shell, norm_shell, shell_from_factorization
 )
@@ -45,6 +47,20 @@ def test_design_checks_reject_empty_shells():
         strength_profile(1, 3, 4)
     with pytest.raises(ValueError, match="r >= 1"):
         strength_profile(1, 0, 2)
+
+
+@pytest.mark.parametrize(
+    "D,r,other", [(1, 5, (1, 10)), (1, 5, (2, 5)), (7, 2, (3, 2)), (3, 691, (3, 7))]
+)
+def test_strength_profile_rejects_the_shell_of_another_norm_or_ring(D, r, other):
+    # a shell of (D, r) gives the default's report; one of another (D, r)
+    # would classify the wrong points, so it is a usage error
+    shell = enumerate_shell(D, r)
+    assert strength_profile(D, r, 13, shell) == strength_profile(D, r, 13)
+    with pytest.raises(InputError, match="not the norm"):
+        strength_profile(D, r, 13, enumerate_shell(*other))
+    with pytest.raises(InputError, match="not the norm"):
+        strength_profile(*other, 13, shell)
 
 
 def _representable_with_rows(D, rows, last):

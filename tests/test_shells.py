@@ -19,6 +19,7 @@ from normdesign.shells import (
     WHEEL_MIN_ROWS,
     _SIEVE_BLOCK,
     _wheel_rows,
+    ball_shells,
     enumerate_shell,
     shell_from_factorization,
 )
@@ -119,6 +120,15 @@ def test_completeness_against_naive_grid(D):
     for r in range(r_max + 1):
         expected = tuple(sorted(by_norm.get(r, ())))
         assert enumerate_shell(D, r).points == expected, (D, r)
+
+
+@pytest.mark.parametrize("D", ADMISSIBLE_D)
+def test_ball_shells_are_the_scanned_shells(D):
+    """One ball walk gives each nonempty shell up to the bound, in increasing r."""
+    r_max = 300
+    expected = [enumerate_shell(D, r) for r in range(1, r_max + 1)]
+    assert list(ball_shells(D, r_max)) == [s for s in expected if s.points]
+    assert list(ball_shells(D, 1)) == [s for s in expected[:1] if s.points]
 
 
 @pytest.mark.parametrize("D", ADMISSIBLE_D)
