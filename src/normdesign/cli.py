@@ -33,7 +33,9 @@ from .harmonic import (
     BasisKind, BivarPoly, PolyParseError, basis_poly, format_poly, parse_poly
 )
 from .ring import ADMISSIBLE_D, InputError, _shown, ring_data
-from .shells import Shell, ball_shells, enumerate_shell, norm_shell, scan_rows
+from .shells import (
+    Shell, ball_shells, enumerate_shell, scan_rows, shell_from_factorization
+)
 from .theta import HeckeReport, format_rational, hecke_verify, shell_sum, theta_series
 
 EXAMPLE_D = 3
@@ -169,7 +171,7 @@ def _check_theta_budget(D: int, rmax: int, P: BivarPoly) -> None:
 
 
 def _cmd_shell(args) -> tuple[int, str]:
-    shell = norm_shell(args.D, args.r)
+    shell = shell_from_factorization(args.D, args.r)
     if args.format == "json":
         points = [list(p) for p in shell.points]
         return 0, _dumps({"D": shell.D, "r": shell.r, "points": points})

@@ -2,10 +2,11 @@
 
 A nonempty shell is a t-design exactly when both degree-j basis sums
 vanish for every j <= t. The imaginary one vanishes on every shell, so
-the check reads one exact int per degree: the real sum. The quadrature routine
-independently evaluates the weighted line-integral averages that the
-discrete averages are measured against, validating the analytic
-normalization constants in floating point.
+the check reads one exact int per degree: the real sum. Unless the caller
+passes the shell, it is built from the factorization of r, at every r.
+The quadrature routine independently evaluates the weighted line-integral
+averages that the discrete averages are measured against, validating the
+analytic normalization constants in floating point.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from collections import namedtuple
 
 from .harmonic import BivarPoly
 from .ring import InputError, _shown, norm_form, ring_data
-from .shells import Shell, norm_shell
+from .shells import Shell, shell_from_factorization
 from .theta import basis_shell_sums_upto
 
 MAX_PROFILE_DEGREE = 40  # shell sums grow like r^(j/2); keep scans at desk scale
@@ -37,9 +38,10 @@ def strength_profile(
 
     A degree fails when its R_{D,j} shell sum is nonzero; the witness is
     that int, u_D times the theta coefficient a(r). The shell is
-    norm_shell(D, r) unless the caller passes it, as sweep does with each
-    shell of shells.ball_shells; a shell of another D or r raises
-    InputError, and one of (D, r) is taken as complete.
+    shell_from_factorization(D, r), at every r, unless the caller passes
+    it, as sweep does with each shell of shells.ball_shells; a shell of
+    another D or r raises InputError, and one of (D, r) is taken as
+    complete.
     """
     if j_max < 1 or j_max > MAX_PROFILE_DEGREE:
         raise InputError(
@@ -49,7 +51,7 @@ def strength_profile(
     if r < 1:
         raise InputError(f"design checks require r >= 1, got {_shown(r)}")
     if shell is None:
-        shell = norm_shell(D, r)
+        shell = shell_from_factorization(D, r)
     elif (shell.D, shell.r) != (D, r):
         raise InputError(
             f"the shell passed is the norm {_shown(shell.r)} shell for "

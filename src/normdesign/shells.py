@@ -1,14 +1,15 @@
 """Enumeration of the norm shells: lattice points of O_D with a fixed norm.
 
-Two routes give the same shell: ``enumerate_shell`` scans the lattice and
-is the reference; ``shell_from_factorization`` builds the shell from the
-prime elements dividing r and is far cheaper once r is large.
-``norm_shell`` picks the cheaper of the two for r. Shells come
-back with a canonical lexicographic point order so that every CLI output
-is reproducible byte for byte. ``half_ball_rows`` walks the lattice ball
-in whole rows and is the one ball walker: ``theta_series`` sums over it,
-and ``ball_shells`` sorts it into the shells that ``sweep`` classifies.
-``scan_rows`` is the scan's row count.
+Each job has one producer of shells. ``shell_from_factorization`` builds
+a shell from the prime elements dividing r; the ``shell`` and ``verify``
+commands list and classify its shells at every r. ``enumerate_shell``
+scans the lattice: it is the reference route, and the route of ``hecke``,
+whose identities factoring would make true by construction.
+``half_ball_rows`` walks the lattice ball in whole rows and is the one
+ball walker: ``theta_series`` sums over it, and ``ball_shells`` sorts it
+into the shells that ``sweep`` classifies. Shells come back with a
+canonical lexicographic point order so that every CLI output is
+reproducible byte for byte. ``scan_rows`` is the scan's row count.
 
 The scan tests a row y by whether 4r - |disc|*y^2 is a perfect square. On
 long scans a sieve (the exclusion sieve of Fermat's factoring method,
@@ -29,18 +30,12 @@ from math import isqrt
 from .arith import factorize, splitting_type, sqrt_mod
 from .ring import InputError, SplitType, _shown, conj, mul, powers, ring_data
 
-#: ``norm_shell`` scans while isqrt(4r // |disc|) <= SCAN_MAX_ROWS (up to
-#: 1001 rows) and factors r past that: with the sieve, the two routes cost
-#: the same between 1000 and 1500 rows for D = 1, 3, 7 and 163 (Python 3.11,
-#: best of 25 over 60 representable norms per size).
-SCAN_MAX_ROWS = 1000
-
 #: Scan rows from which ``enumerate_shell`` runs the sieve of
 #: ``_wheel_rows`` instead of testing every row: building its masks costs
-#: more than it saves on short scans. Summed over D = 1, 3, 7 and 163 (same
-#: method as SCAN_MAX_ROWS), the two walks cost the same between 160 and
-#: 200 rows on representable norms, the ones that hold points (near 150
-#: rows on arbitrary norms).
+#: more than it saves on short scans. Summed over D = 1, 3, 7 and 163
+#: (Python 3.11, best of 25 over 60 representable norms per size), the two
+#: walks cost the same between 160 and 200 rows on representable norms, the
+#: ones that hold points (near 150 rows on arbitrary norms).
 WHEEL_MIN_ROWS = 200
 
 #: Rows per block of the sieve in ``_wheel_rows``: each block is one int
@@ -249,15 +244,3 @@ def shell_from_factorization(D: int, r: int) -> Shell:
     points = {mul(D, u, e) for u in R.units for e in elements}
     assert len(points) == expected, (D, r, len(points), expected)
     return Shell(D, r, tuple(sorted(points)))
-
-
-def norm_shell(D: int, r: int) -> Shell:
-    """The norm r shell by the cheaper route.
-
-    The scan costs scan_rows(D, r) rows; past SCAN_MAX_ROWS + 1 rows,
-    factoring r and multiplying prime elements is cheaper.
-    """
-    if r > 0 and scan_rows(D, r) > SCAN_MAX_ROWS + 1:
-        return shell_from_factorization(D, r)
-    return enumerate_shell(D, r)
-

@@ -15,7 +15,7 @@ from normdesign import arith, cli, design, shells, theta
 from normdesign.cli import run
 from normdesign.design import FailingDegree, strength_profile
 from normdesign.harmonic import BivarPoly
-from normdesign.ring import InputError, norm_form
+from normdesign.ring import InputError, norm_form, ring_data
 from normdesign.shells import enumerate_shell
 
 
@@ -756,7 +756,7 @@ def test_argv_length_values_are_named_by_size(capsys, monkeypatch, argv, shown):
     monkeypatch.setattr(cli, "is_representable", no_work)
     monkeypatch.setattr(cli, "basis_poly", no_work)
     monkeypatch.setattr(cli, "theta_series", no_work)
-    monkeypatch.setattr(design, "norm_shell", no_work)
+    monkeypatch.setattr(design, "shell_from_factorization", no_work)
     monkeypatch.setattr(design, "_ellipse_parametrization", no_work)
     monkeypatch.setattr(theta, "a_norm", no_work)
     assert run(argv) == 2
@@ -806,7 +806,9 @@ def _no_command_work(monkeypatch):
     def no_work(*args):
         raise AssertionError("work was started")
 
-    for name in ("norm_shell", "basis_poly", "theta_series", "strength_profile"):
+    for name in (
+        "shell_from_factorization", "basis_poly", "theta_series", "strength_profile"
+    ):
         monkeypatch.setattr(cli, name, no_work)
 
 
@@ -1303,11 +1305,11 @@ def test_one_parser_serves_interleaved_commands(capsys, monkeypatch):
 
 
 def _scan_within_reach(monkeypatch):
-    """Let the reference scan run only within norm_shell's reach, 1001 rows.
+    """Let the reference scan run only on shells of at most 1001 rows.
 
-    The reach is a literal, not shells.SCAN_MAX_ROWS, so a crossover moved
-    past a norm's rows fails here instead of scanning them. Smaller scans
-    still run: _prime_element reads the norm 2 shell.
+    verify and shell factor r at every norm, so a scan of the large norm
+    fails here instead of running for hours. Smaller scans still run:
+    _prime_element reads the norm 2 shell.
     """
     original = shells.enumerate_shell
 
@@ -1317,6 +1319,39 @@ def _scan_within_reach(monkeypatch):
         return original(D, r)
 
     monkeypatch.setattr(shells, "enumerate_shell", scan)
+
+
+def _representable_with_rows(D, rows, last):
+    """The last (or first) representable r whose scan has exactly rows + 1 rows."""
+    a = -ring_data(D).disc
+    lo, hi = (rows * rows * a + 3) // 4, ((rows + 1) ** 2 * a + 3) // 4 - 1
+    candidates = range(hi, lo - 1, -1) if last else range(lo, hi + 1)
+    r = next(r for r in candidates if arith.is_representable(D, r))
+    assert isqrt(4 * r // a) == rows
+    return r
+
+
+@pytest.mark.parametrize("D", normdesign.ADMISSIBLE_D)
+def test_verify_and_shell_factor_every_norm(capsys, monkeypatch, D):
+    # the only scans are the norm p shells _prime_element reads, at p = 2 and
+    # at the ramified p; every shell verify and shell list is factored
+    prime_shells = {2} | {p for p, _ in arith.factorize(-ring_data(D).disc)}
+    scanned = []
+    original = shells.enumerate_shell
+
+    def scan(D, r):
+        scanned.append(r)
+        return original(D, r)
+
+    monkeypatch.setattr(shells, "enumerate_shell", scan)
+    # r = 1..300, the last representable norm of 1001 scan rows and the first of 1002
+    edge = [_representable_with_rows(D, rows, last)
+            for rows, last in ((1000, True), (1001, False))]
+    for r in [*range(1, 301), *edge]:
+        run(["verify", str(D), str(r), "--jmax", "13"])
+        run(["shell", str(D), str(r), "--format", "json"])
+    capsys.readouterr()
+    assert scanned and set(scanned) <= prime_shells, sorted(set(scanned))
 
 
 def test_verify_past_the_scan_reach(monkeypatch):
@@ -1345,7 +1380,7 @@ def test_verify_factors_n_once(capsys, monkeypatch):
 
     monkeypatch.setattr(arith, "factorize", counting)
     monkeypatch.setattr(shells, "factorize", counting)
-    # 10^9 + 9 is a prime = 1 mod 4, past the scan crossover
+    # 10^9 + 9 is a prime = 1 mod 4, so the shell is built from one factorization
     assert run(["verify", "1", "1000000009"]) == 0
     assert calls == [1000000009]
     capsys.readouterr()

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from normdesign import design, shells
+from normdesign import design
 from normdesign.arith import is_representable
 from normdesign.cli import _report_text
 from normdesign.design import (
@@ -14,14 +14,10 @@ from normdesign.design import (
     strength_profile,
 )
 from normdesign.harmonic import BasisKind, BivarPoly, basis_poly, parse_poly
-from normdesign.ring import (
-    ADMISSIBLE_D, InputError, discriminant, norm_form, ring_data
-)
-from normdesign.shells import (
-    SCAN_MAX_ROWS, enumerate_shell, norm_shell, shell_from_factorization
-)
+from normdesign.ring import ADMISSIBLE_D, InputError, norm_form, ring_data
+from normdesign.shells import enumerate_shell
 from normdesign.theta import basis_shell_sums_upto, shell_sum
-from test_cli import report_json
+from test_cli import _representable_with_rows, report_json
 
 
 def test_t_design_examples():
@@ -63,52 +59,15 @@ def test_strength_profile_rejects_the_shell_of_another_norm_or_ring(D, r, other)
         strength_profile(*other, 13, shell)
 
 
-def _representable_with_rows(D, rows, last):
-    """The last (or first) representable r whose scan has exactly rows + 1 rows."""
-    a = -discriminant(D)
-    lo, hi = (rows * rows * a + 3) // 4, ((rows + 1) ** 2 * a + 3) // 4 - 1
-    candidates = range(hi, lo - 1, -1) if last else range(lo, hi + 1)
-    r = next(r for r in candidates if is_representable(D, r))
-    assert math.isqrt(4 * r // a) == rows
-    return r
-
-
 @pytest.mark.parametrize("D", ADMISSIBLE_D)
-def test_strength_profile_takes_each_route_on_its_side_of_the_crossover(
-    D, monkeypatch
-):
-    calls = []
-    below = _representable_with_rows(D, SCAN_MAX_ROWS, last=True)
-    above = _representable_with_rows(D, SCAN_MAX_ROWS + 1, last=False)
-
-    def recording(route):
-        # the factorization route scans tiny norm p shells too: skip those
-        def wrapper(D, r):
-            if r in (below, above):
-                calls.append((route.__name__, r))
-            return route(D, r)
-
-        return wrapper
-
-    monkeypatch.setattr(shells, "enumerate_shell", recording(enumerate_shell))
-    monkeypatch.setattr(
-        shells, "shell_from_factorization", recording(shell_from_factorization)
-    )
-    scanned = strength_profile(D, below, 13)
-    factored = strength_profile(D, above, 13)
-    assert calls == [
-        ("enumerate_shell", below),
-        ("shell_from_factorization", above),
-    ]
-    # forcing the other route gives the same reports
-    monkeypatch.setattr(shells, "SCAN_MAX_ROWS", 0)
-    assert strength_profile(D, below, 13) == scanned
-    monkeypatch.setattr(shells, "SCAN_MAX_ROWS", 10**9)
-    assert strength_profile(D, above, 13) == factored
-    assert calls[2:] == [
-        ("shell_from_factorization", below),
-        ("enumerate_shell", above),
-    ]
+def test_strength_profile_takes_each_route_on_its_side_of_the_crossover(D):
+    # the default shell is factored at every r; on each side of the 1000-row
+    # mark (the last representable norm of 1001 scan rows and the first of
+    # 1002) its report equals the one on the reference scan's shell
+    for rows, last in ((1000, True), (1001, False)):
+        r = _representable_with_rows(D, rows, last)
+        shell = enumerate_shell(D, r)
+        assert strength_profile(D, r, 13) == strength_profile(D, r, 13, shell)
 
 
 def test_profile_guards():
@@ -191,7 +150,7 @@ def test_theorem_main_ok_is_false_on_any_forged_degree(monkeypatch, D, jmax_of):
     forged = []
     monkeypatch.setattr(design, "basis_shell_sums_upto", lambda shell, j_max: forged)
     for r in (1, next(r for r in range(2, 50) if is_representable(D, r))):
-        true_sums = basis_shell_sums_upto(norm_shell(D, r), jmax)
+        true_sums = basis_shell_sums_upto(enumerate_shell(D, r), jmax)
         forged[:] = true_sums
         assert strength_profile(D, r, jmax).theorem_main_ok
         for j in range(1, jmax + 1):

@@ -42,6 +42,8 @@ DELETED = (
     "in_span",
     "shell_orbits",
     "_powers",
+    "norm_shell",
+    "SCAN_MAX_ROWS",
 )
 
 

@@ -15,7 +15,6 @@ from normdesign.ring import (
     ring_data,
 )
 from normdesign.shells import (
-    SCAN_MAX_ROWS,
     WHEEL_MIN_ROWS,
     _SIEVE_BLOCK,
     _wheel_rows,
@@ -402,10 +401,10 @@ def prime_powers(bound):
 
 
 def near_crossover(D):
-    """Norms whose scan has SCAN_MAX_ROWS +- 3 rows, so both routes run."""
+    """Norms whose scan has 1000 +- 3 rows, where both routes are cheap."""
     a = -discriminant(D)
-    lo = (SCAN_MAX_ROWS - 3) ** 2 * a // 4
-    hi = (SCAN_MAX_ROWS + 4) ** 2 * a // 4
+    lo = (1000 - 3) ** 2 * a // 4
+    hi = (1000 + 4) ** 2 * a // 4
     return st.integers(lo, hi).map(lambda r: (D, r))
 
 

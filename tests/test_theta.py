@@ -26,12 +26,10 @@ from normdesign.ring import (
     ring_data,
 )
 from normdesign.shells import (
-    SCAN_MAX_ROWS,
     Shell,
     enumerate_shell,
     half_ball_rows,
-    norm_shell,
-    scan_rows,
+    shell_from_factorization,
 )
 from normdesign.theta import (
     HeckeCheck,
@@ -278,18 +276,18 @@ def power_oracle(D, points, j):
 def test_power_sums_match_the_power_oracle(D):
     """Each entry of power_sums against the sum of ring.power(D, z, j).
 
-    Every representable r <= 500 (scanned shells) and three norms past the
-    scan's reach (factored shells): two near 10^9 and 10^18 + 9, which is
-    empty for some D. j_max = 1 takes no product at all. Odd degrees vanish
+    Every representable r <= 500 (scanned shells) and three large norms
+    (factored shells): two near 10^9 and 10^18 + 9, which is empty for
+    some D. j_max = 1 takes no product at all. Odd degrees vanish
     over a whole shell (z -> -z), so each shell is also summed over one
     point of each +-z pair, where they need not.
     """
     scanned = [r for r in range(1, 501) if is_representable(D, r)]
     factored = [norm_form(D, 31622, 17), norm_form(D, 25000, 2000), 10**18 + 9]
-    assert all(scan_rows(D, r) <= SCAN_MAX_ROWS + 1 for r in scanned)
-    assert all(scan_rows(D, r) > SCAN_MAX_ROWS + 1 for r in factored)
-    for r in scanned + factored:
-        whole = norm_shell(D, r)
+    shells = [enumerate_shell(D, r) for r in scanned]
+    shells += [shell_from_factorization(D, r) for r in factored]
+    for whole in shells:
+        r = whole.r
         half = Shell(D, r, tuple(z for z in whole.points if z > (0, 0)))
         for shell in (whole, half):
             oracle = [power_oracle(D, shell.points, j) for j in range(1, 41)]
@@ -349,7 +347,7 @@ def test_verify_reports_a_wrong_norm_point_as_an_internal_error(monkeypatch, cap
     def mislabelled(D, r):
         return Shell(D, r, enumerate_shell(D, 2 * r).points)
 
-    monkeypatch.setattr(design, "norm_shell", mislabelled)
+    monkeypatch.setattr(design, "shell_from_factorization", mislabelled)
     assert run(["verify", "1", "5", "--jmax", "13"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
