@@ -212,9 +212,12 @@ def _cmd_verify(args) -> tuple[int, str]:
 
 
 def _report_text(report: DesignReport) -> str:
-    """_dumps of the report's dict, keys sorted; witnesses need no JSON escape."""
-    failing = ",".join([f'{{"j":{f.j},"witness":"{format_rational(f.witness)}"}}'
-                        for f in report.failing])
+    """_dumps of the report's dict, keys sorted; witnesses need no JSON escape.
+
+    A witness is an int (strength_profile's), so "w/1" is the bytes
+    format_rational writes for it.
+    """
+    failing = ",".join([f'{{"j":{j},"witness":"{w}/1"}}' for j, w in report.failing])
     vanishing = ",".join(map(str, report.vanishing))
     ok = "true" if report.theorem_main_ok else "false"
     return (f'{{"D":{report.D},"failing":[{failing}],"jmax":{report.j_max},'

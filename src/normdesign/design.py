@@ -21,6 +21,10 @@ from .theta import basis_shell_sums_upto
 
 MAX_PROFILE_DEGREE = 40  # shell sums grow like r^(j/2); keep scans at desk scale
 MAX_NODES = 2**20  # one float evaluation of P per node; README gives the timing
+# nodes times terms of P: a term costs about 0.16 us per node on top of about
+# 1.3 us per node, so 8 terms at 2^20 nodes take 2.5-3.6 s and 3 600 terms at
+# 2^11 nodes 1.6-1.9 s (Python 3.11); 2^24 let 16 terms run 4.3-4.7 s
+MAX_QUADRATURE_WORK = 2**23
 
 
 FailingDegree = namedtuple("FailingDegree", "j witness")
@@ -62,23 +66,13 @@ def strength_profile(
             f"the norm {r} shell is empty for D={D}: some inert prime divides "
             f"{r} to an odd power"
         )
-    vanishing: list[int] = []
-    failing: list[FailingDegree] = []
-    for j, r_sum in enumerate(basis_shell_sums_upto(shell, j_max), start=1):
-        if r_sum:
-            failing.append(FailingDegree(j, r_sum))
-        else:
-            vanishing.append(j)
+    sums = basis_shell_sums_upto(shell, j_max)
+    vanishing = tuple([j for j, r_sum in enumerate(sums, start=1) if not r_sum])
+    failing = tuple([FailingDegree(j, r_sum)
+                     for j, r_sum in enumerate(sums, start=1) if r_sum])
     u = R.unit_count  # failing is in increasing j: compare it with u, 2u, ... as lists
     ok = [f.j for f in failing] == list(range(u, j_max + 1, u))
-    return DesignReport(
-        D=D,
-        r=r,
-        j_max=j_max,
-        vanishing=tuple(vanishing),
-        failing=tuple(failing),
-        theorem_main_ok=ok,
-    )
+    return DesignReport(D, r, j_max, vanishing, failing, ok)
 
 
 # -- quadrature cross-check ------------------------------------------------------
@@ -130,7 +124,8 @@ def quadrature_average(D: int, r: int, P: BivarPoly, M: int) -> float:
     curve, so the integrand is a trigonometric polynomial of degree deg P,
     and the rule is exact (up to rounding) only when M > deg P; fewer
     nodes alias high frequencies and are rejected, as are more than
-    MAX_NODES. InputError when r or the integrand leaves the float range.
+    MAX_NODES, or more than MAX_QUADRATURE_WORK nodes times terms of P.
+    InputError when r or the integrand leaves the float range.
     """
     ring_data(D)
     if r < 1:
@@ -142,6 +137,12 @@ def quadrature_average(D: int, r: int, P: BivarPoly, M: int) -> float:
     if M <= P.degree:
         raise InputError(
             f"node count must exceed the polynomial degree {_shown(P.degree)}, got {M}"
+        )
+    terms = len(P.numerators)
+    if M * terms > MAX_QUADRATURE_WORK:
+        raise InputError(
+            f"{M} nodes times {terms} terms is past the quadrature work budget "
+            f"of {MAX_QUADRATURE_WORK}"
         )
     try:
         curve, weight, prefactor = _ellipse_parametrization(D, r)

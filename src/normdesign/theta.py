@@ -11,7 +11,9 @@ per norm, so only a nonzero sum becomes a Fraction. shell_sum evaluates P
 at every shell point and stays the reference the tests check theta_series
 against. Basis-polynomial sums take a faster route: (x + w*y)^j summed in
 the integral basis by the Lucas recurrence of each point's trace, with one
-ring product per point to check the recurrence's premise. A shell is
+ring product per point to check the recurrence's premise, two degrees
+per step and no update whose multiplier is exactly 0. That skip assumes no
+symmetry: the zeros are sums over the points themselves. A shell is
 closed under conjugation, so the sum is real, its w-coordinate 0
 (asserted) and its int a the R_{D,j} sum.
 """
@@ -63,9 +65,15 @@ def power_sums(shell: Shell, j_max: int) -> list[tuple[int, int]]:
     U_0 = 0, U_1 = 1, U_j = s*U_(j-1) - r*U_(j-2) (Crandall and Pomerance,
     Prime Numbers). One ``mul`` per point asserts that premise,
     z*z == s*z - r. Points sum their x, y and count per trace; since
-    U_j(-s) = (-1)^(j-1)*U_j(s), the traces s and -s share one sequence:
-    five products per |s| and degree, for up to four points. No symmetry of
-    the shell is assumed: half shells and single points come out exact.
+    U_j(-s) = (-1)^(j-1)*U_j(s), the traces s and -s share one sequence.
+    Each step of it takes two degrees: the odd one from the sums of the
+    group's odd part, the even one from those of its even part. An update
+    whose multiplier is exactly 0 is skipped: both odd ones when the odd
+    part's sums are all 0, the even b one when its y sum is. These zeros
+    are computed from all of a group's points, and every point is still
+    checked, so no symmetry of the shell is assumed: half shells and single
+    points come out exact. On a whole shell the odd part's sums are 0 at
+    every |s| > 0, and a degree costs three products per |s|.
     """
     if j_max < 1:
         return []
@@ -88,16 +96,26 @@ def power_sums(shell: Shell, j_max: int) -> list[tuple[int, int]]:
         g[k + 2] += 1
     sa = [0] * j_max
     sb = [0] * j_max
+    last = j_max - 1
     for a, (xp, yp, cp, xn, yn, cn) in groups.items():
-        # with U at a, trace -a gives z^j = (-1)^(j-1)*(U_j*z + r*U_(j-1))
-        odd = (xp + xn, yp + yn, cp - cn)
-        even = (xp - xn, yp - yn, cp + cn)
+        # with U at a, trace -a gives z^j = (-1)^(j-1)*(U_j*z + r*U_(j-1)),
+        # so odd degrees read the odd part's sums and even ones the even part's
+        Xo, Yo, Co = xp + xn, yp + yn, cp - cn
+        Xe, Ye, Ce = xp - xn, yp - yn, cp + cn
+        odd = Xo or Yo or Co
         u0, u1 = 0, 1  # U_i, U_(i+1)
-        for i in range(j_max):  # entry i, degree i + 1
-            X, Y, C = even if i & 1 else odd
+        for i in range(0, j_max, 2):  # entries i and i + 1, degrees i + 1, i + 2
             ru = r * u0
-            sa[i] += u1 * X - ru * C
-            sb[i] += u1 * Y
+            if odd:
+                sa[i] += u1 * Xo - ru * Co
+                sb[i] += u1 * Yo
+            if i == last:
+                break
+            u0, u1 = u1, a * u1 - ru
+            ru = r * u0
+            sa[i + 1] += u1 * Xe - ru * Ce
+            if Ye:
+                sb[i + 1] += u1 * Ye
             u0, u1 = u1, a * u1 - ru
     return list(zip(sa, sb))
 

@@ -988,6 +988,37 @@ def test_quadrature_node_bound_is_checked_before_any_node(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "terms,nodes,accepted",
+    [
+        (1, 2**20, True),
+        (8, 2**20, True),
+        (9, 2**20, False),
+        (3600, 2**11, True),
+        (3600, 2**12, False),
+        (4096, 2**11, True),
+        (4097, 2**11, False),
+        (3600, 2**20, False),
+    ],
+)
+def test_quadrature_work_budget_edges(capsys, monkeypatch, terms, nodes, accepted):
+    """nodes * terms <= design.MAX_QUADRATURE_WORK = 2^23, checked before any node."""
+    def stop(*args):
+        raise InputError("a node was evaluated")
+
+    monkeypatch.setattr(BivarPoly, "evaluate_float", stop)
+    assert design.MAX_QUADRATURE_WORK == 2**23
+    monomials = [f"x^{i}*y^{k}" for i in range(65) for k in range(65)][:terms]
+    argv = ["quadrature", "1", "1", "--poly", "+".join(monomials), "--nodes", str(nodes)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    if accepted:
+        assert "a node was evaluated" in err
+    else:
+        assert f"{nodes} nodes times {terms} terms is past" in err
+        assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
     "r,poly",
     [(10**400, "x^2"), (10**306, "1000*x^2"), (10**306, "1000*x^2-1000*y^2")],
 )
@@ -1068,6 +1099,24 @@ def test_report_text_on_hand_built_reports(fields):
     # the worked example's report (one failing degree, witness -2409417348)
     # with fields a real shell never gives; the text must still be the dump
     assert_report_text(strength_profile(3, 691, 6)._replace(**fields))
+
+
+@pytest.mark.parametrize("D", normdesign.ADMISSIBLE_D)
+def test_design_witnesses_are_ints(D):
+    """_report_text writes a witness w as "w/1", which holds only for an int.
+
+    Every FailingDegree strength_profile gives, on the shells verify builds
+    and on those sweep walks, and at the CI's large norms, has an int witness.
+    """
+    profiles = []
+    for shell in shells.ball_shells(D, 300):
+        profiles.append(strength_profile(D, shell.r, 40, shell))
+        profiles.append(strength_profile(D, shell.r, 40))
+    for r in (10**24 + 49, 3 * 10**24):  # verify's CI norms; the second is empty
+        if shells.shell_from_factorization(D, r).points:
+            profiles.append(strength_profile(D, r, 40))
+    witnesses = [f.witness for report in profiles for f in report.failing]
+    assert witnesses and all(type(w) is int for w in witnesses)
 
 
 def test_sweep_exit_and_shape(tmp_path):

@@ -334,6 +334,50 @@ def test_power_sums_match_the_power_oracle_on_any_points(case):
     assert power_sums(shell, j_max) == oracle
 
 
+def kernel_edge_shells(D):
+    """name -> Shell: the point sets at the edges of power_sums' zero skips.
+
+    z = 1 + w has y != 0, trace 2 + t != 0, and conj z is neither z nor -z.
+    {z, conj z} has a nonzero odd part, so the odd updates must be taken;
+    {z, -z} has a zero odd part but a nonzero y sum in its even part, so
+    the even b update must be taken. The trace-0 group is w0 and -w0 with
+    w0 = (0, 1) for t = 0 and (-1, 2) for t = 1, both of norm D.
+    """
+    t = ring_data(D).t
+    z = (1, 1)
+    r = norm_form(D, *z)
+    w0 = (-1, 2) if t else (0, 1)
+    return {
+        "one point": Shell(D, r, (z,)),
+        "z, conj z": Shell(D, r, (z, (1 + t, -1))),
+        "z, -z": Shell(D, r, (z, (-1, -1))),
+        "trace-0 point": Shell(D, D, (w0,)),
+        "trace-0 group": Shell(D, D, (w0, (-w0[0], -w0[1]))),
+        "whole shell": enumerate_shell(D, r),
+    }
+
+
+@pytest.mark.parametrize("D", ADMISSIBLE_D)
+def test_power_sums_at_the_edges_of_the_zero_skips(D):
+    """Each edge shape against the power oracle at every j_max in 1..41.
+
+    Odd and even j_max end the two-degree loop on either half. The shapes
+    whose odd sums, or even b sums, are not 0 would be wrong if a skip fired
+    on them.
+    """
+    for name, shell in kernel_edge_shells(D).items():
+        assert len(set(shell.points)) == len(shell.points), (D, name)
+        oracle = [power_oracle(D, shell.points, j) for j in range(1, 42)]
+        for j_max in range(1, 42):
+            assert power_sums(shell, j_max) == oracle[:j_max], (D, name, j_max)
+        odd_sums = [s for j, s in enumerate(oracle, start=1) if j % 2]
+        even_b = [b for j, (_, b) in enumerate(oracle, start=1) if j % 2 == 0]
+        if name == "z, conj z":
+            assert any(sa or sb for sa, sb in odd_sums), D
+        if name == "z, -z":
+            assert any(even_b) and not any(sa or sb for sa, sb in odd_sums), D
+
+
 def test_power_sums_assert_each_point_has_the_shell_norm():
     five, ten = enumerate_shell(1, 5).points, enumerate_shell(1, 10).points
     # the norm 10 shell is closed under conjugation, so b = 0 would not see it
