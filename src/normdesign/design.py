@@ -19,11 +19,11 @@ from .ring import InputError, _shown, norm_form, ring_data
 from .shells import Shell, shell_from_factorization
 from .theta import basis_shell_sums_upto
 
-MAX_PROFILE_DEGREE = 40  # shell sums grow like r^(j/2); keep scans at desk scale
+MAX_PROFILE_DEGREE = 40  # shell sums grow like r^(j/2); j bounds their size
 MAX_NODES = 2**20  # one float evaluation of P per node; README gives the timing
-# nodes times terms of P: a term costs about 0.16 us per node on top of about
-# 1.3 us per node, so 8 terms at 2^20 nodes take 2.5-3.6 s and 3 600 terms at
-# 2^11 nodes 1.6-1.9 s (Python 3.11); 2^24 let 16 terms run 4.3-4.7 s
+# nodes times terms of P: a term costs about 0.12 us per node on top of about
+# 0.95 us per node, so 8 terms at 2^20 nodes take about 2 s and 3 600 terms at
+# 2^11 nodes about 0.9 s (Python 3.11); 2^24 would let 16 terms run about 3 s
 MAX_QUADRATURE_WORK = 2**23
 
 
@@ -95,23 +95,18 @@ def _ellipse_parametrization(D: int, r: int):
         x, y = sqrt_r * (c - t * s / sqrt_d), sqrt_r * s / im_w
         return x, y, sqrt_r * (-s - t * c / sqrt_d), sqrt_r * c / im_w
 
-    # the paper's two weight formulas, one per family of w
+    # the paper's two weight formulas, 1/sqrt(a*x^2 + b*y^2 + cxy*x*y), one
+    # row (a, b, cxy) and prefactor per family of w
     if t == 0:
-
-        def weight(x: float, y: float) -> float:
-            return 1.0 / math.sqrt(x * x / (D * D) + y * y)
-
+        a, b, cxy = 1.0 / (D * D), 1.0, 0.0
         prefactor = 1.0 / (2.0 * math.pi * sqrt_d)
     else:
-
-        def weight(x: float, y: float) -> float:
-            return 1.0 / math.sqrt(
-                20.0 * x * x
-                + (D * D + 2.0 * D + 5.0) * y * y
-                + (20.0 + 4.0 * D) * x * y
-            )
-
+        a, b, cxy = 20.0, D * D + 2.0 * D + 5.0, 20.0 + 4.0 * D
         prefactor = sqrt_d / math.pi
+
+    def weight(x: float, y: float) -> float:
+        return 1.0 / math.sqrt(a * x * x + b * y * y + cxy * x * y)
+
     return curve, weight, prefactor
 
 
@@ -125,7 +120,8 @@ def quadrature_average(D: int, r: int, P: BivarPoly, M: int) -> float:
     and the rule is exact (up to rounding) only when M > deg P; fewer
     nodes alias high frequencies and are rejected, as are more than
     MAX_NODES, or more than MAX_QUADRATURE_WORK nodes times terms of P.
-    InputError when r or the integrand leaves the float range.
+    Each coefficient of P is turned into a float once, before any node.
+    InputError when a coefficient, r or the integrand leaves the float range.
     """
     ring_data(D)
     if r < 1:
@@ -144,14 +140,19 @@ def quadrature_average(D: int, r: int, P: BivarPoly, M: int) -> float:
             f"{M} nodes times {terms} terms is past the quadrature work budget "
             f"of {MAX_QUADRATURE_WORK}"
         )
+    try:  # one float per coefficient: int true division rounds t / den correctly
+        floats = [(t / P.den, i, k) for (i, k), t in P.numerators.items()]
+    except OverflowError:
+        raise InputError("a coefficient of P is outside the float range") from None
     try:
         curve, weight, prefactor = _ellipse_parametrization(D, r)
         step = 2.0 * math.pi / M
         total = 0.0
-        for i in range(M):
-            x, y, dx, dy = curve(step * i)
+        for node in range(M):
+            x, y, dx, dy = curve(step * node)
             w = weight(x, y) or math.nan  # 0 only if its quadratic form overflowed
-            total += P.evaluate_float(x, y) * w * math.hypot(dx, dy)
+            p_xy = sum(f * x**i * y**k for f, i, k in floats)
+            total += p_xy * w * math.hypot(dx, dy)
         value = prefactor * total * step
     except OverflowError:
         value = math.nan

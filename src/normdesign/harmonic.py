@@ -129,11 +129,6 @@ class BivarPoly:
             sum(t * x**i * y**k for (i, k), t in self.numerators.items()), self.den
         )
 
-    def evaluate_float(self, x: float, y: float) -> float:
-        # t / den is float(c): int true division is correctly rounded
-        den = self.den
-        return sum(t / den * x**i * y**k for (i, k), t in self.numerators.items())
-
     def __repr__(self) -> str:
         return f"BivarPoly({format_poly(self)!r})"
 

@@ -979,10 +979,11 @@ def test_cli_import_leaves_out_dataclasses_and_multiprocessing():
 
 
 def test_quadrature_node_bound_is_checked_before_any_node(capsys, monkeypatch):
+    # every node reads the curve and the weight this call returns
     def no_evaluation(*args):
         raise AssertionError("a node was evaluated")
 
-    monkeypatch.setattr(BivarPoly, "evaluate_float", no_evaluation)
+    monkeypatch.setattr(design, "_ellipse_parametrization", no_evaluation)
     assert run(["quadrature", "1", "1", "--poly", "x^2", "--nodes", "2097152"]) == 2
     assert "at most 2^20" in capsys.readouterr().err
 
@@ -1002,10 +1003,11 @@ def test_quadrature_node_bound_is_checked_before_any_node(capsys, monkeypatch):
 )
 def test_quadrature_work_budget_edges(capsys, monkeypatch, terms, nodes, accepted):
     """nodes * terms <= design.MAX_QUADRATURE_WORK = 2^23, checked before any node."""
+    # every node reads the curve and the weight this call returns
     def stop(*args):
         raise InputError("a node was evaluated")
 
-    monkeypatch.setattr(BivarPoly, "evaluate_float", stop)
+    monkeypatch.setattr(design, "_ellipse_parametrization", stop)
     assert design.MAX_QUADRATURE_WORK == 2**23
     monomials = [f"x^{i}*y^{k}" for i in range(65) for k in range(65)][:terms]
     argv = ["quadrature", "1", "1", "--poly", "+".join(monomials), "--nodes", str(nodes)]
@@ -1018,9 +1020,17 @@ def test_quadrature_work_budget_edges(capsys, monkeypatch, terms, nodes, accepte
         assert len(err.splitlines()) == 1
 
 
+BIG_COEFFICIENT = "1" + "0" * 400 + "*x^2"
+
+
 @pytest.mark.parametrize(
     "r,poly",
-    [(10**400, "x^2"), (10**306, "1000*x^2"), (10**306, "1000*x^2-1000*y^2")],
+    [
+        (10**400, "x^2"),
+        (10**306, "1000*x^2"),
+        (10**306, "1000*x^2-1000*y^2"),
+        (1, BIG_COEFFICIENT),
+    ],
 )
 def test_quadrature_outside_the_float_range_is_a_usage_error(capsys, r, poly):
     assert run(["quadrature", "1", str(r), "--poly", poly, "--format", "json"]) == 2
@@ -1028,6 +1038,9 @@ def test_quadrature_outside_the_float_range_is_a_usage_error(capsys, r, poly):
     assert captured.out == ""
     assert "float range" in captured.err
     assert "Infinity" not in captured.err and "NaN" not in captured.err
+    assert len(captured.err.splitlines()) == 1
+    blamed = "a coefficient of P" if poly == BIG_COEFFICIENT else "at r of"
+    assert blamed in captured.err
 
 
 def test_quadrature_too_few_nodes_for_degree(capsys):

@@ -1,7 +1,10 @@
 import json
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normdesign import design
 from normdesign.arith import is_representable
@@ -18,6 +21,7 @@ from normdesign.ring import ADMISSIBLE_D, InputError, norm_form, ring_data
 from normdesign.shells import enumerate_shell
 from normdesign.theta import basis_shell_sums_upto, shell_sum
 from test_cli import _representable_with_rows, report_json
+from test_harmonic import polys
 
 
 def test_t_design_examples():
@@ -188,6 +192,10 @@ def test_quadrature_node_validation():
         quadrature_average(1, 1, one, 2 * MAX_NODES)
 
 
+# a coefficient of 10^400 has no float; the error blames it, not r
+BIG_COEFFICIENT = "1" + "0" * 400 + "*x^2"
+
+
 @pytest.mark.parametrize(
     "D,r,poly",
     [
@@ -197,12 +205,56 @@ def test_quadrature_node_validation():
         # the weight's quadratic form overflows, so the weight would read 0
         # and the average of 1 would come out near 0.31
         (163, 10**306, "1"),
+        (1, 1, BIG_COEFFICIENT),
     ],
 )
 def test_quadrature_outside_the_float_range_is_a_value_error(D, r, poly):
     with pytest.raises(ValueError, match="float range") as err:
         quadrature_average(D, r, parse_poly(poly), 256)
     assert str(r) not in str(err.value)
+    blamed = "a coefficient of P" if poly == BIG_COEFFICIENT else "at r of"
+    assert blamed in str(err.value)
+
+
+def test_quadrature_coefficient_below_the_float_range_rounds_to_zero():
+    # 1/10^400 rounds to 0.0, as float() rounds it, and the average is 0.0
+    P = parse_poly("1/1" + "0" * 400 + "*x^2")
+    assert repr(quadrature_average(1, 1, P, 256)) == "0.0"
+
+
+def _float_coefficients(P):
+    """P with each coefficient c replaced by the float nearest to it."""
+    return BivarPoly({m: Fraction(float(c)) for m, c in P.terms.items()})
+
+
+# numerators and denominators past 2^53, so that a coefficient rounded
+# twice (numerator, then quotient) shows
+wide_polys = st.dictionaries(
+    st.tuples(st.integers(0, 9), st.integers(0, 9)),
+    st.fractions(-(10**30), 10**30, max_denominator=10**25),
+    max_size=8,
+).map(BivarPoly)
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(
+    st.one_of(polys, wide_polys),
+    st.sampled_from(ADMISSIBLE_D),
+    st.sampled_from((1, 2, 691)),
+)
+def test_quadrature_rounds_each_coefficient_once(P, D, r):
+    # each coefficient enters as float(c), correctly rounded, and only once:
+    # the exact float coefficients give the same float, bit for bit
+    expected = quadrature_average(D, r, _float_coefficients(P), 32)
+    assert repr(quadrature_average(D, r, P, 32)) == repr(expected)
+
+
+def test_quadrature_coefficient_size_costs_one_division():
+    # (10^60000 - 1)/(10^60000 - 3) rounds to 1.0; at 16 384 nodes a division
+    # per node took about 0.8 s, one division per call takes milliseconds
+    P = BivarPoly({(2, 0): Fraction(10**60000 - 1, 10**60000 - 3)})
+    expected = quadrature_average(1, 1, _float_coefficients(P), 2**14)
+    assert repr(quadrature_average(1, 1, P, 2**14)) == repr(expected)
 
 
 @pytest.mark.parametrize("M", (16, 32, 64))
@@ -247,6 +299,24 @@ def test_measure_density_constant_along_the_curve(D, r):
         assert v == pytest.approx(expected, abs=1e-12)
 
 
+def _paper_weight(D, x, y):
+    """The paper's weight on the norm ellipse, one formula per family of w."""
+    if D % 4 in (1, 2):
+        return 1.0 / math.sqrt(x * x / (D * D) + y * y)
+    return 1.0 / math.sqrt(
+        20.0 * x * x + (D * D + 2.0 * D + 5.0) * y * y + (20.0 + 4.0 * D) * x * y
+    )
+
+
+@pytest.mark.parametrize("D", ADMISSIBLE_D)
+@pytest.mark.parametrize("r", (1, 691, 10**300))
+def test_weight_is_the_papers_formula_bit_for_bit(D, r):
+    curve, weight, _ = _ellipse_parametrization(D, r)
+    for node in range(4096):
+        x, y, _, _ = curve(2 * math.pi * node / 4096)
+        assert repr(weight(x, y)) == repr(_paper_weight(D, x, y)), (D, r, node)
+
+
 @pytest.mark.parametrize("D", (1, 2, 3, 7))
 @pytest.mark.parametrize("r", (1, 4))
 def test_quadrature_kills_basis_polynomials(D, r):
@@ -266,8 +336,8 @@ def test_vanishing_degrees_match_quadrature_averages(D):
         for j in report.vanishing:
             for kind in BasisKind:
                 p = basis_poly(D, j, kind).poly
-                discrete = sum(
-                    p.evaluate_float(x, y) for x, y in shell.points
+                discrete = float(
+                    sum(p.evaluate(x, y) for x, y in shell.points)
                 ) / len(shell.points)
                 integral = quadrature_average(D, r, p, 256)
                 assert abs(discrete - integral) < 1e-9, (D, r, j, kind)
@@ -316,7 +386,9 @@ def test_mapped_polygons_are_ellipse_designs(D, t):
     for i in range(t + 1):
         for k in range(t + 1 - i):
             mono = BivarPoly({(i, k): 1})
-            discrete = sum(mono.evaluate_float(x, y) for x, y in mapped) / n
+            discrete = sum(
+                float(mono.evaluate(Fraction(x), Fraction(y))) for x, y in mapped
+            ) / n
             integral = quadrature_average(D, 1, mono, 256)
             assert abs(discrete - integral) < 1e-9, (D, t, i, k)
 

@@ -184,15 +184,6 @@ def test_evaluate_matches_horner_at_mixed_points(P, x, y):
     assert P.evaluate(y, x) == horner_reference(P, y, x)
 
 
-@PROPERTY
-@given(polys, st.floats(-100, 100), st.floats(-100, 100))
-def test_evaluate_float_matches_float_coefficients(P, x, y):
-    expected = sum(float(c) * x**i * y**k for (i, k), c in P.terms.items())
-    got = P.evaluate_float(x, y)
-    # bit for bit: repr tells -0.0 from 0.0, and the zero polynomial sums to 0
-    assert (type(got), repr(got)) == (type(expected), repr(expected))
-
-
 def test_evaluate_rejects_inexact_points():
     p = poly("1/2*x^3-2/3*x*y")
     for point in ((0.5, 2), (2, Decimal("0.5")), ("1/2", "3")):

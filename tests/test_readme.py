@@ -44,6 +44,7 @@ DELETED = (
     "_powers",
     "norm_shell",
     "SCAN_MAX_ROWS",
+    "evaluate_float",
 )
 
 
@@ -64,6 +65,7 @@ def test_deleted_names_are_gone():
         assert not hasattr(normdesign, name), name
         for module in (arith, cli, design, harmonic, ring, shells, theta):
             assert not hasattr(module, name), (module.__name__, name)
+        assert not hasattr(harmonic.BivarPoly, name), name  # nor a deleted method
         assert name not in README, name
 
 
