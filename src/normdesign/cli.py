@@ -53,8 +53,8 @@ MAX_THETA_RMAX = 10**6
 
 #: Largest basis degree ``theta --j`` and ``hecke --j`` accept. The degree-j
 #: basis polynomial that theta expands has up to j + 1 terms whose
-#: coefficients grow exponentially in j; hecke takes one power of each
-#: shell point.
+#: coefficients grow exponentially in j; hecke's Lucas ladder takes
+#: O(log j) products per trace of each shell.
 MAX_DEGREE = 1000
 
 #: Largest ``theta`` work as _check_theta_budget models it, for --j and

@@ -6,7 +6,7 @@ admissible D that are 3 mod 4. The norm form is x^2 + t*x*y + n*y^2, the
 discriminant t^2 - 4n. ``ring_data`` holds these constants, one frozen
 record per D, and every other module reads them from it. An element
 a + b*w is the integer pair (a, b) in the integral basis {1, w}. ``mul`` is
-the one product (``powers`` and ``power`` repeat it); ``parts`` gives an
+the one product (``powers`` repeats it); ``parts`` gives an
 element's real and imaginary parts as Fractions, and a shell's power sum,
 (a, 0), is read as its int a. Every operation is exact on int and Fraction
 pairs (elements of Q(w)). Every module raises ``InputError`` on an argument.
@@ -130,25 +130,6 @@ def powers(D: int, u: tuple[int, int], e: int) -> list[tuple[int, int]]:
     out = [(1, 0)]
     for _ in range(e):
         out.append(mul(D, out[-1], u))
-    return out
-
-
-def power(D: int, u: tuple[int, int], e: int) -> tuple[int, int]:
-    """u^e by left-to-right square-and-multiply, one ``mul`` per step.
-
-    A squaring for each bit of e after the leading one, and a product by u
-    for each set bit among them: at most 2*log2(e) products, where
-    ``powers(D, u, e)[e]`` takes e.
-    """
-    if e < 0:
-        raise InputError(f"exponent must be >= 0, got {_shown(e)}")
-    if e == 0:
-        return (1, 0)
-    out = u
-    for bit in bin(e)[3:]:
-        out = mul(D, out, out)
-        if bit == "1":
-            out = mul(D, out, u)
     return out
 
 

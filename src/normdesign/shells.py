@@ -56,9 +56,6 @@ class Shell(namedtuple("Shell", "D r points")):
 
     __slots__ = ()
 
-    def __len__(self) -> int:
-        return len(self.points)
-
 
 def scan_rows(D: int, r: int) -> int:
     """Rows of the reference scan of the norm r shell: y = 0..isqrt(4r // |disc|)."""

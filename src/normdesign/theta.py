@@ -10,12 +10,12 @@ evaluated by Horner at the row's points, and the values add into one int
 per norm, so only a nonzero sum becomes a Fraction. shell_sum evaluates P
 at every shell point and stays the reference the tests check theta_series
 against. Basis-polynomial sums take a faster route: (x + w*y)^j summed in
-the integral basis by the Lucas recurrence of each point's trace, with one
-ring product per point to check the recurrence's premise, two degrees
-per step and no update whose multiplier is exactly 0. That skip assumes no
-symmetry: the zeros are sums over the points themselves. A shell is
-closed under conjugation, so the sum is real, its w-coordinate 0
-(asserted) and its int a the R_{D,j} sum.
+the integral basis by the Lucas sequence of each trace, over per-trace
+point sums with one ring product per point to check its premise; two
+degrees per step and no update whose multiplier is exactly 0 (power_sums),
+or a doubling ladder to one degree (a_norm). The zero skip assumes no
+symmetry. A shell is closed under conjugation, so the sum is real, its
+w-coordinate 0 (asserted) and its int a the R_{D,j} sum.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from fractions import Fraction
 from .arith import is_prime, kronecker, splitting_type
 from .harmonic import BivarPoly
 from .ring import (
-    InputError, SplitType, _shown, mul, norm_form, parts, power, ring_data
+    InputError, SplitType, _shown, mul, norm_form, parts, powers, ring_data
 )
 from .shells import Shell, enumerate_shell, half_ball_rows
 
@@ -56,30 +56,13 @@ def shell_sum(D: int, P: BivarPoly, r: int) -> Fraction:
     return total
 
 
-def power_sums(shell: Shell, j_max: int) -> list[tuple[int, int]]:
-    """Integral-basis coordinates of sum z^j over the shell, j = 1..j_max.
-
-    Entry j-1 holds (sum of a, sum of b) where z^j = a + b*w for the shell
-    point z = x + w*y. A point of norm r and trace s = 2x + t*y is a root of
-    z^2 - s*z + r, so z^j = U_j*z - r*U_(j-1) with the Lucas sequence
-    U_0 = 0, U_1 = 1, U_j = s*U_(j-1) - r*U_(j-2) (Crandall and Pomerance,
-    Prime Numbers). One ``mul`` per point asserts that premise,
-    z*z == s*z - r. Points sum their x, y and count per trace; since
-    U_j(-s) = (-1)^(j-1)*U_j(s), the traces s and -s share one sequence.
-    Each step of it takes two degrees: the odd one from the sums of the
-    group's odd part, the even one from those of its even part. An update
-    whose multiplier is exactly 0 is skipped: both odd ones when the odd
-    part's sums are all 0, the even b one when its y sum is. These zeros
-    are computed from all of a group's points, and every point is still
-    checked, so no symmetry of the shell is assumed: half shells and single
-    points come out exact. On a whole shell the odd part's sums are 0 at
-    every |s| > 0, and a degree costs three products per |s|.
+def _trace_groups(shell: Shell) -> dict[int, list[int]]:
+    """|s| -> [xp, yp, cp, xn, yn, cn]: the x, y and count sums of the points
+    of trace s = 2x + t*y = |s|, then of those of trace -|s| < 0. A point of
+    norm r is a root of z^2 - s*z + r; one ``mul`` per point asserts it.
     """
-    if j_max < 1:
-        return []
     D, r = shell.D, shell.r
     t = ring_data(D).t
-    # |s| -> [x, y, count] sums over the points of trace s >= 0, then s < 0
     groups: dict[int, list[int]] = {}
     for z in shell.points:
         x, y = z
@@ -94,10 +77,35 @@ def power_sums(shell: Shell, j_max: int) -> list[tuple[int, int]]:
         g[k] += x
         g[k + 1] += y
         g[k + 2] += 1
+    return groups
+
+
+def power_sums(shell: Shell, j_max: int) -> list[tuple[int, int]]:
+    """Integral-basis coordinates of sum z^j over the shell, j = 1..j_max.
+
+    Entry j-1 holds (sum of a, sum of b) where z^j = a + b*w for the shell
+    point z = x + w*y. A point of norm r and trace s = 2x + t*y is a root of
+    z^2 - s*z + r, so z^j = U_j*z - r*U_(j-1) with the Lucas sequence
+    U_0 = 0, U_1 = 1, U_j = s*U_(j-1) - r*U_(j-2) (Crandall and Pomerance,
+    Prime Numbers). _trace_groups checks that premise at every point and
+    sums the points per trace; since U_j(-s) = (-1)^(j-1)*U_j(s), the
+    traces s and -s share one sequence.
+    Each step of it takes two degrees: the odd one from the sums of the
+    group's odd part, the even one from those of its even part. An update
+    whose multiplier is exactly 0 is skipped: both odd ones when the odd
+    part's sums are all 0, the even b one when its y sum is. These zeros
+    are computed from all of a group's points, and every point is still
+    checked, so no symmetry of the shell is assumed: half shells and single
+    points come out exact. On a whole shell the odd part's sums are 0 at
+    every |s| > 0, and a degree costs three products per |s|.
+    """
+    if j_max < 1:
+        return []
+    r = shell.r
     sa = [0] * j_max
     sb = [0] * j_max
     last = j_max - 1
-    for a, (xp, yp, cp, xn, yn, cn) in groups.items():
+    for a, (xp, yp, cp, xn, yn, cn) in _trace_groups(shell).items():
         # with U at a, trace -a gives z^j = (-1)^(j-1)*(U_j*z + r*U_(j-1)),
         # so odd degrees read the odd part's sums and even ones the even part's
         Xo, Yo, Co = xp + xn, yp + yn, cp - cn
@@ -170,18 +178,28 @@ def a_norm(D: int, j: int, r: int) -> Fraction:
     """Normalized theta coefficient: the R_{D,j} shell sum divided by u_D.
 
     Integer-valued whenever j is a multiple of u_D, where the underlying
-    series is a Hecke eigenform with a(1) = 1. The sum of z^j over the
-    shell stays an integer pair (sa, sb), one ``power`` per point; the
-    shell is closed under conjugation, so sb is 0 and the real part is sa.
+    series is a Hecke eigenform with a(1) = 1. Each trace group of the
+    scanned shell reaches power_sums' (U_(j-1), U_j) by the doubling ladder
+    U_2k = U_k*(2*U_(k+1) - s*U_k), U_(2k+1) = U_(k+1)^2 - r*U_k^2: O(log j)
+    products per trace. The shell is closed under conjugation: b sums to 0.
     """
     R = ring_data(D)
     if j < 1:
         raise InputError(f"basis degree must be >= 1, got {_shown(j)}")
+    bits = bin(j - 1)[3:]  # from k = 1 to k = j - 1, a doubling per bit
     sa = sb = 0
-    for z in enumerate_shell(D, r).points:
-        a, b = power(D, z, j)
-        sa += a
-        sb += b
+    for s, (xp, yp, cp, xn, yn, cn) in _trace_groups(enumerate_shell(D, r)).items():
+        u0, u1 = (1, s) if j > 1 else (0, 1)  # U_k, U_(k+1)
+        for bit in bits:
+            u0, u1 = u0 * (2 * u1 - s * u0), u1 * u1 - r * u0 * u0
+            if bit == "1":
+                u0, u1 = u1, s * u1 - r * u0
+        if j % 2:  # power_sums' signs: odd j reads the odd part, even j the even
+            sa += u1 * (xp + xn) - r * u0 * (cp - cn)
+            sb += u1 * (yp + yn)
+        else:
+            sa += u1 * (xp - xn) - r * u0 * (cp + cn)
+            sb += u1 * (yp - yn)
     assert sb == 0, f"D={D} r={r}: sum not real"  # as in basis_shell_sums_upto
     return Fraction(sa, R.unit_count)
 
@@ -200,7 +218,7 @@ def a_prime_closed_form(D: int, j: int, p: int) -> Fraction:
     split = splitting_type(D, p)
     if split is SplitType.INERT:
         raise InputError(f"the norm {p} shell is empty for D={D}")
-    value = parts(D, power(D, enumerate_shell(D, p).points[0], j))[0]
+    value = parts(D, powers(D, enumerate_shell(D, p).points[0], j)[j])[0]
     return value if split is SplitType.RAMIFIED else 2 * value
 
 

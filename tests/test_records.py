@@ -29,8 +29,14 @@ def test_records_are_read_only_values():
     for D, r in [(1, 65), (3, 691), (7, 2 * 11**2), (163, 41**3)]:
         assert enumerate_shell(D, r) == shell_from_factorization(D, r)
     assert enumerate_shell(1, 5) != enumerate_shell(1, 10)
-    assert len(enumerate_shell(1, 65)) == 16
-    assert len(enumerate_shell(1, 3)) == 0 and not enumerate_shell(1, 3).points
+    assert len(enumerate_shell(1, 65).points) == 16
+    assert not enumerate_shell(1, 3).points
+
+    # a Shell is its three fields to len, reversed and unpacking alike
+    shell = enumerate_shell(1, 5)
+    assert len(shell) == len(tuple(shell)) == 3
+    assert list(reversed(shell)) == list(reversed(tuple(shell)))
+    assert tuple(reversed(shell))[0] is shell.points
 
     ok = HeckeCheck(identity="i", inputs=(1, 2), left=1, right=1, passed=True)
     bad = HeckeCheck("i", (1, 2), 1, 2, False)

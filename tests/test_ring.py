@@ -17,7 +17,6 @@ from normdesign.ring import (
     mul,
     norm_form,
     parts,
-    power,
     powers,
     ring_data,
 )
@@ -181,23 +180,6 @@ small_fractions = st.fractions(-100, 100, max_denominator=50)
     st.one_of(
         st.tuples(small_ints, small_ints), st.tuples(small_fractions, small_fractions)
     ),
-    st.integers(0, 70),
-)
-def test_power_matches_repeated_mul(D, u, e):
-    assert power(D, u, e) == powers(D, u, e)[e]
-
-
-def test_power_rejects_a_negative_exponent():
-    with pytest.raises(ValueError):
-        power(1, (1, 1), -1)
-
-
-@settings(deadline=None, derandomize=True, max_examples=300)
-@given(
-    admissible,
-    st.one_of(
-        st.tuples(small_ints, small_ints), st.tuples(small_fractions, small_fractions)
-    ),
 )
 def test_parts_is_a_plus_b_rho_and_b_sigma(D, u):
     rho, sigma = rho_sigma(D)
@@ -300,7 +282,6 @@ POLY = BivarPoly({(1, 0): 1})
         (lambda: arith.factorize(-HUGE), "got less than -2^132"),
         (lambda: arith.is_representable(1, -HUGE), "got less than -2^132"),
         (lambda: arith.splitting_type(1, -HUGE), "got less than -2^132"),
-        (lambda: power(1, (1, 1), -HUGE), "got less than -2^132"),
     ],
 )
 def test_input_errors_name_large_values_by_size(call, shown):

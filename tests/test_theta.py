@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normdesign import design, theta
-from normdesign.cli import COPRIME_PAIRS, run
+from normdesign.cli import COPRIME_PAIRS, MAX_DEGREE, run
 from normdesign.arith import (
     factorize,
     is_prime,
@@ -22,7 +22,7 @@ from normdesign.ring import (
     discriminant,
     norm_form,
     parts,
-    power,
+    powers,
     ring_data,
 )
 from normdesign.shells import (
@@ -262,19 +262,22 @@ def test_a_norm_matches_the_power_sums_route(case):
 POWER_SUMS_JMAX = (1, 2, 13, 40)
 
 
-def power_oracle(D, points, j):
-    """(sum of a, sum of b) over z^j = a + b*w, one ring.power per point."""
-    sa = sb = 0
+def power_oracle(D, points, j_max):
+    """[(sum of a, sum of b) over z^j = a + b*w for j = 1..j_max].
+
+    One ring.powers list per point serves every degree.
+    """
+    sa, sb = [0] * j_max, [0] * j_max
     for z in points:
-        a, b = power(D, z, j)
-        sa += a
-        sb += b
-    return sa, sb
+        for i, (a, b) in enumerate(powers(D, z, j_max)[1:]):
+            sa[i] += a
+            sb[i] += b
+    return list(zip(sa, sb))
 
 
 @pytest.mark.parametrize("D", ADMISSIBLE_D)
 def test_power_sums_match_the_power_oracle(D):
-    """Each entry of power_sums against the sum of ring.power(D, z, j).
+    """Each entry of power_sums against the sum of ring.powers(D, z, j)[j].
 
     Every representable r <= 500 (scanned shells) and three large norms
     (factored shells): two near 10^9 and 10^18 + 9, which is empty for
@@ -290,7 +293,7 @@ def test_power_sums_match_the_power_oracle(D):
         r = whole.r
         half = Shell(D, r, tuple(z for z in whole.points if z > (0, 0)))
         for shell in (whole, half):
-            oracle = [power_oracle(D, shell.points, j) for j in range(1, 41)]
+            oracle = power_oracle(D, shell.points, 40)
             for j_max in POWER_SUMS_JMAX:
                 assert power_sums(shell, j_max) == oracle[:j_max], (D, r, j_max)
 
@@ -330,8 +333,7 @@ def kernel_shells(draw):
 @given(kernel_shells())
 def test_power_sums_match_the_power_oracle_on_any_points(case):
     shell, j_max = case
-    oracle = [power_oracle(shell.D, shell.points, j) for j in range(1, j_max + 1)]
-    assert power_sums(shell, j_max) == oracle
+    assert power_sums(shell, j_max) == power_oracle(shell.D, shell.points, j_max)
 
 
 def kernel_edge_shells(D):
@@ -367,7 +369,7 @@ def test_power_sums_at_the_edges_of_the_zero_skips(D):
     """
     for name, shell in kernel_edge_shells(D).items():
         assert len(set(shell.points)) == len(shell.points), (D, name)
-        oracle = [power_oracle(D, shell.points, j) for j in range(1, 42)]
+        oracle = power_oracle(D, shell.points, 41)
         for j_max in range(1, 42):
             assert power_sums(shell, j_max) == oracle[:j_max], (D, name, j_max)
         odd_sums = [s for j, s in enumerate(oracle, start=1) if j % 2]
@@ -430,7 +432,7 @@ def test_a_norm_asserts_a_real_shell_sum(monkeypatch, capsys):
         return Shell(D, r, real(D, r).points[:1])
 
     monkeypatch.setattr(theta, "enumerate_shell", first_point_only)
-    assert power(1, theta.enumerate_shell(1, 5).points[0], 4) == (-7, 24)
+    assert powers(1, theta.enumerate_shell(1, 5).points[0], 4)[4] == (-7, 24)
     with pytest.raises(AssertionError):
         a_norm(1, 4, 5)
     assert run(["hecke", "1", "--j", "4", "--p", "5"]) == 3
@@ -438,6 +440,85 @@ def test_a_norm_asserts_a_real_shell_sum(monkeypatch, capsys):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("internal error: ")
+
+
+_A_NORM_NORMS = {
+    D: [r for r in range(1, 2001) if is_representable(D, r)] for D in ADMISSIBLE_D
+}
+
+
+@st.composite
+def a_norm_oracle_cases(draw):
+    """(D, j, r): j up to cli.MAX_DEGREE, r a representable norm <= 2000 or p^3."""
+    D = draw(st.sampled_from(ADMISSIBLE_D))
+    j = draw(st.one_of(st.integers(1, 40), st.integers(1, MAX_DEGREE)))
+    cubes = st.sampled_from([p**3 for p in (2, 3, 5, 7, 11, 1009)])
+    r = draw(st.one_of(st.sampled_from(_A_NORM_NORMS[D]), cubes))
+    return D, j, r
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(a_norm_oracle_cases())
+def test_a_norm_matches_the_per_point_oracle(case):
+    """a_norm against the sum of powers(D, z, j)[j] over the scanned shell."""
+    D, j, r = case
+    sa, sb = power_oracle(D, enumerate_shell(D, r).points, j)[j - 1]
+    assert sb == 0
+    assert a_norm(D, j, r) == Fraction(sa, ring_data(D).unit_count)
+
+
+def a_norm_edge_shells(D):
+    """name -> Shell closed under conjugation, so a_norm's b sum is 0.
+
+    Over a whole shell every odd degree sums to 0 (z -> -z), so a wrong odd
+    branch of a_norm's ladder would pass there; {z, conj z} with z = 1 + w
+    has nonzero odd sums. (3, 0) and (-3, 0) are groups on the row y = 0,
+    alone and as one trace's +- pair; {w0, -w0} is a group of trace 0.
+    """
+    t = ring_data(D).t
+    z = (1, 1)
+    r = norm_form(D, *z)
+    w0 = (-1, 2) if t else (0, 1)
+    return {
+        "z, conj z": Shell(D, r, (z, (1 + t, -1))),
+        "real point": Shell(D, 9, ((3, 0),)),
+        "real +- pair": Shell(D, 9, ((-3, 0), (3, 0))),
+        "trace-0 group": Shell(D, D, (w0, (-w0[0], -w0[1]))),
+        "whole shell": enumerate_shell(D, r),
+    }
+
+
+@pytest.mark.parametrize("D", ADMISSIBLE_D)
+def test_a_norm_at_the_ladder_edges(D, monkeypatch):
+    """Each edge shape, scanned through theta.enumerate_shell, against the
+    per-point oracle at every j in 1..41 and at 97 and cli.MAX_DEGREE."""
+    u = ring_data(D).unit_count
+    degrees = [*range(1, 42), 97, MAX_DEGREE]
+    for name, shell in a_norm_edge_shells(D).items():
+        monkeypatch.setattr(theta, "enumerate_shell", lambda *_: shell)
+        oracle = power_oracle(D, shell.points, MAX_DEGREE)
+        for j in degrees:
+            sa, sb = oracle[j - 1]
+            assert sb == 0, (D, name, j)
+            assert a_norm(D, j, shell.r) == Fraction(sa, u), (D, name, j)
+        if name in ("z, conj z", "real point"):
+            assert any(oracle[j - 1][0] for j in degrees if j % 2), (D, name)
+
+
+def test_a_norm_asserts_each_point_has_the_shell_norm(monkeypatch, capsys):
+    # (r + 1, 0) is real, so a_norm's b sum cannot see that it is off the shell
+    def off_shell(D, r):
+        return Shell(D, r, ((r + 1, 0),))
+
+    monkeypatch.setattr(theta, "enumerate_shell", off_shell)
+    with pytest.raises(AssertionError, match="has norm 36"):
+        a_norm(1, 4, 5)
+    assert run(["hecke", "1", "--j", "4", "--p", "5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: ")
+    assert len(captured.err.splitlines()) == 1
+    assert "has norm" in captured.err
 
 
 def test_design_path_builds_no_fraction_parts(monkeypatch, capsys):
