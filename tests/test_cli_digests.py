@@ -5,8 +5,8 @@ returns for it and the sha-256 of its stdout; for exit 2 and 3 also the
 sha-256 of its stderr. An argparse error prints a usage block whose width
 and layout follow the terminal and the Python version, so for those (stderr
 starting with "usage:") only the last line, the error itself, is hashed.
-make_cli_digests.py rewrites the file; run it only when a change alters
-output on purpose.
+make_cli_digests.py rewrites the file, one line per command of its
+``commands()`` in order; run it only when a change alters output on purpose.
 """
 
 import hashlib
@@ -41,5 +41,10 @@ def digest(argv: list[str]) -> dict:
 def test_every_command_matches_its_digest():
     records = [json.loads(line) for line in DIGESTS.read_text("utf-8").splitlines()]
     assert len(records) > 500
+    # imported here: make_cli_digests imports this module
+    from make_cli_digests import commands
+
+    # a dropped line, or a command never regenerated into the file
+    assert [r["argv"] for r in records] == commands()
     changed = [r["argv"] for r in records if digest(r["argv"]) != r]
     assert not changed, f"{len(changed)} commands changed, first: {changed[:5]}"
