@@ -193,13 +193,9 @@ def _cmd_verify(args) -> tuple[int, str]:
     if args.t is None and args.jmax is None:
         args.jmax = min(2 * ring_data(args.D).unit_count + 1, 13)
     # an empty shell raises InputError in strength_profile: exit 2
-    if args.t is not None:
-        report = strength_profile(args.D, args.r, args.t)
-        # the report stops at degree t, so a t-design has no failing degree
-        passed = not report.failing
-    else:
-        report = strength_profile(args.D, args.r, args.jmax)
-        passed = report.theorem_main_ok
+    report = strength_profile(args.D, args.r, args.jmax if args.t is None else args.t)
+    # under --t the report stops at degree t: a t-design has no failing degree
+    passed = report.theorem_main_ok if args.t is None else not report.failing
     code = 0 if passed else 1
     if args.format == "json":
         return code, _report_text(report)

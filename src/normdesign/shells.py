@@ -108,20 +108,18 @@ def ball_shells(D: int, bound: int) -> Iterator[Shell]:
 def enumerate_shell(D: int, r: int) -> Shell:
     """Complete exact enumeration of the norm r shell: the reference route.
 
-    One scan over the completed square 4r = (2x + t*y)^2 + |disc|*y^2 of
-    the norm form x^2 + t*x*y + n*y^2: for each 0 <= y <= isqrt(4r // |disc|),
-    the points are the x with 2x + t*y = +-s where s^2 = 4r - |disc|*y^2,
-    together with their negatives (-x, -y), since the norm is even in z.
-    Perfect squares are detected with isqrt and a re-square, never floats.
-    From WHEEL_MIN_ROWS rows on, only the rows ``_wheel_rows`` keeps are
-    tested; its sieve drops rows where s^2 would be a non-square mod a
-    small prime.
+    One scan over the completed square 4r = (2x + t*y)^2 + |disc|*y^2 of the
+    norm form x^2 + t*x*y + n*y^2: for each 0 <= y <= isqrt(4r // |disc|), the
+    points are the x with 2x + t*y = +-s where s^2 = 4r - |disc|*y^2, together
+    with their negatives (-x, -y), since the norm is even in z. Norm 0 is one
+    row, y = 0, and one point, (0, 0). Perfect squares are detected with isqrt
+    and a re-square, never floats. From WHEEL_MIN_ROWS rows on, only the rows
+    ``_wheel_rows`` keeps are tested; its sieve drops rows where s^2 would be a
+    non-square mod a small prime.
     """
     R = ring_data(D)
     if r < 0:
         raise InputError(f"shell norm must be nonnegative, got {_shown(r)}")
-    if r == 0:
-        return Shell(D, 0, ((0, 0),))
     t, a = R.t, -R.disc
     r4 = 4 * r
     ymax = isqrt(r4 // a)

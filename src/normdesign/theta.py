@@ -187,6 +187,7 @@ def a_norm(D: int, j: int, r: int) -> Fraction:
     if j < 1:
         raise InputError(f"basis degree must be >= 1, got {_shown(j)}")
     bits = bin(j - 1)[3:]  # from k = 1 to k = j - 1, a doubling per bit
+    sg = 1 if j % 2 else -1  # power_sums' one sign: U_j(-s) = sg*U_j(s)
     sa = sb = 0
     for s, (xp, yp, cp, xn, yn, cn) in _trace_groups(enumerate_shell(D, r)).items():
         u0, u1 = (1, s) if j > 1 else (0, 1)  # U_k, U_(k+1)
@@ -194,12 +195,8 @@ def a_norm(D: int, j: int, r: int) -> Fraction:
             u0, u1 = u0 * (2 * u1 - s * u0), u1 * u1 - r * u0 * u0
             if bit == "1":
                 u0, u1 = u1, s * u1 - r * u0
-        if j % 2:  # power_sums' signs: odd j reads the odd part, even j the even
-            sa += u1 * (xp + xn) - r * u0 * (cp - cn)
-            sb += u1 * (yp + yn)
-        else:
-            sa += u1 * (xp - xn) - r * u0 * (cp + cn)
-            sb += u1 * (yp - yn)
+        sa += u1 * (xp + sg * xn) - r * u0 * (cp - sg * cn)
+        sb += u1 * (yp + sg * yn)
     assert sb == 0, f"D={D} r={r}: sum not real"  # as in basis_shell_sums_upto
     return Fraction(sa, R.unit_count)
 
